@@ -120,7 +120,7 @@ def _run_solve(cfg: RunConfig):
     grid = Grid(cfg.n, cfg.length)
     state = _initial_state(cfg, grid)
     traj = solver.solve(state, _params(cfg), cfg.s, cfg.t_end, cfl=cfg.cfl,
-                        seam_policy=cfg.seam)
+                        store_stride=0, seam_policy=cfg.seam)
     solver.save_ledger_csv(traj, os.path.join(cfg.out, "ledger.csv"))
     solver.save_snapshot(traj.final, os.path.join(cfg.out, "state_final.chs2"))
     results = {
@@ -260,17 +260,18 @@ def _run_t0probe(cfg: RunConfig):
 
     if math.isinf(t0_config):
         # zero data: no finite window, just confirm the solution stays zero
-        traj = solver.solve(state, params, cfg.s, 1.0, cfl=cfg.cfl)
+        traj = solver.solve(state, params, cfg.s, 1.0, cfl=cfg.cfl,
+                            store_stride=0)
         check = solver.size_bound_check(traj, 0.0, params, cfg.s)
         fitted = 0.0
     else:
         probe = solver.solve(state, params, cfg.s, t0_config,
-                             dt_policy=probe_dt(t0_config))
+                             dt_policy=probe_dt(t0_config), store_stride=0)
         c_used = max(solver.fit_min_cs(probe), holder.MIN_FITTED_CS)
         y0 = float(probe.y[0])
         t_fit = math.log1p(1.0 / y0) / (2.0 * c_used)
         traj = solver.solve(state, params, cfg.s, t_fit,
-                            dt_policy=probe_dt(t_fit))
+                            dt_policy=probe_dt(t_fit), store_stride=0)
         # refitting on the longer ledger can only raise the constant, so
         # the window of the refitted T0 stays inside what we just ran
         fitted = max(solver.fit_min_cs(traj), c_used)

@@ -7,16 +7,29 @@ Everything runs on the periodic grid with 2/3-rule dealiasing, classical
 RK4 in time, and a per-step norm ledger out of which the existence-time
 and size-bound probes are built.
 
+The right-hand side is one fused real-FFT kernel over an operator table
+built once per (grid, params): one batched irfft gives the values of
+(u, u_x, u_xx, u_xxx, rho, rho_x), the quadratic terms are formed
+pointwise as a bilinear form B, and one batched rfft brings three rows
+back.  `rhs` is B(U, U) and `diff_rhs` is B(w, U) + B(V, w), plus the
+linear alpha term.  The kernel reads the rfft half spectrum, so state
+fields must be real (Hermitian spectra), as every Field built from
+values, by `random_field` or by Field arithmetic is.  Alias-free products
+on the doubled grid (`spectral.product_exact`) remain the diagnostic path.
+
 Status/ledger conventions: a trajectory records (t, ||u||_{H^s},
 ||rho||_{H^{s-2}}, y = sum) every step.  Integration stops early either
 when y explodes past a threshold (or values go non-finite), or when the
 top third of the retained spectral band carries more than a set fraction
 of the H^s energy, meaning the grid can no longer represent the
-solution.  Ledger entries are finite unless the run aborted.
+solution.  Ledger entries are finite unless the run aborted.  Only a
+non-finite state counts as a blow-up; any other error inside a step
+propagates.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 import warnings
@@ -24,20 +37,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (
-    Field,
-    Grid,
-    dealias_truncate,
-    dx,
-    helmholtz_inverse_dx,
-    product,
-    sobolev_norm,
-    sup_norm,
-)
+from .spectral import Field, Grid, dealias_truncate, sobolev_norm, sup_norm
 
 __all__ = [
     "SystemParams", "State", "Trajectory", "DifferenceState",
     "DifferenceTrajectory", "SizeBoundReport", "SeamWarning",
+    "NonFiniteStateError",
     "COMPLETED", "BLOWUP", "RESOLUTION_EXHAUSTED",
     "rhs", "step_rk4", "solve", "t0_lower_bound", "size_bound_check",
     "fit_min_cs", "diff_rhs", "diff_solve",
@@ -143,36 +148,99 @@ class DifferenceTrajectory:
     defect: float
 
 
+class NonFiniteStateError(ValueError):
+    """A state field holds a NaN or an infinity: the run has blown up."""
+
+
 def _check_finite(state: State):
     if not (np.isfinite(state.u.coefficients).all()
             and np.isfinite(state.rho.coefficients).all()):
-        raise ValueError("non-finite values in state fields")
+        raise NonFiniteStateError("non-finite values in state fields")
+
+
+class _Operators:
+    """Half-spectrum operator tables of the system on one grid.
+
+    The right-hand side works on the rfft half spectrum (modes
+    0..N/2) of real fields.  A pair (u, rho) enters as its value stack:
+    the rows (u, u_x, u_xx, u_xxx, rho, rho_x) of the 2/3-truncated
+    fields, from one batched irfft.  The quadratic part of the system is
+    a bilinear form on two such stacks giving three value rows (bracket,
+    u-transport, rho tendency), which one batched rfft, one mask and the
+    Helmholtz multiplier turn into the tendencies.
+    """
+
+    def __init__(self, grid: Grid, params: SystemParams):
+        n = grid.n
+        self.grid, self.params, self.half = grid, params, n // 2 + 1
+        xi = np.abs(grid.xi[: self.half])
+        # the 2/3 mask also drops the unpaired Nyquist mode, which keeps
+        # the odd derivatives of real fields real
+        mask = np.abs(grid.modes[: self.half]) <= n // 3
+        deriv = [(1j * xi) ** k for k in range(4)]
+        helm = 1j * xi / (1.0 + xi**2) ** 2  # d/dx (1 - d^2/dx^2)^{-2}
+        helm[-1] = 0.0
+        one = np.ones_like(helm)
+        # Field scaling: times N into values, over N back to coefficients
+        self.analysis = (n * mask) * np.array(deriv + deriv[:2])
+        self.synthesis = (mask / n) * np.array([-helm, -one, one])
+        self.linear = params.alpha * helm
+        for table in (self.analysis, self.synthesis, self.linear):
+            table.flags.writeable = False
+
+    def values(self, *pairs) -> np.ndarray:
+        """Value stacks of (u, rho) pairs, shape (pairs, 6, N), one irfft."""
+        h = self.half
+        spec = np.empty((len(pairs), 6, h), dtype=complex)
+        for out, (u, rho) in zip(spec, pairs):
+            np.multiply(self.analysis[:4], u.coefficients[:h], out=out[:4])
+            np.multiply(self.analysis[4:], rho.coefficients[:h], out=out[4:])
+        return np.fft.irfft(spec, n=self.grid.n, axis=-1)
+
+    def bilinear(self, a: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """B(a, c): the rows (bracket, u-transport, rho tendency).
+
+        B(U, U) is the quadratic part of the right-hand side at U, so
+        B(U, U) - B(V, V) = B(U - V, U) + B(V, U - V) exactly.
+        """
+        b, kap = self.params.b, self.params.kappa
+        u, ux, uxx, _, rho, _ = a
+        bracket = ((0.5 * b) * u * c[0] + (3.0 - b) * ux * c[1]
+                   - (0.5 * (b + 5.0)) * uxx * c[2] + (b - 5.0) * ux * c[3]
+                   + (0.5 * kap) * rho * c[4])
+        return np.stack([bracket, u * c[1], -(u * c[5] + (b - 1.0) * ux * c[4])])
+
+    def tendencies(self, rows: np.ndarray, u: Field) -> tuple[Field, Field]:
+        """(du, drho) from the bilinear rows plus the linear alpha term in u."""
+        out = np.fft.rfft(rows, axis=-1)
+        out *= self.synthesis
+        du = out[0] + out[1] + self.linear * u.coefficients[: self.half]
+        return self._field(du), self._field(out[2])
+
+    def _field(self, half: np.ndarray) -> Field:
+        # Hermitian extension of a half spectrum
+        n = self.grid.n
+        full = np.empty(n, dtype=complex)
+        full[: self.half] = half
+        full[self.half:] = np.conj(half[n // 2 - 1: 0: -1])
+        return Field(self.grid, full)
+
+
+@functools.lru_cache(maxsize=16)
+def _operators(grid: Grid, params: SystemParams) -> _Operators:
+    return _Operators(grid, params)
 
 
 def rhs(state: State, params: SystemParams) -> tuple[Field, Field]:
-    """Right-hand side of the nonlocal form; all products dealiased."""
+    """Right-hand side of the nonlocal form: B(U, U) plus the alpha term.
+
+    The fields must be real (Hermitian spectra); products are dealiased
+    by the 2/3 rule.
+    """
     _check_finite(state)
-    u, rho = state.u, state.rho
-    b, kap, al = params.b, params.kappa, params.alpha
-
-    ux = dx(u, 1)
-    uxx = dx(u, 2)
-    uxxx = dx(u, 3)
-
-    bracket = (
-        (0.5 * b) * product(u, u, dealias=True)
-        + (3.0 - b) * product(ux, ux, dealias=True)
-        - (0.5 * (b + 5.0)) * product(uxx, uxx, dealias=True)
-        + (b - 5.0) * product(ux, uxxx, dealias=True)
-        + (0.5 * kap) * product(rho, rho, dealias=True)
-        - al * u
-    )
-    du = -product(u, ux, dealias=True) - helmholtz_inverse_dx(bracket)
-    drho = (
-        -product(u, dx(rho, 1), dealias=True)
-        - (b - 1.0) * product(ux, rho, dealias=True)
-    )
-    return du, drho
+    ops = _operators(state.grid, params)
+    (stack,) = ops.values((state.u, state.rho))
+    return ops.tendencies(ops.bilinear(stack, stack), state.u)
 
 
 def step_rk4(state: State, params: SystemParams, dt: float) -> State:
@@ -211,21 +279,15 @@ def _seam_check(state: State, tol: float, policy: str):
         warnings.warn(msg, SeamWarning)
 
 
-def _tail_fraction(u: Field, s: float) -> float:
-    """H^s energy fraction in the top third of the dealiased band.
+def _half_weights(grid: Grid, s: float) -> np.ndarray:
+    """(1 + xi^2)^s on the half spectrum, modes 0 < k < N/2 counted twice.
 
-    The 2/3 rule empties the literal top third of the grid spectrum, so
-    the resolution test watches the retained band |k| <= N//3 instead.
+    For a real field, sum(w |c_k|^2) over the half spectrum is the
+    full-spectrum sum behind sobolev_norm.
     """
-    kept = u.grid.n // 3
-    lo = int(math.ceil(2.0 * kept / 3.0))
-    weights = (1.0 + u.grid.xi**2) ** s
-    density = weights * np.abs(u.coefficients) ** 2
-    total = float(density.sum())
-    if total == 0.0:
-        return 0.0
-    mask = np.abs(u.grid.modes) >= lo
-    return float(density[mask].sum()) / total
+    w = (1.0 + grid.xi[: grid.n // 2 + 1] ** 2) ** s
+    w[1:-1] *= 2.0
+    return w
 
 
 def _cfl_dt(u: Field, cfl: float) -> float:
@@ -264,21 +326,32 @@ def solve(initial: State, params: SystemParams, s: float, t_end: float,
     state = State(dealias_truncate(initial.u), dealias_truncate(initial.rho), initial.t)
     times, nus, nrs, ys = [], [], [], []
     states = [state]
+    grid = state.grid
+    half = grid.n // 2 + 1
+    w_u, w_rho = _half_weights(grid, s), _half_weights(grid, s - 2.0)
+    # the 2/3 rule empties the literal top third of the grid spectrum, so
+    # the resolution test watches the top third of the retained band
+    # |k| <= N//3, from mode `tail` on
+    tail = math.ceil(2.0 * (grid.n // 3) / 3.0)
 
-    def record(st: State) -> float:
-        nu = sobolev_norm(st.u, s)
-        nr = sobolev_norm(st.rho, s - 2.0)
+    def record(st: State) -> tuple[float, float]:
+        """Append st's ledger row; return y and the H^s tail fraction of u."""
+        energy = w_u * np.abs(st.u.coefficients[:half]) ** 2
+        total = float(energy.sum())
+        nu = math.sqrt(grid.length * total)
+        nr = math.sqrt(grid.length * float(
+            np.sum(w_rho * np.abs(st.rho.coefficients[:half]) ** 2)))
         times.append(st.t)
         nus.append(nu)
         nrs.append(nr)
         ys.append(nu + nr)
-        return nu + nr
+        return nu + nr, float(energy[tail:].sum()) / total if total else 0.0
 
     status = COMPLETED
-    y0 = record(state)
+    y0, tail_fraction = record(state)
     if not (math.isfinite(y0) and y0 <= blowup_threshold):
         status = BLOWUP
-    elif _tail_fraction(state.u, s) > tail_limit:
+    elif tail_fraction > tail_limit:
         status = RESOLUTION_EXHAUSTED
 
     step_count = 0
@@ -293,17 +366,17 @@ def solve(initial: State, params: SystemParams, s: float, t_end: float,
                 dt = t_end - state.t
             try:
                 state = step_rk4(state, params, dt)
-            except ValueError:
+            except NonFiniteStateError:
                 status = BLOWUP
                 break
             step_count += 1
-            yv = record(state)
+            yv, tail_fraction = record(state)
             if store_stride > 0 and (step_count % store_stride == 0 or state.t >= t_end):
                 states.append(state)
             if not (math.isfinite(yv) and yv <= blowup_threshold):
                 status = BLOWUP
                 break
-            if _tail_fraction(state.u, s) > tail_limit:
+            if tail_fraction > tail_limit:
                 status = RESOLUTION_EXHAUSTED
                 break
 
@@ -397,39 +470,18 @@ def diff_rhs(dstate: DifferenceState, u: Field, v: Field, rho: Field,
              theta: Field, params: SystemParams) -> tuple[Field, Field]:
     """Right-hand side of the difference system in (w, eta).
 
-    Algebraically this is rhs(u, rho) - rhs(v, theta) rewritten so every
-    term is linear in (w, eta); with the shared dealiasing the identity
-    holds to roundoff, which diff_solve exploits as its cross-check.
+    With U = (u, rho), V = (v, theta) and w = (w, eta) this is
+    B(w, U) + B(V, w) plus the alpha term in w, linear in (w, eta); for
+    w = U - V it equals rhs(U) - rhs(V), since B(U, U) - B(V, V) =
+    B(U - V, U) + B(V, U - V).  diff_solve exploits that as its
+    cross-check.
     """
     w, eta = dstate.w, dstate.eta
     if not (w.grid == u.grid == v.grid == rho.grid == theta.grid):
         raise ValueError("difference state and drivers must share one grid")
-    b, kap, al = params.b, params.kappa, params.alpha
-
-    wx, wxx, wxxx = dx(w, 1), dx(w, 2), dx(w, 3)
-    ux, vx = dx(u, 1), dx(v, 1)
-    uxx, vxx = dx(u, 2), dx(v, 2)
-    uxxx = dx(u, 3)
-
-    bracket = (
-        (0.5 * b) * product(w, u + v, dealias=True)
-        + (3.0 - b) * product(wx, ux + vx, dealias=True)
-        - (0.5 * (b + 5.0)) * product(wxx, uxx + vxx, dealias=True)
-        + (b - 5.0) * product(wx, uxxx, dealias=True)
-        + (b - 5.0) * product(vx, wxxx, dealias=True)
-        + (0.5 * kap) * product(eta, rho + theta, dealias=True)
-        - al * w
-    )
-    dw = (
-        -0.5 * dx(product(w, u + v, dealias=True), 1)
-        - helmholtz_inverse_dx(bracket)
-    )
-    deta = (
-        -product(u, dx(eta, 1), dealias=True)
-        - product(w, dx(theta, 1), dealias=True)
-        - (b - 1.0) * (product(wx, rho, dealias=True) + product(vx, eta, dealias=True))
-    )
-    return dw, deta
+    ops = _operators(w.grid, params)
+    dw, us, vs = ops.values((w, eta), (u, rho), (v, theta))
+    return ops.tendencies(ops.bilinear(dw, us) + ops.bilinear(vs, dw), w)
 
 
 def _midpoint(a: State, b: State) -> tuple[Field, Field]:
@@ -524,6 +576,8 @@ def load_snapshot(path) -> State:
         body = np.frombuffer(fh.read(2 * n * 8), dtype="<f8")
         if body.size != 2 * n:
             raise ValueError("truncated snapshot body")
+        if fh.read(1):
+            raise ValueError("trailing bytes after snapshot body")
     grid = Grid(n, length)
     return State(Field.from_values(grid, body[:n].copy()),
                  Field.from_values(grid, body[n:].copy()), t)

@@ -18,7 +18,7 @@ agrees with the integral L2 norm at s = 0 (Parseval).
 The product of two band-limited fields is itself band-limited within a
 grid of twice the resolution; `product_exact` exploits that to return
 alias-free products for diagnostics, while `product(..., dealias=True)`
-applies the 2/3-rule truncation used inside right-hand-side evaluation.
+applies the 2/3-rule truncation that the solver's right-hand side uses.
 Odd-order derivative multipliers zero the unpaired Nyquist mode so that
 real fields stay real.
 """
@@ -33,7 +33,6 @@ import numpy as np
 __all__ = [
     "Grid",
     "Field",
-    "to_coefficients",
     "multiplier_apply",
     "dx",
     "bessel_pow",
@@ -129,10 +128,6 @@ class Field:
             self._values.flags.writeable = False
         return self._values
 
-    def imag_residue(self) -> float:
-        """Largest imaginary part of the inverse transform (realness defect)."""
-        return float(np.max(np.abs(np.fft.ifft(self._coeffs * self.grid.n).imag)))
-
     def __add__(self, other: "Field") -> "Field":
         _check_same_grid(self, other)
         return Field(self.grid, self._coeffs + other._coeffs)
@@ -156,11 +151,6 @@ class Field:
 def _check_same_grid(f: Field, g: Field) -> None:
     if f.grid != g.grid:
         raise ValueError(f"grid mismatch: {f.grid} vs {g.grid}")
-
-
-def to_coefficients(values: np.ndarray, grid: Grid) -> Field:
-    """Forward transform of real samples into a Field."""
-    return Field.from_values(grid, values)
 
 
 def multiplier_apply(f: Field, m) -> Field:

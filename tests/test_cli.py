@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from chslab import solver
 from chslab.cli import _git_blob_sha1, _worker_cap, execute, main, sweep_execute
 from chslab.config import parse_config
 
@@ -211,3 +212,13 @@ def test_execute_turns_runtime_failures_into_exit_two(tmp_path, capsys):
     cfg = parse_config("", "t0probe", str(tmp_path / "x"),
                        {"kind": "zero", "normalize": "true"})
     assert execute(cfg) == 2
+
+
+def test_step_error_is_a_failed_run_not_a_blowup(tmp_path, capsys, monkeypatch):
+    def broken_step(state, params, dt):
+        raise ValueError("grid mismatch")
+
+    monkeypatch.setattr(solver, "step_rk4", broken_step)
+    cfg = parse_config("", "solve", str(tmp_path / "x"), {"N": "128", "t_end": "0.2"})
+    assert execute(cfg) == 2
+    assert "grid mismatch" in capsys.readouterr().err

@@ -10,12 +10,14 @@ import math
 import numpy as np
 import pytest
 
+from chslab import solver
 from chslab.fields import cosine_mode, gaussian_bump, random_field
 from chslab.solver import (
     BLOWUP,
     COMPLETED,
     RESOLUTION_EXHAUSTED,
     DifferenceState,
+    NonFiniteStateError,
     SeamWarning,
     State,
     SystemParams,
@@ -178,12 +180,20 @@ def test_horizon_is_hit_exactly(line):
 
 def test_store_stride_thins_states_but_not_ledger(line):
     dense = solve(bump_state(line), default_params(), 4.0, 0.4)
-    thin = solve(bump_state(line), default_params(), 4.0, 0.4, store_stride=4)
-    assert len(thin.times) == len(dense.times)
-    assert len(thin.states) < len(dense.states)
-    assert not thin.is_dense()
-    # the last state is always kept
-    assert thin.final.t == 0.4
+    # stride 0 keeps only the initial and the final state
+    for stride in (4, 0):
+        thin = solve(bump_state(line), default_params(), 4.0, 0.4,
+                     store_stride=stride)
+        assert np.array_equal(thin.times, dense.times)
+        assert np.array_equal(thin.y, dense.y)
+        assert len(thin.states) < len(dense.states)
+        assert not thin.is_dense()
+        # the last state is always kept
+        assert thin.final.t == 0.4
+        assert np.array_equal(thin.final.u.coefficients, dense.final.u.coefficients)
+        assert np.array_equal(thin.final.rho.coefficients,
+                              dense.final.rho.coefficients)
+    assert len(thin.states) == 2
 
 
 def test_solve_rejects_bad_horizon(line):
@@ -238,6 +248,34 @@ def test_spectral_tail_exhaustion_aborts_the_run():
                  tail_limit=1e-8, seam_policy="ignore")
     assert traj.status == RESOLUTION_EXHAUSTED
     assert traj.times[-1] < 1.0
+
+
+def test_non_finite_state_mid_run_is_a_blowup(line):
+    # an unstable fixed step overflows inside an RK stage; no norm or
+    # resolution limit stops the run before that
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = solve(bump_state(line, amp=1e5), default_params(), 4.0, 1.0,
+                     dt_policy=0.05, blowup_threshold=math.inf, tail_limit=1.0)
+    assert traj.status == BLOWUP
+    # the non-finite stage state never reached the ledger
+    assert np.isfinite(traj.y).all()
+    assert traj.times[-1] < 1.0
+
+
+def test_non_finite_state_raises_its_own_error(line):
+    st = bump_state(line)
+    bad = State(Field(line, np.full(line.n, np.nan, dtype=complex)), st.rho, 0.0)
+    with pytest.raises(NonFiniteStateError):
+        rhs(bad, default_params())
+
+
+def test_other_step_errors_are_not_a_blowup(line, monkeypatch):
+    def broken_step(state, params, dt):
+        raise ValueError("grid mismatch")
+
+    monkeypatch.setattr(solver, "step_rk4", broken_step)
+    with pytest.raises(ValueError, match="grid mismatch"):
+        solve(bump_state(line), default_params(), 4.0, 0.2)
 
 
 def test_completed_run_reports_completed(line):
@@ -428,6 +466,15 @@ def test_snapshot_rejects_truncation(tmp_path, line):
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
     with pytest.raises(ValueError):
+        load_snapshot(path)
+
+
+def test_snapshot_rejects_trailing_bytes(tmp_path, line):
+    st = bump_state(line)
+    path = tmp_path / "state.chs2"
+    save_snapshot(st, path)
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(ValueError, match="trailing"):
         load_snapshot(path)
 
 
