@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .fields import cosine_mode, random_field
 from .mollifier import build_mollifier, commutator_mollifier
@@ -324,6 +323,8 @@ def kernel_integral(r: float, j: float, k: float, eta: float) -> float:
     fixed tail cutoff (a cutoff where the integrand reaches 1e-14 still
     leaves ~1e-7 of mass in the slow polynomial tail).
     """
+    from scipy.integrate import quad  # here, not at load: no other command needs scipy
+
     if j <= 0.5:
         return math.inf
     p = r - k

@@ -1,8 +1,21 @@
-"""Smoothing-by-convolution behavior that the probes downstream lean on."""
+"""Smoothing-by-convolution behavior that the probes downstream lean on.
+
+The multiplier tables come from a trapezoid rule; scalar adaptive `quad`
+of the same cosine transform, the method it replaced, is kept here as
+the oracle.
+"""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+import chslab
+from chslab import mollifier
+from chslab.inequalities import DEFAULT_EPS_LADDER
 from chslab.mollifier import (
     build_mollifier,
     bump_transform_raw,
@@ -10,6 +23,26 @@ from chslab.mollifier import (
     mollify,
 )
 from chslab.spectral import Field, Grid, dealias_truncate, dx, inner, sobolev_norm, sup_norm
+
+_QUAD_TOL = 1e-12
+
+
+def _bump_scalar(x: float) -> float:
+    return float(np.exp(1.0 / (x * x - 1.0))) if abs(x) < 1.0 else 0.0
+
+
+def quad_transform(w: float) -> float:
+    """Oracle: 2 int_0^1 exp(1/(x^2-1)) cos(w x) dx by adaptive quadrature."""
+    val, _ = quad(
+        _bump_scalar, 0.0, 1.0, weight="cos", wvar=float(w),
+        epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200,
+    )
+    return 2.0 * val
+
+
+def oracle_table(grid, eps):
+    uniq, inverse = np.unique(np.abs(eps * grid.xi), return_inverse=True)
+    return np.array([quad_transform(w) for w in uniq])[inverse] / quad_transform(0.0)
 
 
 @pytest.fixture
@@ -47,9 +80,70 @@ def test_symbol_decays_at_high_frequency(grid):
 
 
 def test_transform_peaks_at_zero():
-    peak = bump_transform_raw(0.0)
-    for w in (0.5, 1.0, 3.0, 10.0):
-        assert abs(bump_transform_raw(w)) < peak
+    raw = bump_transform_raw(np.array([0.0, 0.5, 1.0, 3.0, 10.0]))
+    assert np.all(np.abs(raw[1:]) < raw[0])
+
+
+@pytest.mark.parametrize("n", [1024, 2048])
+def test_default_ladder_tables_match_quad(n):
+    grid = Grid(n, 2.0 * np.pi)
+    for eps in DEFAULT_EPS_LADDER:
+        table = build_mollifier(grid, eps).multiplier
+        assert np.abs(table - oracle_table(grid, eps)).max() <= 1e-12
+
+
+def test_node_rule_scales_to_high_frequency():
+    # frequencies up to 4096.  Here quad's own tolerance bounds the
+    # agreement: it is off by 1.3e-12 near w = 2989, where doubling the
+    # trapezoid nodes moves the table by 1.5e-14
+    grid = Grid(8192, 2.0 * np.pi)
+    table = build_mollifier(grid, 1.0).multiplier
+    tol = 2.0 * _QUAD_TOL / quad_transform(0.0)
+    assert np.abs(table - oracle_table(grid, 1.0)).max() <= tol
+
+
+@pytest.mark.parametrize("n", [1024, 2048])
+def test_doubling_the_nodes_leaves_the_tables_unchanged(n, monkeypatch):
+    grid = Grid(n, 2.0 * np.pi)
+    freqs = [np.unique(np.abs(eps * grid.xi)) for eps in DEFAULT_EPS_LADDER]
+    base = [bump_transform_raw(w) for w in freqs]
+    nodes = mollifier._trapezoid_nodes
+    monkeypatch.setattr(mollifier, "_trapezoid_nodes", lambda w_max: 2 * nodes(w_max))
+    for w, b in zip(freqs, base):
+        fine = bump_transform_raw(w)
+        assert np.abs(fine / fine[0] - b / b[0]).max() <= 1e-14
+
+
+def test_one_transform_per_table_build(monkeypatch):
+    # the benchmark's tracer counts table-cache misses from these calls
+    calls = []
+
+    def counted(w):
+        calls.append(np.size(w))
+        return bump_transform_raw(w)
+
+    monkeypatch.setattr(mollifier, "bump_transform_raw", counted)
+    grid = Grid(32, 3.0)  # a (grid, eps) pair no other test builds
+    build_mollifier(grid, 0.3)
+    build_mollifier(grid, 0.3)
+    assert calls == [17]
+
+
+def test_cli_and_mollifier_probe_do_not_import_scipy():
+    src = os.path.dirname(os.path.dirname(chslab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "import chslab.cli\n"
+        "from chslab.inequalities import ProbeConfig, probe_mollifier_commutator\n"
+        "from chslab.spectral import Grid\n"
+        "probe_mollifier_commutator(ProbeConfig(Grid(32, 6.283185307179586), ensemble=2))\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
 
 
 def test_mollified_field_converges_as_eps_shrinks(grid):
