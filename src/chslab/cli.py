@@ -27,7 +27,7 @@ import numpy as np
 from . import fields, holder, solver
 from . import inequalities as ineq
 from .config import COMMANDS, ConfigError, RunConfig, effective_items, parse_config
-from .spectral import Field, Grid, sobolev_norm, sup_norm
+from .spectral import Grid, sobolev_norm, sup_norm
 
 __all__ = ["main", "execute", "sweep_execute"]
 
@@ -91,23 +91,8 @@ def _worker_cap(requested: int) -> int:
 
 
 def _initial_state(cfg: RunConfig, grid: Grid) -> solver.State:
-    amp = cfg.amplitude
-    width = cfg.width if cfg.width else None
-    if cfg.kind == "gaussian":
-        u = fields.gaussian_bump(grid, amp, width)
-        rho = fields.gaussian_bump(grid, cfg.rho_amplitude * amp, grid.length / 20.0)
-    elif cfg.kind == "sech2":
-        u = fields.sech2_bump(grid, amp, width)
-        rho = fields.sech2_bump(grid, cfg.rho_amplitude * amp, grid.length / 40.0)
-    elif cfg.kind == "random":
-        u = fields.random_field(grid, 6.0, amplitude=amp, seed=cfg.seed)
-        rho = fields.random_field(grid, 4.0, amplitude=cfg.rho_amplitude * amp,
-                                  seed=cfg.seed + 1)
-    elif cfg.kind == "zero":
-        u = Field.zero(grid)
-        rho = Field.zero(grid)
-    else:
-        raise ValueError(f"unknown initial data kind {cfg.kind!r}")
+    u, rho = fields.initial_pair(grid, cfg.kind, cfg.amplitude, cfg.rho_amplitude,
+                                 cfg.seed, cfg.width or None)
     return solver.State(u, rho, 0.0)
 
 
@@ -160,48 +145,29 @@ _NEGATIVE_TRIPLES = ((0.0, 1.0, 1.0), (1.0, 2.0, 3.0))
 
 def _run_ineq(cfg: RunConfig):
     grid = Grid(cfg.n, cfg.length)
-    base = dict(ensemble=cfg.ensemble, gamma=cfg.gamma,
-                amplitude=cfg.amplitude, seed=cfg.seed)
-    chosen = cfg.probe
+    pcfg = ineq.ProbeConfig(grid, ensemble=cfg.ensemble, gamma=cfg.gamma,
+                            amplitude=cfg.amplitude, seed=cfg.seed, r=cfg.r,
+                            s=cfg.s, sigma=cfg.sigma, s1=cfg.s1, s2=cfg.s2)
+    # probe name -> (function, config), in report order
+    probes = {
+        "algebra": (ineq.probe_algebra, pcfg),
+        "kato-ponce": (ineq.probe_kato_ponce, pcfg),
+        "product-low": (ineq.probe_product_low, pcfg),
+        "calderon": (ineq.probe_calderon, pcfg),
+        "interpolation": (ineq.probe_interpolation, pcfg),
+        "mollifier": (ineq.probe_mollifier_commutator,
+                      replace(pcfg, grid=Grid(cfg.mollifier_n, cfg.length))),
+    }
+    reports = [("probe_" + name.replace("-", "_"), fn(probe_cfg))
+               for name, (fn, probe_cfg) in probes.items()
+               if cfg.probe in ("all", name)]
 
-    def want(name):
-        return chosen in ("all", name)
-
-    reports = []
-    if want("algebra"):
-        reports.append(("probe_algebra",
-                        ineq.probe_algebra(ineq.ProbeConfig(grid, r=cfg.r, **base))))
-    if want("kato-ponce"):
-        reports.append(("probe_kato_ponce",
-                        ineq.probe_kato_ponce(ineq.ProbeConfig(grid, r=cfg.r, **base))))
-    if want("product-low"):
-        reports.append(("probe_product_low",
-                        ineq.probe_product_low(ineq.ProbeConfig(grid, r=cfg.r, **base))))
-    if want("calderon"):
-        reports.append(("probe_calderon",
-                        ineq.probe_calderon(
-                            ineq.ProbeConfig(grid, s=cfg.s, sigma=cfg.sigma, **base))))
-    if want("interpolation"):
-        reports.append(("probe_interpolation",
-                        ineq.probe_interpolation(
-                            ineq.ProbeConfig(grid, s1=cfg.s1, s2=cfg.s2, **base))))
-    if want("mollifier"):
-        mgrid = Grid(cfg.mollifier_n, cfg.length)
-        reports.append(("probe_mollifier",
-                        ineq.probe_mollifier_commutator(
-                            ineq.ProbeConfig(mgrid, s=cfg.s, **base))))
-
-    if chosen == "product-negative":
-        triples = [(cfg.r, cfg.j, cfg.k)]
-    elif chosen == "all":
-        triples = list(_NEGATIVE_TRIPLES)
-    else:
-        triples = []
+    triples = {"all": _NEGATIVE_TRIPLES,
+               "product-negative": ((cfg.r, cfg.j, cfg.k),)}.get(cfg.probe, ())
     sweeps = {}
     for r, j, k in triples:
         stem = f"probe_product_negative_r{r:g}_j{j:g}_k{k:g}"
-        reports.append((stem, ineq.probe_product_negative(
-            ineq.ProbeConfig(grid, r=r, j=j, k=k, **base))))
+        reports.append((stem, ineq.probe_product_negative(replace(pcfg, r=r, j=j, k=k))))
         modes, ratios, slope = ineq.product_negative_sweep(grid, r, j, k,
                                                            gamma=cfg.gamma,
                                                            seed=cfg.seed)

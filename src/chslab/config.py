@@ -5,15 +5,21 @@ for humans, but all keys live in one flat namespace (later duplicates
 win, command-line overrides win over the file).  Every key a command
 does not understand is an error, and validation reports the complete
 list of problems instead of stopping at the first.
+
+Each key is one row of _KEYS: the RunConfig attribute it sets, its
+parser, and the check its value must pass.  DEFAULTS says which keys a
+command takes; rules that tie several keys together live in _cross_checks.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import field, make_dataclass
 
-from .holder import holder_exponent
+from .fields import INITIAL_KINDS
+from .holder import BASE_KINDS, DIRECTION_KINDS, holder_exponent
+from .inequalities import check_negative_hypotheses
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "COMMANDS", "command_keys"]
 
@@ -29,62 +35,6 @@ class ConfigError(Exception):
 
     def report(self) -> str:
         return "\n".join(f"config error: {e}" for e in self.errors)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Effective settings for one command invocation (unused fields None)."""
-
-    command: str
-    out: str
-    # grid
-    n: int | None = None
-    length: float | None = None
-    # system parameters
-    b: float | None = None
-    kappa: float | None = None
-    alpha: float | None = None
-    c_s: float | None = None
-    # initial data
-    kind: str | None = None
-    amplitude: float | None = None
-    width: float | None = None
-    rho_amplitude: float | None = None
-    normalize: bool | None = None
-    # indices and horizons
-    s: float | None = None
-    r: float | None = None
-    sigma: float | None = None
-    j: float | None = None
-    k: float | None = None
-    s1: float | None = None
-    s2: float | None = None
-    t_end: float | None = None
-    horizon: float | None = None
-    cfl: float | None = None
-    seam: str | None = None
-    # holder experiment
-    cases: tuple | None = None
-    h: float | None = None
-    base_kind: str | None = None
-    direction_kind: str | None = None
-    delta_max: float | None = None
-    delta_min: float | None = None
-    delta_count: int | None = None
-    base_amplitude: float | None = None
-    rho_trivial: bool | None = None
-    # inequality probes
-    probe: str | None = None
-    ensemble: int | None = None
-    gamma: float | None = None
-    mollifier_n: int | None = None
-    ratios_csv: bool | None = None
-    # kernel scan
-    eta_max: float | None = None
-    eta_points: int | None = None
-    # orchestration
-    seed: int | None = None
-    parallelism: int | None = None
 
 
 def _parse_bool(text: str) -> bool:
@@ -109,49 +59,80 @@ def _parse_cases(text: str) -> tuple:
     return tuple(out)
 
 
-# key -> (RunConfig attribute, parser)
-_PARSERS = {
-    "N": ("n", int),
-    "L": ("length", float),
-    "b": ("b", float),
-    "kappa": ("kappa", float),
-    "alpha": ("alpha", float),
-    "c_s": ("c_s", float),
-    "kind": ("kind", str),
-    "amplitude": ("amplitude", float),
-    "width": ("width", float),
-    "rho_amplitude": ("rho_amplitude", float),
-    "normalize": ("normalize", _parse_bool),
-    "s": ("s", float),
-    "r": ("r", float),
-    "sigma": ("sigma", float),
-    "j": ("j", float),
-    "k": ("k", float),
-    "s1": ("s1", float),
-    "s2": ("s2", float),
-    "t_end": ("t_end", float),
-    "T": ("horizon", float),
-    "cfl": ("cfl", float),
-    "seam": ("seam", str),
-    "cases": ("cases", _parse_cases),
-    "h": ("h", float),
-    "base_kind": ("base_kind", str),
-    "direction_kind": ("direction_kind", str),
-    "delta_max": ("delta_max", float),
-    "delta_min": ("delta_min", float),
-    "delta_count": ("delta_count", int),
-    "base_amplitude": ("base_amplitude", float),
-    "rho_trivial": ("rho_trivial", _parse_bool),
-    "probe": ("probe", str),
-    "ensemble": ("ensemble", int),
-    "gamma": ("gamma", float),
-    "mollifier_N": ("mollifier_n", int),
-    "ratios_csv": ("ratios_csv", _parse_bool),
-    "eta_max": ("eta_max", float),
-    "eta_points": ("eta_points", int),
-    "seed": ("seed", int),
-    "parallelism": ("parallelism", int),
+# a check is (predicate, message); the message may use {key} and {value!r}
+_ANY = (lambda v: True, "")
+_POSITIVE = (lambda v: v > 0, "{key} must be positive, got {value!r}")
+_NONNEGATIVE = (lambda v: v >= 0, "{key} must be nonnegative, got {value!r}")
+_POWER_OF_TWO = (lambda v: v >= 8 and (v & (v - 1)) == 0,
+                 "{key} must be a power of two >= 8, got {value!r}")
+
+
+def _one_of(choices: tuple):
+    return (lambda v: v in choices, f"{{key}} must be one of {choices}, got {{value!r}}")
+
+
+_PROBES = ("all", "algebra", "kato-ponce", "mollifier", "calderon",
+           "product-low", "product-negative", "interpolation")
+
+# key -> (RunConfig attribute, parser, check)
+_KEYS = {
+    # grid
+    "N": ("n", int, _POWER_OF_TWO),
+    "L": ("length", float, _POSITIVE),
+    # system parameters
+    "b": ("b", float, (lambda v: v != 1.0, "b = 1 is excluded (the system requires b != 1)")),
+    "kappa": ("kappa", float, _ANY),
+    "alpha": ("alpha", float, _ANY),
+    "c_s": ("c_s", float, _POSITIVE),
+    # initial data (width 0 means the kind's default width)
+    "kind": ("kind", str, _one_of(INITIAL_KINDS)),
+    "amplitude": ("amplitude", float, _NONNEGATIVE),
+    "width": ("width", float, _NONNEGATIVE),
+    "rho_amplitude": ("rho_amplitude", float, _ANY),
+    "normalize": ("normalize", _parse_bool, _ANY),
+    # indices and horizons
+    "s": ("s", float, _ANY),
+    "r": ("r", float, _ANY),
+    "sigma": ("sigma", float, _ANY),
+    "j": ("j", float, _ANY),
+    "k": ("k", float, _ANY),
+    "s1": ("s1", float, _ANY),
+    "s2": ("s2", float, _ANY),
+    "t_end": ("t_end", float, _POSITIVE),
+    "T": ("horizon", float, (lambda v: v > 0, "T must be positive when given")),
+    "cfl": ("cfl", float, _POSITIVE),
+    "seam": ("seam", str, _one_of(("warn", "error", "ignore"))),
+    # holder experiment
+    "cases": ("cases", _parse_cases, _ANY),
+    "h": ("h", float, _POSITIVE),
+    "base_kind": ("base_kind", str, _one_of(BASE_KINDS)),
+    "direction_kind": ("direction_kind", str, _one_of(DIRECTION_KINDS)),
+    "delta_max": ("delta_max", float, _ANY),
+    "delta_min": ("delta_min", float, _ANY),
+    "delta_count": ("delta_count", int, (lambda v: v >= 4, "{key} must be at least 4")),
+    "base_amplitude": ("base_amplitude", float, _ANY),
+    "rho_trivial": ("rho_trivial", _parse_bool, _ANY),
+    # inequality probes
+    "probe": ("probe", str, _one_of(_PROBES)),
+    "ensemble": ("ensemble", int, _POSITIVE),
+    "gamma": ("gamma", float, (lambda v: v > 0.5, "{key} must exceed 1/2, got {value!r}")),
+    "mollifier_N": ("mollifier_n", int, _POWER_OF_TWO),
+    "ratios_csv": ("ratios_csv", _parse_bool, _ANY),
+    # kernel scan
+    "eta_max": ("eta_max", float, (lambda v: v > 10, "{key} must exceed 10")),
+    "eta_points": ("eta_points", int, (lambda v: v >= 10, "{key} must be at least 10")),
+    # orchestration
+    "seed": ("seed", int, _NONNEGATIVE),
+    "parallelism": ("parallelism", int, _POSITIVE),
 }
+
+RunConfig = make_dataclass(
+    "RunConfig",
+    [("command", str), ("out", str)]
+    + [(attr, object, field(default=None)) for attr, _, _ in _KEYS.values()],
+    frozen=True)
+RunConfig.__module__ = __name__  # so worker processes can unpickle it
+RunConfig.__doc__ = "Effective settings for one command invocation (unused fields None)."
 
 _COMMON = {
     "N": 256, "L": 64.0, "seed": 0, "parallelism": 1,
@@ -182,78 +163,43 @@ DEFAULTS = {
                "parallelism": 1, "seed": 0},
 }
 
-_PROBES = ("all", "algebra", "kato-ponce", "mollifier", "calderon",
-           "product-low", "product-negative", "interpolation")
-_KINDS = ("gaussian", "sech2", "random", "zero")
-_SEAMS = ("warn", "error", "ignore")
-
 
 def command_keys(command: str) -> tuple:
     return tuple(DEFAULTS[command])
 
 
-def _validate(cfg: RunConfig, errors: list):
-    def check(cond, msg):
-        if not cond:
-            errors.append(msg)
+def _check(key: str, value) -> str | None:
+    """The key's own check on one value: None if it passes, else the message."""
+    ok, message = _KEYS[key][2]
+    return None if ok(value) else message.format(key=key, value=value)
 
-    if cfg.n is not None:
-        check(cfg.n >= 8 and (cfg.n & (cfg.n - 1)) == 0,
-              f"N must be a power of two >= 8, got {cfg.n}")
-    if cfg.length is not None:
-        check(cfg.length > 0, f"L must be positive, got {cfg.length}")
-    if cfg.b is not None:
-        check(cfg.b != 1.0, "b = 1 is excluded (the system requires b != 1)")
-    if cfg.c_s is not None:
-        check(cfg.c_s > 0, f"c_s must be positive, got {cfg.c_s}")
-    if cfg.gamma is not None:
-        check(cfg.gamma > 0.5, f"gamma must exceed 1/2, got {cfg.gamma}")
-    if cfg.ensemble is not None:
-        check(cfg.ensemble >= 1, f"ensemble must be positive, got {cfg.ensemble}")
-    if cfg.parallelism is not None:
-        check(cfg.parallelism >= 1,
-              f"parallelism must be positive, got {cfg.parallelism}")
-    if cfg.kind is not None:
-        check(cfg.kind in _KINDS, f"kind must be one of {_KINDS}, got {cfg.kind!r}")
-    if cfg.seam is not None:
-        check(cfg.seam in _SEAMS, f"seam must be one of {_SEAMS}, got {cfg.seam!r}")
-    if cfg.probe is not None:
-        check(cfg.probe in _PROBES,
-              f"probe must be one of {_PROBES}, got {cfg.probe!r}")
-    if cfg.cfl is not None:
-        check(cfg.cfl > 0, f"cfl must be positive, got {cfg.cfl}")
-    if cfg.amplitude is not None:
-        check(cfg.amplitude >= 0, f"amplitude must be nonnegative, got {cfg.amplitude}")
 
-    if cfg.command == "solve":
-        check(cfg.t_end > 0, f"t_end must be positive, got {cfg.t_end}")
+def _cross_checks(cfg) -> list:
+    """Rules that tie several keys together or hold for one command only."""
+    errors = []
     if cfg.command == "holder":
-        check(cfg.delta_count >= 4, "delta_count must be at least 4")
-        check(0 < cfg.delta_min < cfg.delta_max,
-              "need 0 < delta_min < delta_max")
-        if cfg.delta_min > 0 < cfg.delta_max:
-            check(cfg.delta_max / cfg.delta_min >= 100,
-                  "delta ladder must span at least two decades")
-        check(cfg.h > 0, f"h must be positive, got {cfg.h}")
-        check(cfg.horizon is None or cfg.horizon > 0,
-              "T must be positive when given")
-        if cfg.cases:
-            for s, r in cfg.cases:
-                try:
-                    holder_exponent(s, r, rho_trivial=bool(cfg.rho_trivial))
-                except ValueError as exc:
-                    errors.append(f"case {s:g}:{r:g} invalid: {exc}")
+        if not 0 < cfg.delta_min < cfg.delta_max:
+            errors.append("need 0 < delta_min < delta_max")
+        if cfg.delta_min > 0 < cfg.delta_max and not cfg.delta_max / cfg.delta_min >= 100:
+            errors.append("delta ladder must span at least two decades")
+        for s, r in cfg.cases:
+            try:
+                holder_exponent(s, r, rho_trivial=cfg.rho_trivial)
+            except ValueError as exc:
+                errors.append(f"case {s:g}:{r:g} invalid: {exc}")
     if cfg.command == "ineq":
-        check(cfg.mollifier_n >= 8 and (cfg.mollifier_n & (cfg.mollifier_n - 1)) == 0,
-              f"mollifier_N must be a power of two >= 8, got {cfg.mollifier_n}")
-        if cfg.s1 is not None and cfg.s2 is not None:
-            check(cfg.s1 < cfg.s2, f"need s1 < s2, got {cfg.s1}, {cfg.s2}")
-    if cfg.command == "kernel":
-        check(cfg.eta_points >= 10, "eta_points must be at least 10")
-        check(cfg.eta_max > 10, "eta_max must exceed 10")
-    if cfg.command == "t0probe":
-        check(cfg.s is not None and cfg.s > 2.0,
-              "s must exceed 2 so the ledger norms make sense")
+        if not cfg.s1 < cfg.s2:
+            errors.append(f"need s1 < s2, got {cfg.s1}, {cfg.s2}")
+        if not cfg.amplitude > 0:
+            errors.append(f"amplitude must be positive for ineq, got {cfg.amplitude}")
+        if cfg.probe == "product-negative":
+            try:
+                check_negative_hypotheses(cfg.r, cfg.j, cfg.k)
+            except ValueError as exc:
+                errors.append(f"product-negative probe invalid: {exc}")
+    if cfg.command == "t0probe" and not cfg.s > 2.0:
+        errors.append("s must exceed 2 so the ledger norms make sense")
+    return errors
 
 
 def parse_config(text: str, command: str, out: str,
@@ -262,6 +208,7 @@ def parse_config(text: str, command: str, out: str,
 
     Raises ConfigError carrying every problem found: unknown keys, bad
     values, and constraint violations are all collected in one pass.
+    Each parsed value meets its own key's check; defaults are trusted.
     """
     if command not in COMMANDS:
         raise ConfigError([f"unknown command {command!r}; choose from {COMMANDS}"])
@@ -283,28 +230,25 @@ def parse_config(text: str, command: str, out: str,
     if overrides:
         raw.update({str(k): str(v) for k, v in overrides.items()})
 
-    values = dict(DEFAULTS[command])
+    parsed = {}
     for key, text_val in raw.items():
-        if key not in _PARSERS:
+        if key not in _KEYS:
             errors.append(f"unknown key {key!r}")
-            continue
-        if key not in allowed:
+        elif key not in allowed:
             errors.append(f"key {key!r} does not apply to command {command!r}")
-            continue
-        _, fn = _PARSERS[key]
-        try:
-            values[key] = fn(text_val)
-        except (ValueError, TypeError) as exc:
-            errors.append(f"key {key!r}: {exc}")
+        else:
+            try:
+                parsed[key] = _KEYS[key][1](text_val)
+            except (ValueError, TypeError) as exc:
+                errors.append(f"key {key!r}: {exc}")
+    errors += [msg for key, val in parsed.items() if (msg := _check(key, val))]
 
-    kwargs = {"command": command, "out": out}
-    for key, val in values.items():
-        attr, _ = _PARSERS[key]
-        kwargs[attr] = val
-    cfg = RunConfig(**kwargs)
-    # validate even when some keys failed to parse (those fall back to
+    # cross-key rules run even when some keys failed (those keep their
     # defaults here) so one run reports every problem at once
-    _validate(cfg, errors)
+    values = {**DEFAULTS[command], **parsed}
+    cfg = RunConfig(command=command, out=out,
+                    **{_KEYS[key][0]: val for key, val in values.items()})
+    errors += _cross_checks(cfg)
     if errors:
         raise ConfigError(errors)
     return cfg
@@ -312,6 +256,5 @@ def parse_config(text: str, command: str, out: str,
 
 def effective_items(cfg: RunConfig):
     """(config key, value) pairs for every key the command accepts."""
-    attr_of = {key: attr for key, (attr, _) in _PARSERS.items()}
     for key in sorted(command_keys(cfg.command)):
-        yield key, getattr(cfg, attr_of[key])
+        yield key, getattr(cfg, _KEYS[key][0])

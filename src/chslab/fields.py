@@ -11,7 +11,10 @@ import numpy as np
 
 from .spectral import Field, Grid
 
-__all__ = ["gaussian_bump", "sech2_bump", "cosine_mode", "random_field"]
+__all__ = ["gaussian_bump", "sech2_bump", "cosine_mode", "random_field",
+           "INITIAL_KINDS", "initial_pair"]
+
+INITIAL_KINDS = ("gaussian", "sech2", "random", "zero")
 
 
 def gaussian_bump(grid: Grid, amplitude: float = 1.0, width: float | None = None,
@@ -75,7 +78,25 @@ def random_field(grid: Grid, smoothness: float, gamma: float = 0.6,
     return Field(grid, amplitude * weights * g)
 
 
-def expected_sq_norm(grid: Grid, smoothness: float, gamma: float,
-                     amplitude: float) -> float:
-    """Closed-form ensemble mean of ||random_field||^2 in H^smoothness."""
-    return float(grid.length * amplitude**2 * np.sum((1.0 + grid.xi**2) ** (-gamma)))
+
+def initial_pair(grid: Grid, kind: str, amplitude: float, rho_amplitude: float,
+                 seed: int, width: float | None = None) -> tuple[Field, Field]:
+    """Initial data (u, rho) of one kind; rho is scaled by rho_amplitude * amplitude.
+
+    width sets the bump width of u (None: the bump's default); rho gets
+    a fixed narrower bump, and random kinds draw u and rho from seeds
+    seed and seed + 1.
+    """
+    rho_amp = rho_amplitude * amplitude
+    if kind == "gaussian":
+        return (gaussian_bump(grid, amplitude, width),
+                gaussian_bump(grid, rho_amp, grid.length / 20.0))
+    if kind == "sech2":
+        return (sech2_bump(grid, amplitude, width),
+                sech2_bump(grid, rho_amp, grid.length / 40.0))
+    if kind == "random":
+        return (random_field(grid, 6.0, amplitude=amplitude, seed=seed),
+                random_field(grid, 4.0, amplitude=rho_amp, seed=seed + 1))
+    if kind == "zero":
+        return Field.zero(grid), Field.zero(grid)
+    raise ValueError(f"unknown initial data kind {kind!r}; pick one of {INITIAL_KINDS}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import cosine_mode, gaussian_bump, random_field, sech2_bump
+from .fields import cosine_mode, initial_pair, random_field
 from .solver import (
     COMPLETED,
     State,
@@ -36,7 +36,10 @@ __all__ = [
     "save_reports_csv", "save_reports_json", "save_curves_csv",
 ]
 
-BASE_KINDS = ("gaussian-bump", "sech2-bump", "random-decay")
+# base kind -> fields.initial_pair kind
+_BASE_DATA = {"gaussian-bump": "gaussian", "sech2-bump": "sech2",
+              "random-decay": "random"}
+BASE_KINDS = tuple(_BASE_DATA)
 DIRECTION_KINDS = ("high-mode", "random-decay")
 
 # fitted existence-time constants below this are floored when they set
@@ -127,17 +130,9 @@ class PerturbationFamily:
 
 
 def _base_pair(grid, kind, amplitude, seed, rho_trivial):
-    if kind == "gaussian-bump":
-        u0 = gaussian_bump(grid, amplitude)
-        rho0 = gaussian_bump(grid, 0.5 * amplitude, width=grid.length / 20.0)
-    elif kind == "sech2-bump":
-        u0 = sech2_bump(grid, amplitude)
-        rho0 = sech2_bump(grid, 0.5 * amplitude, width=grid.length / 40.0)
-    elif kind == "random-decay":
-        u0 = random_field(grid, 6.0, amplitude=amplitude, seed=seed)
-        rho0 = random_field(grid, 4.0, amplitude=0.5 * amplitude, seed=seed + 1)
-    else:
+    if kind not in _BASE_DATA:
         raise ValueError(f"unknown base kind {kind!r}; pick one of {BASE_KINDS}")
+    u0, rho0 = initial_pair(grid, _BASE_DATA[kind], amplitude, 0.5, seed)
     if rho_trivial:
         rho0 = Field.zero(grid)
     return u0, rho0

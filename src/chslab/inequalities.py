@@ -39,7 +39,7 @@ __all__ = [
     "ProbeConfig", "ProbeReport",
     "probe_algebra", "probe_kato_ponce", "probe_mollifier_commutator",
     "probe_calderon", "probe_product_low", "probe_product_negative",
-    "probe_interpolation", "product_negative_sweep",
+    "probe_interpolation", "product_negative_sweep", "check_negative_hypotheses",
     "kernel_integral", "kernel_bound_scan", "KernelScanReport",
     "DEFAULT_EPS_LADDER",
 ]
@@ -236,8 +236,9 @@ def probe_product_low(cfg: ProbeConfig) -> ProbeReport:
     return _report(cfg, "product-low", ratios, {"r": r})
 
 
-def _check_negative_hypotheses(r: float, j: float, k: float):
-    if not (k == int(k) and k >= 1):
+def check_negative_hypotheses(r: float, j: float, k: float):
+    """Raise ValueError unless (r, j, k) meet the negative-index product hypotheses."""
+    if not (float(k).is_integer() and k >= 1):
         raise ValueError(f"k must be a positive integer, got {k}")
     if not 0.0 <= r <= k:
         raise ValueError(f"need 0 <= r <= k, got r={r}, k={k}")
@@ -250,7 +251,7 @@ def _check_negative_hypotheses(r: float, j: float, k: float):
 def probe_product_negative(cfg: ProbeConfig) -> ProbeReport:
     """||fg||_{H^{r-k}} against ||f||_{H^j} ||g||_{H^{r-k}} (negative index)."""
     r, j, k = cfg.need("r", "j", "k")
-    _check_negative_hypotheses(r, j, k)
+    check_negative_hypotheses(r, j, k)
     ratios = []
     for i in range(cfg.ensemble):
         f, g = _pair(cfg, i, j, r - k)
@@ -268,7 +269,7 @@ def product_negative_sweep(grid: Grid, r: float, j: float, k: float,
     smoothness j.  A frequency-uniform constant shows up as a flat
     log-log curve; the returned slope is the least-squares trend.
     """
-    _check_negative_hypotheses(r, j, k)
+    check_negative_hypotheses(r, j, k)
     if modes is None:
         top = grid.n // 3
         modes = [m for m in (2, 4, 8, 16, 32, 64, 128) if m <= 0.9 * top]
@@ -365,7 +366,7 @@ def kernel_bound_scan(r: float, j: float, k: float,
     diverges (e.g. j < k - r makes it grow like a power of eta), so a
     violating triple is rejected rather than scanned.
     """
-    _check_negative_hypotheses(r, j, k)
+    check_negative_hypotheses(r, j, k)
     if etas is None:
         etas = np.concatenate([[0.0], np.geomspace(0.1, 1e4, 51)])
     etas = np.asarray(etas, dtype=float)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Field, Grid, dx, multiplier_apply, pad_to
+from .spectral import Field, Grid, dx, pad_to
 
 __all__ = ["MollifierTable", "build_mollifier", "mollify", "commutator_mollifier"]
 
@@ -90,7 +90,7 @@ def mollify(f: Field, table: MollifierTable) -> Field:
     """Low-pass the field through the mollifier multiplier."""
     if table.grid != f.grid:
         raise ValueError("mollifier table was built on a different grid")
-    return multiplier_apply(f, table.multiplier)
+    return Field(f.grid, f.coefficients * table.multiplier)
 
 
 def commutator_mollifier(table: MollifierTable, f: Field, g: Field) -> Field:

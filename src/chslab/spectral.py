@@ -33,7 +33,6 @@ import numpy as np
 __all__ = [
     "Grid",
     "Field",
-    "multiplier_apply",
     "dx",
     "bessel_pow",
     "helmholtz_inverse_dx",
@@ -151,20 +150,6 @@ class Field:
 def _check_same_grid(f: Field, g: Field) -> None:
     if f.grid != g.grid:
         raise ValueError(f"grid mismatch: {f.grid} vs {g.grid}")
-
-
-def multiplier_apply(f: Field, m) -> Field:
-    """Apply a real Fourier multiplier xi -> m(xi) coefficientwise.
-
-    `m` may be a callable of the wavenumber array or a precomputed array.
-    Non-finite multiplier values are rejected.
-    """
-    mv = np.asarray(m(f.grid.xi) if callable(m) else m, dtype=float)
-    if mv.shape != (f.grid.n,):
-        raise ValueError("multiplier table length does not match grid")
-    if not np.all(np.isfinite(mv)):
-        raise ValueError("multiplier is not finite at some grid wavenumber")
-    return Field(f.grid, f.coefficients * mv)
 
 
 def dx(f: Field, order: int = 1) -> Field:

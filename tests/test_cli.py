@@ -79,6 +79,25 @@ def test_bad_config_exits_two_and_names_every_problem(tmp_path, capsys):
     assert "bogus" in err
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["holder", "--base_kind", "bogus"], "base_kind"),
+    (["holder", "--direction_kind", "bogus"], "direction_kind"),
+    (["solve", "--kind", "random", "--seed", "-1"], "seed"),
+    (["ineq", "--seed", "-1"], "seed"),
+    (["solve", "--width", "-1"], "width"),
+    (["ineq", "--amplitude", "0"], "amplitude"),
+    (["ineq", "--probe", "product-negative"], "product-negative"),
+])
+def test_bad_values_are_config_errors_not_failed_runs(tmp_path, capsys, argv, key):
+    out = tmp_path / "x"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = [l for l in err.splitlines() if l.startswith("config error")]
+    assert len(lines) == 1 and key in lines[0]
+    assert not out.exists()  # nothing ran
+
+
 def test_malformed_override_tokens_exit_two(tmp_path, capsys):
     assert main(["solve", "--out", str(tmp_path / "x"), "stray"]) == 2
     assert main(["solve", "--out", str(tmp_path / "x"), "--N"]) == 2

@@ -1,10 +1,21 @@
 """Configuration parsing: defaults, overrides, and aggregated errors."""
 
 import math
+import pickle
 
 import pytest
 
-from chslab.config import ConfigError, command_keys, parse_config
+from chslab.cli import _fmt
+from chslab.config import (
+    _KEYS,
+    COMMANDS,
+    DEFAULTS,
+    ConfigError,
+    _check,
+    command_keys,
+    effective_items,
+    parse_config,
+)
 
 
 def test_defaults_without_any_input():
@@ -121,3 +132,89 @@ def test_command_key_lists_are_disjoint_where_expected():
     assert "t_end" not in command_keys("kernel")
     assert "eta_max" in command_keys("kernel")
     assert "cases" in command_keys("holder")
+
+
+# manifest "key = value" lines of every command at its defaults
+DEFAULT_MANIFEST_LINES = {
+    "solve": [
+        "L = 64.0", "N = 256", "alpha = 0.0", "amplitude = 1.0", "b = 2.0",
+        "c_s = 1.0", "cfl = 0.3", "kappa = 1.0", "kind = gaussian",
+        "parallelism = 1", "rho_amplitude = 0.3", "s = 4.0", "seam = warn",
+        "seed = 0", "t_end = 1.0", "width = 0.0",
+    ],
+    "holder": [
+        "L = 64.0", "N = 256", "T = 0.5", "alpha = 0.0", "b = 2.0",
+        "base_amplitude = 0.5", "base_kind = gaussian-bump", "c_s = 1.0",
+        "cases = 4:1 4:2 4:3.5 3.75:1", "cfl = 0.3", "delta_count = 7",
+        "delta_max = 0.01", "delta_min = 1e-05", "direction_kind = high-mode",
+        "h = 2.0", "kappa = 1.0", "parallelism = 1", "rho_trivial = false",
+        "seed = 0",
+    ],
+    "ineq": [
+        "L = 6.283185307179586", "N = 256", "amplitude = 1.0", "ensemble = 200",
+        "gamma = 0.6", "j = 1.0", "k = 1.0", "mollifier_N = 1024",
+        "parallelism = 1", "probe = all", "r = 2.0", "ratios_csv = false",
+        "s = 2.5", "s1 = 0.0", "s2 = 3.0", "seed = 0", "sigma = 1.0",
+    ],
+    "t0probe": [
+        "L = 64.0", "N = 256", "alpha = 0.0", "amplitude = 1.0", "b = 2.0",
+        "c_s = 1.0", "cfl = 0.3", "kappa = 1.0", "kind = gaussian",
+        "normalize = false", "parallelism = 1", "rho_amplitude = 0.3",
+        "s = 4.0", "seed = 0", "width = 0.0",
+    ],
+    "kernel": [
+        "eta_max = 10000.0", "eta_points = 52", "j = 1.0", "k = 1.0",
+        "parallelism = 1", "r = 0.0", "seed = 0",
+    ],
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_default_manifest_items_are_pinned(command):
+    items = list(effective_items(parse_config("", command, "x")))
+    assert [f"{k} = {_fmt(v)}" for k, v in items] == DEFAULT_MANIFEST_LINES[command]
+
+
+def test_every_default_passes_its_own_key_check():
+    # parse_config checks parsed values only, so defaults must be valid
+    for command, defaults in DEFAULTS.items():
+        for key, value in defaults.items():
+            assert _check(key, value) is None, (command, key)
+
+
+def test_every_key_belongs_to_some_command():
+    used = {key for defaults in DEFAULTS.values() for key in defaults}
+    assert used == set(_KEYS)
+    assert len(_KEYS) == 40
+
+
+def test_attribute_names_of_renamed_keys():
+    cfg = parse_config("N = 64\nL = 3.0\nT = 0.25\n", "holder", "x")
+    assert (cfg.n, cfg.length, cfg.horizon) == (64, 3.0, 0.25)
+    assert parse_config("mollifier_N = 512\n", "ineq", "x").mollifier_n == 512
+
+
+def test_run_config_pickles_for_worker_processes():
+    cfg = parse_config("", "holder", "x")
+    assert pickle.loads(pickle.dumps(cfg)) == cfg
+
+
+def test_ineq_needs_positive_amplitude_but_solve_takes_zero():
+    with pytest.raises(ConfigError) as err:
+        parse_config("amplitude = 0\n", "ineq", "x")
+    assert "amplitude" in str(err.value)
+    assert parse_config("amplitude = 0\n", "solve", "x").amplitude == 0.0
+    assert parse_config("amplitude = 0\n", "t0probe", "x").amplitude == 0.0
+
+
+def test_product_negative_probe_checks_its_hypotheses():
+    # the ineq defaults have r = 2 > k = 1
+    with pytest.raises(ConfigError) as err:
+        parse_config("probe = product-negative\n", "ineq", "x")
+    assert "r <= k" in str(err.value)
+    with pytest.raises(ConfigError):
+        parse_config("probe = product-negative\nk = inf\n", "ineq", "x")
+    cfg = parse_config("probe = product-negative\nr = 1\nj = 2\nk = 3\n", "ineq", "x")
+    assert (cfg.r, cfg.j, cfg.k) == (1.0, 2.0, 3.0)
+    # the triple only matters to that probe
+    assert parse_config("k = 0.5\n", "ineq", "x").k == 0.5

@@ -4,13 +4,20 @@ import numpy as np
 import pytest
 
 from chslab.fields import (
+    INITIAL_KINDS,
     cosine_mode,
-    expected_sq_norm,
     gaussian_bump,
+    initial_pair,
     random_field,
     sech2_bump,
 )
 from chslab.spectral import Grid, bessel_pow, sobolev_norm
+
+
+def expected_sq_norm(grid: Grid, smoothness: float, gamma: float,
+                     amplitude: float) -> float:
+    """Closed-form ensemble mean of ||random_field||^2 in H^smoothness."""
+    return float(grid.length * amplitude**2 * np.sum((1.0 + grid.xi**2) ** (-gamma)))
 
 
 @pytest.fixture
@@ -99,3 +106,27 @@ def test_random_field_values_are_real(grid):
     f = random_field(grid, 1.5, seed=11)
     c = f.coefficients
     assert np.abs(c[1:] - np.conj(c[-1:0:-1])).max() < 1e-15
+
+
+def test_initial_pair_kinds(grid):
+    L = grid.length
+    cases = {
+        "gaussian": (gaussian_bump(grid, 0.8, 3.0), gaussian_bump(grid, 0.4, L / 20.0)),
+        "sech2": (sech2_bump(grid, 0.8, 3.0), sech2_bump(grid, 0.4, L / 40.0)),
+        "random": (random_field(grid, 6.0, amplitude=0.8, seed=5),
+                   random_field(grid, 4.0, amplitude=0.4, seed=6)),
+    }
+    for kind, (u_want, rho_want) in cases.items():
+        u, rho = initial_pair(grid, kind, 0.8, 0.5, seed=5, width=3.0)
+        assert np.array_equal(u.coefficients, u_want.coefficients), kind
+        assert np.array_equal(rho.coefficients, rho_want.coefficients), kind
+    u, rho = initial_pair(grid, "zero", 0.8, 0.5, seed=5)
+    assert sobolev_norm(u, 0.0) == 0.0 and sobolev_norm(rho, 0.0) == 0.0
+    assert set(cases) | {"zero"} == set(INITIAL_KINDS)
+    with pytest.raises(ValueError):
+        initial_pair(grid, "bogus", 1.0, 0.5, seed=0)
+
+
+def test_initial_pair_default_width_is_the_bump_default(grid):
+    u, _ = initial_pair(grid, "sech2", 1.0, 0.3, seed=0)
+    assert np.array_equal(u.coefficients, sech2_bump(grid, 1.0).coefficients)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from chslab.fields import gaussian_bump, random_field, sech2_bump
 from chslab.holder import (
     HolderReport,
     default_horizon,
@@ -121,6 +122,22 @@ def test_family_kinds_are_checked(grid):
         make_family(grid, 4.0, 2.0, base_kind="triangle")
     with pytest.raises(ValueError):
         make_family(grid, 4.0, 2.0, direction_kind="spike")
+
+
+def test_base_kinds_build_the_shared_initial_data(grid):
+    # rho is half of u's amplitude, on the narrower fixed-width bump
+    L = grid.length
+    expected = {
+        "gaussian-bump": (gaussian_bump(grid, 0.1), gaussian_bump(grid, 0.05, L / 20.0)),
+        "sech2-bump": (sech2_bump(grid, 0.1), sech2_bump(grid, 0.05, L / 40.0)),
+        "random-decay": (random_field(grid, 6.0, amplitude=0.1, seed=4),
+                         random_field(grid, 4.0, amplitude=0.05, seed=5)),
+    }
+    for kind, (u0, rho0) in expected.items():
+        fam = make_family(grid, 4.0, 100.0, base_kind=kind, seed=4,
+                          base_amplitude=0.1)  # a ball this big never shrinks the base
+        assert np.array_equal(fam.u0.coefficients, u0.coefficients), kind
+        assert np.array_equal(fam.rho0.coefficients, rho0.coefficients), kind
 
 
 def test_trivial_family_flag_follows_contents(grid):
