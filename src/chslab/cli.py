@@ -374,8 +374,9 @@ def _parse_overrides(tokens) -> dict:
 
 
 def main(argv=None) -> int:
+    # no abbreviations: "--h" is the Holder key h, not a prefix of --help
     ap = argparse.ArgumentParser(
-        prog="chslab",
+        prog="chslab", allow_abbrev=False,
         description="Spectral laboratory for a higher-order two-component "
                     "shallow water system.",
         epilog="Any extra --key value pairs override config file entries.")

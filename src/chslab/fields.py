@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import Field, Grid
+from .spectral import Field, Grid, from_half
 
 __all__ = ["gaussian_bump", "sech2_bump", "cosine_mode", "random_field",
-           "INITIAL_KINDS", "initial_pair"]
+           "random_halves", "INITIAL_KINDS", "initial_pair"]
 
 INITIAL_KINDS = ("gaussian", "sech2", "random", "zero")
 
@@ -53,6 +53,37 @@ def cosine_mode(grid: Grid, k: int, amplitude: float = 1.0) -> Field:
     return Field.from_values(grid, amplitude * np.cos(2.0 * np.pi * k * grid.x / grid.length))
 
 
+def _noise(n: int, seed: int) -> np.ndarray:
+    """Half spectrum g_0..g_{N/2} of unit-variance complex Gaussians, one seed.
+
+    g_0 and the Nyquist g_{N/2} are real, so the Hermitian extension is
+    the spectrum of a real field.
+    """
+    rng = np.random.default_rng(seed)
+    half = n // 2
+    g = np.empty(half + 1, dtype=complex)
+    g[0] = rng.standard_normal()
+    re = rng.standard_normal(half - 1)
+    im = rng.standard_normal(half - 1)
+    g[1:half] = (re + 1j * im) / np.sqrt(2.0)
+    g[half] = rng.standard_normal()
+    return g
+
+
+def random_halves(grid: Grid, smoothness: float, seeds, gamma: float = 0.6,
+                  amplitude: float = 1.0) -> np.ndarray:
+    """Half spectra of random_field draws, one row per seed.
+
+    Row i is drawn from seeds[i] alone, so it is bit-identical to the half
+    spectrum of random_field(grid, smoothness, gamma, amplitude, seeds[i]).
+    """
+    if not gamma > 0.5:
+        raise ValueError(f"decay exponent gamma must exceed 1/2, got {gamma}")
+    weights = (1.0 + grid.xi[: grid.n // 2 + 1] ** 2) ** (-(smoothness + gamma) / 2.0)
+    noise = np.array([_noise(grid.n, int(seed)) for seed in seeds])
+    return amplitude * weights * noise
+
+
 def random_field(grid: Grid, smoothness: float, gamma: float = 0.6,
                  amplitude: float = 1.0, seed: int = 0) -> Field:
     """Random real field with coefficients amplitude * (1+xi^2)^{-(smoothness+gamma)/2} g_k.
@@ -62,21 +93,7 @@ def random_field(grid: Grid, smoothness: float, gamma: float = 0.6,
     has expected square L * amplitude^2 * sum_k (1+xi_k^2)^{-gamma},
     finite precisely because gamma > 1/2 mimics integrability on the line.
     """
-    if not gamma > 0.5:
-        raise ValueError(f"decay exponent gamma must exceed 1/2, got {gamma}")
-    rng = np.random.default_rng(seed)
-    n = grid.n
-    g = np.zeros(n, dtype=complex)
-    g[0] = rng.standard_normal()
-    half = n // 2
-    re = rng.standard_normal(half - 1)
-    im = rng.standard_normal(half - 1)
-    g[1:half] = (re + 1j * im) / np.sqrt(2.0)
-    g[-(half - 1):] = np.conj(g[half - 1:0:-1])
-    g[half] = rng.standard_normal()  # Nyquist coefficient must be real
-    weights = (1.0 + grid.xi**2) ** (-(smoothness + gamma) / 2.0)
-    return Field(grid, amplitude * weights * g)
-
+    return from_half(grid, random_halves(grid, smoothness, [seed], gamma, amplitude)[0])
 
 
 def initial_pair(grid: Grid, kind: str, amplitude: float, rho_amplitude: float,

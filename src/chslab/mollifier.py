@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Field, Grid, dx, pad_to
+from .spectral import Field, Grid, commutator_half, commutator_inputs, from_half, half_dx
 
 __all__ = ["MollifierTable", "build_mollifier", "mollify", "commutator_mollifier"]
 
@@ -52,6 +52,11 @@ class MollifierTable:
 
     def __post_init__(self):
         self.multiplier.flags.writeable = False
+
+    @property
+    def half(self) -> np.ndarray:
+        """The multiplier on the rfft half spectrum (modes 0..N/2)."""
+        return self.multiplier[: self.grid.n // 2 + 1]
 
 
 _cache: dict[tuple[int, float, float], MollifierTable] = {}
@@ -97,14 +102,11 @@ def commutator_mollifier(table: MollifierTable, f: Field, g: Field) -> Field:
     """Mollifier commutator applied to the derivative: J(f g') - f J(g').
 
     Evaluated alias-free on the doubled grid (the matching table for the
-    doubled grid is pulled from the cache).
+    doubled grid is pulled from the cache); this is the one-row case of
+    the stacked `spectral.commutator_half`.
     """
     if table.grid != f.grid or f.grid != g.grid:
         raise ValueError("fields and table must share one grid")
-    fine = f.grid.doubled()
-    fine_table = build_mollifier(fine, table.eps)
-    ff = pad_to(f, fine)
-    gx = pad_to(dx(g, 1), fine)
-    term1 = mollify(Field.from_values(fine, ff.values * gx.values), fine_table)
-    term2 = Field.from_values(fine, ff.values * mollify(gx, fine_table).values)
-    return term1 - term2
+    fine_table = build_mollifier(f.grid.doubled(), table.eps)
+    inputs = commutator_inputs(f.half, half_dx(f.grid) * g.half)
+    return from_half(fine_table.grid, commutator_half(fine_table.half, *inputs))

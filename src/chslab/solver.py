@@ -37,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Field, Grid, dealias_truncate, sobolev_norm, sup_norm
+from .spectral import (Field, Grid, dealias_truncate, from_half, half_weights,
+                       sobolev_norm, sup_norm)
 
 __all__ = [
     "SystemParams", "State", "Trajectory", "DifferenceState",
@@ -215,15 +216,7 @@ class _Operators:
         out = np.fft.rfft(rows, axis=-1)
         out *= self.synthesis
         du = out[0] + out[1] + self.linear * u.coefficients[: self.half]
-        return self._field(du), self._field(out[2])
-
-    def _field(self, half: np.ndarray) -> Field:
-        # Hermitian extension of a half spectrum
-        n = self.grid.n
-        full = np.empty(n, dtype=complex)
-        full[: self.half] = half
-        full[self.half:] = np.conj(half[n // 2 - 1: 0: -1])
-        return Field(self.grid, full)
+        return from_half(self.grid, du), from_half(self.grid, out[2])
 
 
 @functools.lru_cache(maxsize=16)
@@ -279,17 +272,6 @@ def _seam_check(state: State, tol: float, policy: str):
         warnings.warn(msg, SeamWarning)
 
 
-def _half_weights(grid: Grid, s: float) -> np.ndarray:
-    """(1 + xi^2)^s on the half spectrum, modes 0 < k < N/2 counted twice.
-
-    For a real field, sum(w |c_k|^2) over the half spectrum is the
-    full-spectrum sum behind sobolev_norm.
-    """
-    w = (1.0 + grid.xi[: grid.n // 2 + 1] ** 2) ** s
-    w[1:-1] *= 2.0
-    return w
-
-
 def _cfl_dt(u: Field, cfl: float) -> float:
     return cfl * u.grid.dx / max(1.0, sup_norm(u))
 
@@ -328,7 +310,7 @@ def solve(initial: State, params: SystemParams, s: float, t_end: float,
     states = [state]
     grid = state.grid
     half = grid.n // 2 + 1
-    w_u, w_rho = _half_weights(grid, s), _half_weights(grid, s - 2.0)
+    w_u, w_rho = half_weights(grid, s), half_weights(grid, s - 2.0)
     # the 2/3 rule empties the literal top third of the grid spectrum, so
     # the resolution test watches the top third of the retained band
     # |k| <= N//3, from mode `tail` on

@@ -18,7 +18,10 @@ agrees with the integral L2 norm at s = 0 (Parseval).
 The product of two band-limited fields is itself band-limited within a
 grid of twice the resolution; `product_exact` exploits that to return
 alias-free products for diagnostics, while `product(..., dealias=True)`
-applies the 2/3-rule truncation that the solver's right-hand side uses.
+applies the 2/3-rule truncation.  The alias-free products, commutators
+and Sobolev norms also come in a stacked form on arrays of rfft half
+spectra, which the inequality probes use for whole blocks of samples;
+`product_exact` and the commutators are one-row calls of it.
 Odd-order derivative multipliers zero the unpaired Nyquist mode so that
 real fields stay real.
 """
@@ -26,7 +29,7 @@ real fields stay real.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -38,7 +41,6 @@ __all__ = [
     "helmholtz_inverse_dx",
     "sobolev_norm",
     "sup_norm",
-    "c1_norm",
     "inner",
     "product",
     "product_exact",
@@ -46,6 +48,15 @@ __all__ = [
     "truncate_to",
     "commutator_bessel",
     "commutator_bessel_dx",
+    "half_weights",
+    "sobolev_norms",
+    "half_dx",
+    "half_bessel",
+    "from_half",
+    "half_values",
+    "product_half",
+    "commutator_inputs",
+    "commutator_half",
 ]
 
 
@@ -119,6 +130,11 @@ class Field:
     @property
     def coefficients(self) -> np.ndarray:
         return self._coeffs
+
+    @property
+    def half(self) -> np.ndarray:
+        """The rfft half spectrum: coefficients of modes 0..N/2."""
+        return self._coeffs[: self.grid.n // 2 + 1]
 
     @property
     def values(self) -> np.ndarray:
@@ -196,11 +212,6 @@ def sup_norm(f: Field) -> float:
     return float(np.max(np.abs(f.values)))
 
 
-def c1_norm(f: Field) -> float:
-    """sup |f| + sup |f'| over the grid samples."""
-    return sup_norm(f) + sup_norm(dx(f, 1))
-
-
 def inner(f: Field, g: Field) -> float:
     """L2 inner product L * mean(f g) (exact for the stored bands)."""
     _check_same_grid(f, g)
@@ -267,6 +278,103 @@ def truncate_to(f: Field, grid: Grid) -> Field:
     return Field(grid, c)
 
 
+# -- stacked half spectra ---------------------------------------------
+#
+# A stack of real fields on one N-point grid is an array of rfft half
+# spectra, shape (..., N/2 + 1), in the Field coefficient scaling.
+# Each row is transformed and reduced on its own, so a row's result does
+# not depend on how many rows share the stack.  Products and commutators
+# land on the doubled grid, where they are alias-free.
+
+
+@lru_cache(maxsize=64)
+def half_weights(grid: Grid, s: float) -> np.ndarray:
+    """(1 + xi^2)^s on the half spectrum, modes 0 < k < N/2 counted twice.
+
+    For a real field, sum(w |c_k|^2) over the half spectrum is the
+    full-spectrum sum behind sobolev_norm.  Cached per (grid, s), read-only.
+    """
+    w = (1.0 + grid.xi[: grid.n // 2 + 1] ** 2) ** s
+    w[1:-1] *= 2.0
+    w.flags.writeable = False
+    return w
+
+
+def sobolev_norms(c: np.ndarray, grid: Grid, s: float) -> np.ndarray:
+    """H^s norm of each row of a stack of half spectra on grid."""
+    return np.sqrt(grid.length * np.sum(half_weights(grid, s) * np.abs(c) ** 2, axis=-1))
+
+
+def half_dx(grid: Grid) -> np.ndarray:
+    """The d/dx multiplier i xi on the half spectrum, Nyquist zeroed as in dx."""
+    mult = 1j * grid.xi[: grid.n // 2 + 1]
+    mult[-1] = 0.0
+    return mult
+
+
+def half_bessel(grid: Grid, s: float) -> np.ndarray:
+    """The bessel_pow multiplier (1 + xi^2)^(s/2) on the half spectrum."""
+    return (1.0 + grid.xi[: grid.n // 2 + 1] ** 2) ** (s / 2.0)
+
+
+def from_half(grid: Grid, half: np.ndarray) -> Field:
+    """The real Field whose spectrum is the Hermitian extension of half."""
+    n = grid.n
+    full = np.empty(n, dtype=complex)
+    full[: n // 2 + 1] = half
+    full[n // 2 + 1:] = np.conj(half[n // 2 - 1: 0: -1])
+    return Field(grid, full)
+
+
+def _pad_half(c: np.ndarray) -> np.ndarray:
+    """Half spectra zero-padded onto the doubled grid.
+
+    The lone Nyquist coefficient is halved, as pad_to splits it across
+    the +-N/2 pair of the finer grid.
+    """
+    n = 2 * (c.shape[-1] - 1)
+    out = np.zeros(c.shape[:-1] + (n + 1,), dtype=complex)
+    out[..., : n // 2] = c[..., : n // 2]
+    out[..., n // 2] = 0.5 * c[..., n // 2]
+    return out
+
+
+def half_values(c: np.ndarray) -> np.ndarray:
+    """Grid values of each row, one batched irfft."""
+    n = 2 * (c.shape[-1] - 1)
+    return np.fft.irfft(c * n, n=n, axis=-1)
+
+
+def _half_coefficients(values: np.ndarray) -> np.ndarray:
+    """Half spectra of each row of grid values, one batched rfft."""
+    return np.fft.rfft(values, axis=-1) / values.shape[-1]
+
+
+def commutator_inputs(f: np.ndarray, g: np.ndarray):
+    """What every commutator [M, f] g of these rows shares on the doubled grid.
+
+    Returns the values of f, the half spectra of f g and g padded.
+    """
+    padded = _pad_half(np.stack([f, g]))
+    fv, gv = half_values(padded)
+    return fv, _half_coefficients(fv * gv), padded[1]
+
+
+def product_half(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Alias-free products f g of rows, as half spectra on the doubled grid."""
+    return commutator_inputs(f, g)[1]
+
+
+def commutator_half(mult: np.ndarray, fv: np.ndarray, fg: np.ndarray,
+                    g: np.ndarray) -> np.ndarray:
+    """[M, f] g = M(f g) - f M(g) on the doubled grid, from commutator_inputs.
+
+    mult is M's half-spectrum multiplier on the doubled grid; per call
+    this is one irfft and one rfft.
+    """
+    return mult * fg - _half_coefficients(fv * half_values(mult * g))
+
+
 def product_exact(f: Field, g: Field) -> Field:
     """Alias-free product, returned on the doubled grid.
 
@@ -275,8 +383,7 @@ def product_exact(f: Field, g: Field) -> Field:
     exact (used for diagnostics and inequality probes).
     """
     _check_same_grid(f, g)
-    fine = f.grid.doubled()
-    return Field.from_values(fine, pad_to(f, fine).values * pad_to(g, fine).values)
+    return from_half(f.grid.doubled(), product_half(f.half, g.half))
 
 
 def commutator_bessel(r: float, f: Field, g: Field) -> Field:
@@ -287,11 +394,8 @@ def commutator_bessel(r: float, f: Field, g: Field) -> Field:
     """
     _check_same_grid(f, g)
     fine = f.grid.doubled()
-    ff = pad_to(f, fine)
-    gf = pad_to(g, fine)
-    term1 = bessel_pow(Field.from_values(fine, ff.values * gf.values), r)
-    term2 = Field.from_values(fine, ff.values * bessel_pow(gf, r).values)
-    return term1 - term2
+    return from_half(fine, commutator_half(half_bessel(fine, r),
+                                           *commutator_inputs(f.half, g.half)))
 
 
 def commutator_bessel_dx(sigma: float, f: Field, v: Field) -> Field:
@@ -301,9 +405,5 @@ def commutator_bessel_dx(sigma: float, f: Field, v: Field) -> Field:
     """
     _check_same_grid(f, v)
     fine = f.grid.doubled()
-    ff = pad_to(f, fine)
-    vf = pad_to(v, fine)
-    op = lambda h: dx(bessel_pow(h, sigma), 1)
-    term1 = op(Field.from_values(fine, ff.values * vf.values))
-    term2 = Field.from_values(fine, ff.values * op(vf).values)
-    return term1 - term2
+    mult = half_bessel(fine, sigma) * half_dx(fine)
+    return from_half(fine, commutator_half(mult, *commutator_inputs(f.half, v.half)))

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from chslab import solver
+from chslab import cli, solver
 from chslab.cli import _git_blob_sha1, _worker_cap, execute, main, sweep_execute
 from chslab.config import parse_config
 
@@ -96,6 +96,22 @@ def test_bad_values_are_config_errors_not_failed_runs(tmp_path, capsys, argv, ke
     lines = [l for l in err.splitlines() if l.startswith("config error")]
     assert len(lines) == 1 and key in lines[0]
     assert not out.exists()  # nothing ran
+
+
+def test_holder_ball_key_h_is_not_an_abbreviation_of_help(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main(["holder", "--h", "-1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    lines = [l for l in err.splitlines() if l.startswith("config error")]
+    assert len(lines) == 1 and lines[0].startswith("config error: h ")
+    assert not out.exists()
+
+
+def test_holder_ball_key_h_reaches_the_config(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "execute", lambda cfg: seen.append(cfg) or 0)
+    assert main(["holder", "--h", "3", "--out", str(tmp_path / "x")]) == 0
+    assert [cfg.h for cfg in seen] == [3.0]
 
 
 def test_malformed_override_tokens_exit_two(tmp_path, capsys):

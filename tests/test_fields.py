@@ -9,6 +9,7 @@ from chslab.fields import (
     gaussian_bump,
     initial_pair,
     random_field,
+    random_halves,
     sech2_bump,
 )
 from chslab.spectral import Grid, bessel_pow, sobolev_norm
@@ -65,6 +66,31 @@ def test_random_field_is_seed_deterministic(grid):
     c = random_field(grid, 3.0, seed=43)
     assert np.array_equal(a.coefficients, b.coefficients)
     assert not np.array_equal(a.coefficients, c.coefficients)
+
+
+def draw_oracle(grid, smoothness, gamma, amplitude, seed):
+    """The full-spectrum draw random_field made before the stacked builder."""
+    rng = np.random.default_rng(seed)
+    n, half = grid.n, grid.n // 2
+    g = np.zeros(n, dtype=complex)
+    g[0] = rng.standard_normal()
+    re = rng.standard_normal(half - 1)
+    im = rng.standard_normal(half - 1)
+    g[1:half] = (re + 1j * im) / np.sqrt(2.0)
+    g[-(half - 1):] = np.conj(g[half - 1:0:-1])
+    g[half] = rng.standard_normal()
+    return amplitude * (1.0 + grid.xi**2) ** (-(smoothness + gamma) / 2.0) * g
+
+
+@pytest.mark.parametrize("n", [8, 256])
+def test_stacked_draws_are_bit_identical_to_single_fields(n):
+    grid = Grid(n, 5.0)
+    seeds = np.arange(3, 23, 2)
+    stack = random_halves(grid, 2.5, seeds, gamma=0.7, amplitude=1.3)
+    for row, seed in zip(stack, seeds):
+        single = random_field(grid, 2.5, 0.7, 1.3, int(seed)).coefficients
+        assert single.tobytes() == draw_oracle(grid, 2.5, 0.7, 1.3, seed).tobytes()
+        assert row.tobytes() == single[: n // 2 + 1].tobytes()
 
 
 def test_random_field_zero_amplitude_is_zero(grid):

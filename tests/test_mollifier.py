@@ -129,7 +129,7 @@ def test_one_transform_per_table_build(monkeypatch):
     assert calls == [17]
 
 
-def test_cli_and_mollifier_probe_do_not_import_scipy():
+def test_cli_and_mollifier_probe_do_not_import_scipy(tmp_path):
     src = os.path.dirname(os.path.dirname(chslab.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -139,6 +139,7 @@ def test_cli_and_mollifier_probe_do_not_import_scipy():
         "from chslab.inequalities import ProbeConfig, probe_mollifier_commutator\n"
         "from chslab.spectral import Grid\n"
         "probe_mollifier_commutator(ProbeConfig(Grid(32, 6.283185307179586), ensemble=2))\n"
+        f"assert chslab.cli.main(['kernel', '--out', {str(tmp_path / 'k')!r}]) == 0\n"
         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env,
