@@ -46,12 +46,20 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+def _real(text: str) -> float:
+    """A finite float: inf or nan would only fail later, inside the run."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite real, got {text.strip()!r}")
+    return value
+
+
 def _parse_cases(text: str) -> tuple:
     out = []
     for token in text.split():
         try:
             s_str, r_str = token.split(":")
-            out.append((float(s_str), float(r_str)))
+            out.append((_real(s_str), _real(r_str)))
         except ValueError:
             raise ValueError(f"expected s:r pairs, got token {token!r}") from None
     if not out:
@@ -78,48 +86,48 @@ _PROBES = ("all", "algebra", "kato-ponce", "mollifier", "calderon",
 _KEYS = {
     # grid
     "N": ("n", int, _POWER_OF_TWO),
-    "L": ("length", float, _POSITIVE),
+    "L": ("length", _real, _POSITIVE),
     # system parameters
-    "b": ("b", float, (lambda v: v != 1.0, "b = 1 is excluded (the system requires b != 1)")),
-    "kappa": ("kappa", float, _ANY),
-    "alpha": ("alpha", float, _ANY),
-    "c_s": ("c_s", float, _POSITIVE),
+    "b": ("b", _real, (lambda v: v != 1.0, "b = 1 is excluded (the system requires b != 1)")),
+    "kappa": ("kappa", _real, _ANY),
+    "alpha": ("alpha", _real, _ANY),
+    "c_s": ("c_s", _real, _POSITIVE),
     # initial data (width 0 means the kind's default width)
     "kind": ("kind", str, _one_of(INITIAL_KINDS)),
-    "amplitude": ("amplitude", float, _NONNEGATIVE),
-    "width": ("width", float, _NONNEGATIVE),
-    "rho_amplitude": ("rho_amplitude", float, _ANY),
+    "amplitude": ("amplitude", _real, _NONNEGATIVE),
+    "width": ("width", _real, _NONNEGATIVE),
+    "rho_amplitude": ("rho_amplitude", _real, _ANY),
     "normalize": ("normalize", _parse_bool, _ANY),
     # indices and horizons
-    "s": ("s", float, _ANY),
-    "r": ("r", float, _ANY),
-    "sigma": ("sigma", float, _ANY),
-    "j": ("j", float, _ANY),
-    "k": ("k", float, _ANY),
-    "s1": ("s1", float, _ANY),
-    "s2": ("s2", float, _ANY),
-    "t_end": ("t_end", float, _POSITIVE),
-    "T": ("horizon", float, (lambda v: v > 0, "T must be positive when given")),
-    "cfl": ("cfl", float, _POSITIVE),
+    "s": ("s", _real, _ANY),
+    "r": ("r", _real, _ANY),
+    "sigma": ("sigma", _real, _ANY),
+    "j": ("j", _real, _ANY),
+    "k": ("k", _real, _ANY),
+    "s1": ("s1", _real, _ANY),
+    "s2": ("s2", _real, _ANY),
+    "t_end": ("t_end", _real, _POSITIVE),
+    "T": ("horizon", _real, (lambda v: v > 0, "T must be positive when given")),
+    "cfl": ("cfl", _real, _POSITIVE),
     "seam": ("seam", str, _one_of(("warn", "error", "ignore"))),
     # holder experiment
     "cases": ("cases", _parse_cases, _ANY),
-    "h": ("h", float, _POSITIVE),
+    "h": ("h", _real, _POSITIVE),
     "base_kind": ("base_kind", str, _one_of(BASE_KINDS)),
     "direction_kind": ("direction_kind", str, _one_of(DIRECTION_KINDS)),
-    "delta_max": ("delta_max", float, _ANY),
-    "delta_min": ("delta_min", float, _ANY),
+    "delta_max": ("delta_max", _real, _ANY),
+    "delta_min": ("delta_min", _real, _ANY),
     "delta_count": ("delta_count", int, (lambda v: v >= 4, "{key} must be at least 4")),
-    "base_amplitude": ("base_amplitude", float, _ANY),
+    "base_amplitude": ("base_amplitude", _real, _ANY),
     "rho_trivial": ("rho_trivial", _parse_bool, _ANY),
     # inequality probes
     "probe": ("probe", str, _one_of(_PROBES)),
     "ensemble": ("ensemble", int, _POSITIVE),
-    "gamma": ("gamma", float, (lambda v: v > 0.5, "{key} must exceed 1/2, got {value!r}")),
+    "gamma": ("gamma", _real, (lambda v: v > 0.5, "{key} must exceed 1/2, got {value!r}")),
     "mollifier_N": ("mollifier_n", int, _POWER_OF_TWO),
     "ratios_csv": ("ratios_csv", _parse_bool, _ANY),
     # kernel scan
-    "eta_max": ("eta_max", float, (lambda v: v > 10, "{key} must exceed 10")),
+    "eta_max": ("eta_max", _real, (lambda v: v > 10, "{key} must exceed 10")),
     "eta_points": ("eta_points", int, (lambda v: v >= 10, "{key} must be at least 10")),
     # orchestration
     "seed": ("seed", int, _NONNEGATIVE),

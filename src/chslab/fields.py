@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import Field, Grid, from_half
+from .spectral import Field, Grid
 
 __all__ = ["gaussian_bump", "sech2_bump", "cosine_mode", "random_field",
            "random_halves", "INITIAL_KINDS", "initial_pair"]
@@ -88,12 +88,12 @@ def random_field(grid: Grid, smoothness: float, gamma: float = 0.6,
                  amplitude: float = 1.0, seed: int = 0) -> Field:
     """Random real field with coefficients amplitude * (1+xi^2)^{-(smoothness+gamma)/2} g_k.
 
-    g_k are unit-variance complex Gaussians (conjugate-symmetrized, so
-    values are real), deterministic in the seed.  The H^smoothness norm
+    g_k are unit-variance complex Gaussians on the half spectrum (g_0 and
+    g_{N/2} real), deterministic in the seed.  The H^smoothness norm
     has expected square L * amplitude^2 * sum_k (1+xi_k^2)^{-gamma},
     finite precisely because gamma > 1/2 mimics integrability on the line.
     """
-    return from_half(grid, random_halves(grid, smoothness, [seed], gamma, amplitude)[0])
+    return Field(grid, random_halves(grid, smoothness, [seed], gamma, amplitude)[0])
 
 
 def initial_pair(grid: Grid, kind: str, amplitude: float, rho_amplitude: float,

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Field, Grid, commutator_half, commutator_inputs, from_half, half_dx
+from .spectral import Field, Grid, commutator_half, commutator_inputs, half_dx
 
-__all__ = ["MollifierTable", "build_mollifier", "mollify", "commutator_mollifier"]
+__all__ = ["MollifierTable", "build_mollifier", "commutator_mollifier"]
 
 
 def _trapezoid_nodes(w_max: float) -> int:
@@ -91,13 +91,6 @@ def build_mollifier(grid: Grid, eps: float) -> MollifierTable:
     return table
 
 
-def mollify(f: Field, table: MollifierTable) -> Field:
-    """Low-pass the field through the mollifier multiplier."""
-    if table.grid != f.grid:
-        raise ValueError("mollifier table was built on a different grid")
-    return Field(f.grid, f.coefficients * table.multiplier)
-
-
 def commutator_mollifier(table: MollifierTable, f: Field, g: Field) -> Field:
     """Mollifier commutator applied to the derivative: J(f g') - f J(g').
 
@@ -109,4 +102,4 @@ def commutator_mollifier(table: MollifierTable, f: Field, g: Field) -> Field:
         raise ValueError("fields and table must share one grid")
     fine_table = build_mollifier(f.grid.doubled(), table.eps)
     inputs = commutator_inputs(f.half, half_dx(f.grid) * g.half)
-    return from_half(fine_table.grid, commutator_half(fine_table.half, *inputs))
+    return Field(fine_table.grid, commutator_half(fine_table.half, *inputs))

@@ -12,10 +12,11 @@ built once per (grid, params): one batched irfft gives the values of
 (u, u_x, u_xx, u_xxx, rho, rho_x), the quadratic terms are formed
 pointwise as a bilinear form B, and one batched rfft brings three rows
 back.  `rhs` is B(U, U) and `diff_rhs` is B(w, U) + B(V, w), plus the
-linear alpha term.  The kernel reads the rfft half spectrum, so state
-fields must be real (Hermitian spectra), as every Field built from
-values, by `random_field` or by Field arithmetic is.  Alias-free products
-on the doubled grid (`spectral.product_exact`) remain the diagnostic path.
+linear alpha term.  The kernel reads each Field's rfft half spectrum,
+which is all a Field stores, so every state is real by construction.
+Its multipliers are the `spectral` ones that `dx` and
+`helmholtz_inverse_dx` apply.  Alias-free products on the doubled grid
+(`spectral.product_exact`) remain the diagnostic path.
 
 Status/ledger conventions: a trajectory records (t, ||u||_{H^s},
 ||rho||_{H^{s-2}}, y = sum) every step.  Integration stops early either
@@ -37,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (Field, Grid, dealias_truncate, from_half, half_weights,
-                       sobolev_norm, sup_norm)
+from .spectral import (Field, Grid, dealias_truncate, half_dealias_mask, half_dx,
+                       half_helmholtz_dx, half_weights, sobolev_norm, sup_norm)
 
 __all__ = [
     "SystemParams", "State", "Trajectory", "DifferenceState",
@@ -154,8 +155,7 @@ class NonFiniteStateError(ValueError):
 
 
 def _check_finite(state: State):
-    if not (np.isfinite(state.u.coefficients).all()
-            and np.isfinite(state.rho.coefficients).all()):
+    if not (np.isfinite(state.u.half).all() and np.isfinite(state.rho.half).all()):
         raise NonFiniteStateError("non-finite values in state fields")
 
 
@@ -174,13 +174,10 @@ class _Operators:
     def __init__(self, grid: Grid, params: SystemParams):
         n = grid.n
         self.grid, self.params, self.half = grid, params, n // 2 + 1
-        xi = np.abs(grid.xi[: self.half])
-        # the 2/3 mask also drops the unpaired Nyquist mode, which keeps
-        # the odd derivatives of real fields real
-        mask = np.abs(grid.modes[: self.half]) <= n // 3
-        deriv = [(1j * xi) ** k for k in range(4)]
-        helm = 1j * xi / (1.0 + xi**2) ** 2  # d/dx (1 - d^2/dx^2)^{-2}
-        helm[-1] = 0.0
+        # the 2/3 mask also drops the Nyquist mode, which even-order half_dx keeps
+        mask = half_dealias_mask(grid)
+        deriv = [half_dx(grid, k) for k in range(4)]
+        helm = half_helmholtz_dx(grid)  # d/dx (1 - d^2/dx^2)^{-2}
         one = np.ones_like(helm)
         # Field scaling: times N into values, over N back to coefficients
         self.analysis = (n * mask) * np.array(deriv + deriv[:2])
@@ -194,8 +191,8 @@ class _Operators:
         h = self.half
         spec = np.empty((len(pairs), 6, h), dtype=complex)
         for out, (u, rho) in zip(spec, pairs):
-            np.multiply(self.analysis[:4], u.coefficients[:h], out=out[:4])
-            np.multiply(self.analysis[4:], rho.coefficients[:h], out=out[4:])
+            np.multiply(self.analysis[:4], u.half, out=out[:4])
+            np.multiply(self.analysis[4:], rho.half, out=out[4:])
         return np.fft.irfft(spec, n=self.grid.n, axis=-1)
 
     def bilinear(self, a: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -215,8 +212,8 @@ class _Operators:
         """(du, drho) from the bilinear rows plus the linear alpha term in u."""
         out = np.fft.rfft(rows, axis=-1)
         out *= self.synthesis
-        du = out[0] + out[1] + self.linear * u.coefficients[: self.half]
-        return from_half(self.grid, du), from_half(self.grid, out[2])
+        du = out[0] + out[1] + self.linear * u.half
+        return Field(self.grid, du), Field(self.grid, out[2])
 
 
 @functools.lru_cache(maxsize=16)
@@ -227,8 +224,8 @@ def _operators(grid: Grid, params: SystemParams) -> _Operators:
 def rhs(state: State, params: SystemParams) -> tuple[Field, Field]:
     """Right-hand side of the nonlocal form: B(U, U) plus the alpha term.
 
-    The fields must be real (Hermitian spectra); products are dealiased
-    by the 2/3 rule.
+    Fields are real by construction (a Field is its half spectrum);
+    products are dealiased by the 2/3 rule.
     """
     _check_finite(state)
     ops = _operators(state.grid, params)
@@ -309,7 +306,6 @@ def solve(initial: State, params: SystemParams, s: float, t_end: float,
     times, nus, nrs, ys = [], [], [], []
     states = [state]
     grid = state.grid
-    half = grid.n // 2 + 1
     w_u, w_rho = half_weights(grid, s), half_weights(grid, s - 2.0)
     # the 2/3 rule empties the literal top third of the grid spectrum, so
     # the resolution test watches the top third of the retained band
@@ -318,11 +314,10 @@ def solve(initial: State, params: SystemParams, s: float, t_end: float,
 
     def record(st: State) -> tuple[float, float]:
         """Append st's ledger row; return y and the H^s tail fraction of u."""
-        energy = w_u * np.abs(st.u.coefficients[:half]) ** 2
+        energy = w_u * np.abs(st.u.half) ** 2
         total = float(energy.sum())
         nu = math.sqrt(grid.length * total)
-        nr = math.sqrt(grid.length * float(
-            np.sum(w_rho * np.abs(st.rho.coefficients[:half]) ** 2)))
+        nr = math.sqrt(grid.length * float(np.sum(w_rho * np.abs(st.rho.half) ** 2)))
         times.append(st.t)
         nus.append(nu)
         nrs.append(nr)

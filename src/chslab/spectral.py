@@ -2,28 +2,29 @@
 
 Conventions
 -----------
-A field on an N-point grid is stored through its Fourier coefficients
-c_k with the normalisation
+A real field on an N-point grid is stored as its rfft half spectrum: the
+coefficients c_k of the modes k = 0..N/2, shape (N/2 + 1,), with
 
     f(x) = sum_k c_k exp(i xi_k x),      xi_k = 2 pi k / L,
 
-so c_k approximates the continuous coefficient
-(1/L) int_0^L f(x) exp(-i xi_k x) dx.  With this scaling the Sobolev
-norm
+so c_k approximates (1/L) int_0^L f(x) exp(-i xi_k x) dx.  The negative
+modes c_{-k} = conj(c_k) are never stored; `Field.coefficients` derives
+the full spectrum in FFT order on demand.  Values come from one irfft
+and go back by one rfft, so a Field is real by construction.  The norm
 
     ||f||_{H^s}^2 = L * sum_k (1 + xi_k^2)^s |c_k|^2
 
-agrees with the integral L2 norm at s = 0 (Parseval).
+sums over the full spectrum (the half spectrum's modes 0 < k < N/2 count
+twice) and agrees with the integral L2 norm at s = 0 (Parseval).
 
-The product of two band-limited fields is itself band-limited within a
-grid of twice the resolution; `product_exact` exploits that to return
-alias-free products for diagnostics, while `product(..., dealias=True)`
-applies the 2/3-rule truncation.  The alias-free products, commutators
-and Sobolev norms also come in a stacked form on arrays of rfft half
-spectra, which the inequality probes use for whole blocks of samples;
-`product_exact` and the commutators are one-row calls of it.
-Odd-order derivative multipliers zero the unpaired Nyquist mode so that
-real fields stay real.
+Every linear operator is a half-spectrum multiplier (`half_dx`,
+`half_bessel`, `half_helmholtz_dx`).  A stack of fields is an array of
+half spectra, shape (..., N/2 + 1), whose rows the stacked helpers
+transform and reduce one by one; the Field functions are their one-row
+calls.  The product of two band-limited fields fits the band of the
+doubled grid, where `product_exact` and the commutators are alias-free;
+`product(..., dealias=True)` applies the 2/3 rule instead.  Odd-order
+derivatives zero the unpaired Nyquist mode, whose derivative is not real.
 """
 
 from __future__ import annotations
@@ -34,29 +35,11 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 __all__ = [
-    "Grid",
-    "Field",
-    "dx",
-    "bessel_pow",
-    "helmholtz_inverse_dx",
-    "sobolev_norm",
-    "sup_norm",
-    "inner",
-    "product",
-    "product_exact",
-    "pad_to",
-    "truncate_to",
-    "commutator_bessel",
-    "commutator_bessel_dx",
-    "half_weights",
-    "sobolev_norms",
-    "half_dx",
-    "half_bessel",
-    "from_half",
-    "half_values",
-    "product_half",
-    "commutator_inputs",
-    "commutator_half",
+    "Grid", "Field", "dx", "bessel_pow", "helmholtz_inverse_dx", "sobolev_norm",
+    "sup_norm", "product", "product_exact", "pad_to", "commutator_bessel",
+    "commutator_bessel_dx", "half_weights", "sobolev_norms", "half_dx",
+    "half_bessel", "half_helmholtz_dx", "half_dealias_mask", "half_values",
+    "product_half", "commutator_inputs", "commutator_half",
 ]
 
 
@@ -70,8 +53,8 @@ class Grid:
     def __post_init__(self):
         if self.n < 8 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"grid size must be a power of two >= 8, got {self.n}")
-        if not (self.length > 0):
-            raise ValueError(f"grid length must be positive, got {self.length}")
+        if not 0.0 < self.length < np.inf:
+            raise ValueError(f"grid length must be positive and finite, got {self.length}")
 
     @cached_property
     def x(self) -> np.ndarray:
@@ -96,68 +79,61 @@ class Grid:
 
 
 class Field:
-    """Real periodic function with dual value/coefficient views.
+    """Real periodic function stored as its rfft half spectrum.
 
-    The coefficient array (FFT order) is canonical; values are derived.
-    Instances are immutable: every operation returns a new Field.
+    `half` (modes 0..N/2) is canonical; values and the full spectrum are
+    derived.  Instances are immutable: every operation returns a new Field.
     """
 
-    __slots__ = ("grid", "_coeffs", "_values")
+    __slots__ = ("grid", "half", "_values")
 
-    def __init__(self, grid: Grid, coefficients: np.ndarray):
-        if coefficients.shape != (grid.n,):
-            raise ValueError(
-                f"coefficient length {coefficients.shape} does not match grid size {grid.n}"
-            )
+    def __init__(self, grid: Grid, half: np.ndarray):
+        if np.shape(half) != (grid.n // 2 + 1,):
+            raise ValueError(f"half spectrum shape {np.shape(half)} does not match "
+                             f"grid size {grid.n} (want N/2 + 1 modes)")
         self.grid = grid
-        self._coeffs = np.asarray(coefficients, dtype=complex)
-        self._coeffs.flags.writeable = False
+        self.half = np.asarray(half, dtype=complex)
+        self.half.flags.writeable = False
         self._values = None
 
     @classmethod
     def from_values(cls, grid: Grid, values: np.ndarray) -> "Field":
         values = np.asarray(values, dtype=float)
         if values.shape != (grid.n,):
-            raise ValueError(
-                f"value length {values.shape} does not match grid size {grid.n}"
-            )
-        return cls(grid, np.fft.fft(values) / grid.n)
+            raise ValueError(f"value length {values.shape} does not match grid size {grid.n}")
+        return cls(grid, _half_coefficients(values))
 
     @classmethod
     def zero(cls, grid: Grid) -> "Field":
-        return cls(grid, np.zeros(grid.n, dtype=complex))
+        return cls(grid, np.zeros(grid.n // 2 + 1, dtype=complex))
 
     @property
     def coefficients(self) -> np.ndarray:
-        return self._coeffs
-
-    @property
-    def half(self) -> np.ndarray:
-        """The rfft half spectrum: coefficients of modes 0..N/2."""
-        return self._coeffs[: self.grid.n // 2 + 1]
+        """The full spectrum in FFT order: the Hermitian extension of half."""
+        return np.concatenate([self.half, np.conj(self.half[-2:0:-1])])
 
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            self._values = np.fft.ifft(self._coeffs * self.grid.n).real
+            self._values = half_values(self.half)
             self._values.flags.writeable = False
         return self._values
 
     def __add__(self, other: "Field") -> "Field":
         _check_same_grid(self, other)
-        return Field(self.grid, self._coeffs + other._coeffs)
+        return Field(self.grid, self.half + other.half)
 
     def __sub__(self, other: "Field") -> "Field":
         _check_same_grid(self, other)
-        return Field(self.grid, self._coeffs - other._coeffs)
+        return Field(self.grid, self.half - other.half)
 
     def __mul__(self, scalar: float) -> "Field":
-        return Field(self.grid, self._coeffs * scalar)
+        return Field(self.grid, self.half * scalar)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "Field":
-        return Field(self.grid, -self._coeffs)
+        return Field(self.grid, -self.half)
 
     def __repr__(self):
         return f"Field(n={self.grid.n}, L={self.grid.length})"
@@ -168,43 +144,82 @@ def _check_same_grid(f: Field, g: Field) -> None:
         raise ValueError(f"grid mismatch: {f.grid} vs {g.grid}")
 
 
-def dx(f: Field, order: int = 1) -> Field:
-    """Spectral derivative of the given order (0 <= order <= 4).
+# -- half-spectrum multipliers -------------------------------------------
 
-    The unpaired Nyquist mode is zeroed for odd orders so output stays real.
+
+def half_dx(grid: Grid, order: int = 1) -> np.ndarray:
+    """The d^order/dx^order multiplier (i xi)^order on the half spectrum.
+
+    The unpaired Nyquist mode is zeroed for odd orders.
     """
+    mult = (1j * grid.xi[: grid.n // 2 + 1]) ** order
+    if order % 2 == 1:
+        mult[-1] = 0.0
+    return mult
+
+
+def half_bessel(grid: Grid, s: float) -> np.ndarray:
+    """The bessel_pow multiplier (1 + xi^2)^(s/2) on the half spectrum."""
+    return (1.0 + grid.xi[: grid.n // 2 + 1] ** 2) ** (s / 2.0)
+
+
+def half_helmholtz_dx(grid: Grid) -> np.ndarray:
+    """The d/dx (1 - d^2/dx^2)^{-2} multiplier i xi / (1 + xi^2)^2, Nyquist zeroed."""
+    xi = grid.xi[: grid.n // 2 + 1]
+    mult = 1j * xi / (1.0 + xi**2) ** 2
+    mult[-1] = 0.0
+    return mult
+
+
+def half_dealias_mask(grid: Grid) -> np.ndarray:
+    """The 2/3 rule on the half spectrum: True where |k| <= N/3 (never at N/2)."""
+    return np.abs(grid.modes[: grid.n // 2 + 1]) <= grid.n // 3
+
+
+@lru_cache(maxsize=64)
+def half_weights(grid: Grid, s: float) -> np.ndarray:
+    """(1 + xi^2)^s on the half spectrum, modes 0 < k < N/2 counted twice.
+
+    For a real field, sum(w |c_k|^2) over the half spectrum is the
+    full-spectrum sum in the H^s norm.  Cached per (grid, s), read-only.
+    """
+    w = (1.0 + grid.xi[: grid.n // 2 + 1] ** 2) ** s
+    w[1:-1] *= 2.0
+    w.flags.writeable = False
+    return w
+
+
+def sobolev_norms(c: np.ndarray, grid: Grid, s: float) -> np.ndarray:
+    """H^s norm of each row of a stack of half spectra on grid."""
+    return np.sqrt(grid.length * np.sum(half_weights(grid, s) * np.abs(c) ** 2, axis=-1))
+
+
+# -- Field operators: one-row calls of the multipliers -------------------
+
+
+def dx(f: Field, order: int = 1) -> Field:
+    """Spectral derivative of the given order (0 <= order <= 4)."""
     if not (0 <= order <= 4):
         raise ValueError(f"derivative order must be in 0..4, got {order}")
-    if order == 0:
-        return f
-    mult = (1j * f.grid.xi) ** order
-    if order % 2 == 1:
-        mult[f.grid.n // 2] = 0.0
-    return Field(f.grid, f.coefficients * mult)
+    return f if order == 0 else Field(f.grid, f.half * half_dx(f.grid, order))
 
 
 def bessel_pow(f: Field, s: float) -> Field:
     """Smoothing/roughening operator of order s: multiplier (1 + xi^2)^(s/2)."""
-    return Field(f.grid, f.coefficients * (1.0 + f.grid.xi**2) ** (s / 2.0))
+    return Field(f.grid, f.half * half_bessel(f.grid, s))
 
 
 def helmholtz_inverse_dx(f: Field) -> Field:
     """Derivative composed with the inverse squared Helmholtz operator.
 
-    Multiplier i xi / (1 + xi^2)^2; kills the mean mode and the unpaired
-    Nyquist mode, output is real.
+    Multiplier i xi / (1 + xi^2)^2; kills the mean and the Nyquist mode.
     """
-    xi = f.grid.xi
-    mult = 1j * xi / (1.0 + xi**2) ** 2
-    mult[f.grid.n // 2] = 0.0
-    return Field(f.grid, f.coefficients * mult)
+    return Field(f.grid, f.half * half_helmholtz_dx(f.grid))
 
 
 def sobolev_norm(f: Field, s: float) -> float:
     """Fractional Sobolev norm sqrt(L * sum (1 + xi^2)^s |c_k|^2)."""
-    weights = (1.0 + f.grid.xi**2) ** s
-    total = np.sum(weights * np.abs(f.coefficients) ** 2)
-    return float(np.sqrt(f.grid.length * total))
+    return float(sobolev_norms(f.half, f.grid, s))
 
 
 def sup_norm(f: Field) -> float:
@@ -212,19 +227,9 @@ def sup_norm(f: Field) -> float:
     return float(np.max(np.abs(f.values)))
 
 
-def inner(f: Field, g: Field) -> float:
-    """L2 inner product L * mean(f g) (exact for the stored bands)."""
-    _check_same_grid(f, g)
-    return float(f.grid.length * np.mean(f.values * g.values))
-
-
-def _dealias_mask(grid: Grid) -> np.ndarray:
-    return np.abs(grid.modes) <= grid.n // 3
-
-
 def dealias_truncate(f: Field) -> Field:
     """Zero every mode with |k| > N/3 (2/3 rule)."""
-    return Field(f.grid, np.where(_dealias_mask(f.grid), f.coefficients, 0.0))
+    return Field(f.grid, np.where(half_dealias_mask(f.grid), f.half, 0.0))
 
 
 def product(f: Field, g: Field, dealias: bool = False) -> Field:
@@ -247,95 +252,27 @@ def pad_to(f: Field, grid: Grid) -> Field:
     """Zero-pad the spectrum onto a finer grid with the same length."""
     if grid.length != f.grid.length or grid.n < f.grid.n:
         raise ValueError("target grid must refine the source grid")
-    if grid.n == f.grid.n:
-        return f
-    n = f.grid.n
-    c = np.zeros(grid.n, dtype=complex)
-    c[: n // 2] = f.coefficients[: n // 2]
-    c[-(n // 2 - 1) :] = f.coefficients[-(n // 2 - 1) :]
-    # split the unpaired Nyquist coefficient across +-N/2 to keep symmetry
-    cn = f.coefficients[n // 2]
-    c[n // 2] = 0.5 * cn
-    c[-(n // 2)] = 0.5 * np.conj(cn)
-    return Field(grid, c)
-
-
-def truncate_to(f: Field, grid: Grid) -> Field:
-    """Drop modes outside the band of a coarser grid with the same length.
-
-    The +-N/2 pair of the source folds onto the single Nyquist slot of the
-    target, matching what sampling on the coarse points would produce.
-    """
-    if grid.length != f.grid.length or grid.n > f.grid.n:
-        raise ValueError("target grid must coarsen the source grid")
-    if grid.n == f.grid.n:
-        return f
-    n = grid.n
-    c = np.empty(n, dtype=complex)
-    c[: n // 2] = f.coefficients[: n // 2]
-    c[n // 2 + 1 :] = f.coefficients[-(n // 2) + 1 :]
-    c[n // 2] = f.coefficients[n // 2] + f.coefficients[-(n // 2)]
-    return Field(grid, c)
+    return f if grid.n == f.grid.n else Field(grid, _pad_half(f.half, grid.n))
 
 
 # -- stacked half spectra ---------------------------------------------
 #
-# A stack of real fields on one N-point grid is an array of rfft half
-# spectra, shape (..., N/2 + 1), in the Field coefficient scaling.
-# Each row is transformed and reduced on its own, so a row's result does
-# not depend on how many rows share the stack.  Products and commutators
-# land on the doubled grid, where they are alias-free.
+# Each row of a stack is transformed and reduced on its own, so a row's
+# result does not depend on how many rows share the stack.  Products and
+# commutators land on the doubled grid, where they are alias-free.
 
 
-@lru_cache(maxsize=64)
-def half_weights(grid: Grid, s: float) -> np.ndarray:
-    """(1 + xi^2)^s on the half spectrum, modes 0 < k < N/2 counted twice.
+def _pad_half(c: np.ndarray, n: int) -> np.ndarray:
+    """Half spectra zero-padded onto an n-point grid finer than theirs.
 
-    For a real field, sum(w |c_k|^2) over the half spectrum is the
-    full-spectrum sum behind sobolev_norm.  Cached per (grid, s), read-only.
+    The source's lone Nyquist coefficient is halved: on the finer grid it
+    is split across the +-N/2 pair, which keeps the padded field real and
+    equal to the source at the shared points.
     """
-    w = (1.0 + grid.xi[: grid.n // 2 + 1] ** 2) ** s
-    w[1:-1] *= 2.0
-    w.flags.writeable = False
-    return w
-
-
-def sobolev_norms(c: np.ndarray, grid: Grid, s: float) -> np.ndarray:
-    """H^s norm of each row of a stack of half spectra on grid."""
-    return np.sqrt(grid.length * np.sum(half_weights(grid, s) * np.abs(c) ** 2, axis=-1))
-
-
-def half_dx(grid: Grid) -> np.ndarray:
-    """The d/dx multiplier i xi on the half spectrum, Nyquist zeroed as in dx."""
-    mult = 1j * grid.xi[: grid.n // 2 + 1]
-    mult[-1] = 0.0
-    return mult
-
-
-def half_bessel(grid: Grid, s: float) -> np.ndarray:
-    """The bessel_pow multiplier (1 + xi^2)^(s/2) on the half spectrum."""
-    return (1.0 + grid.xi[: grid.n // 2 + 1] ** 2) ** (s / 2.0)
-
-
-def from_half(grid: Grid, half: np.ndarray) -> Field:
-    """The real Field whose spectrum is the Hermitian extension of half."""
-    n = grid.n
-    full = np.empty(n, dtype=complex)
-    full[: n // 2 + 1] = half
-    full[n // 2 + 1:] = np.conj(half[n // 2 - 1: 0: -1])
-    return Field(grid, full)
-
-
-def _pad_half(c: np.ndarray) -> np.ndarray:
-    """Half spectra zero-padded onto the doubled grid.
-
-    The lone Nyquist coefficient is halved, as pad_to splits it across
-    the +-N/2 pair of the finer grid.
-    """
-    n = 2 * (c.shape[-1] - 1)
-    out = np.zeros(c.shape[:-1] + (n + 1,), dtype=complex)
-    out[..., : n // 2] = c[..., : n // 2]
-    out[..., n // 2] = 0.5 * c[..., n // 2]
+    m = c.shape[-1] - 1
+    out = np.zeros(c.shape[:-1] + (n // 2 + 1,), dtype=complex)
+    out[..., :m] = c[..., :m]
+    out[..., m] = 0.5 * c[..., m]
     return out
 
 
@@ -355,7 +292,7 @@ def commutator_inputs(f: np.ndarray, g: np.ndarray):
 
     Returns the values of f, the half spectra of f g and g padded.
     """
-    padded = _pad_half(np.stack([f, g]))
+    padded = _pad_half(np.stack([f, g]), 4 * (f.shape[-1] - 1))
     fv, gv = half_values(padded)
     return fv, _half_coefficients(fv * gv), padded[1]
 
@@ -383,7 +320,7 @@ def product_exact(f: Field, g: Field) -> Field:
     exact (used for diagnostics and inequality probes).
     """
     _check_same_grid(f, g)
-    return from_half(f.grid.doubled(), product_half(f.half, g.half))
+    return Field(f.grid.doubled(), product_half(f.half, g.half))
 
 
 def commutator_bessel(r: float, f: Field, g: Field) -> Field:
@@ -394,8 +331,8 @@ def commutator_bessel(r: float, f: Field, g: Field) -> Field:
     """
     _check_same_grid(f, g)
     fine = f.grid.doubled()
-    return from_half(fine, commutator_half(half_bessel(fine, r),
-                                           *commutator_inputs(f.half, g.half)))
+    return Field(fine, commutator_half(half_bessel(fine, r),
+                                       *commutator_inputs(f.half, g.half)))
 
 
 def commutator_bessel_dx(sigma: float, f: Field, v: Field) -> Field:
@@ -406,4 +343,4 @@ def commutator_bessel_dx(sigma: float, f: Field, v: Field) -> Field:
     _check_same_grid(f, v)
     fine = f.grid.doubled()
     mult = half_bessel(fine, sigma) * half_dx(fine)
-    return from_half(fine, commutator_half(mult, *commutator_inputs(f.half, v.half)))
+    return Field(fine, commutator_half(mult, *commutator_inputs(f.half, v.half)))

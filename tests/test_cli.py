@@ -98,6 +98,25 @@ def test_bad_values_are_config_errors_not_failed_runs(tmp_path, capsys, argv, ke
     assert not out.exists()  # nothing ran
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["solve", "--t_end", "inf"], "t_end"),
+    (["solve", "--amplitude", "inf"], "amplitude"),
+    (["solve", "--L", "inf"], "L"),
+    (["kernel", "--eta_max", "inf"], "eta_max"),
+    (["solve", "--kappa", "nan"], "kappa"),
+    (["holder", "--h", "inf"], "h"),
+    (["holder", "--cases", "4:inf"], "cases"),
+])
+def test_non_finite_values_are_config_errors(tmp_path, capsys, argv, key):
+    out = tmp_path / "x"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = [l for l in err.splitlines() if l.startswith("config error")]
+    assert len(lines) == 1 and f"key {key!r}" in lines[0]
+    assert not out.exists()
+
+
 def test_holder_ball_key_h_is_not_an_abbreviation_of_help(tmp_path, capsys):
     out = tmp_path / "x"
     assert main(["holder", "--h", "-1", "--out", str(out)]) == 2

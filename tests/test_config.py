@@ -188,6 +188,18 @@ def test_every_key_belongs_to_some_command():
     assert len(_KEYS) == 40
 
 
+def test_every_real_key_rejects_non_finite_values():
+    for command, defaults in DEFAULTS.items():
+        for key, value in defaults.items():
+            if type(value) is not float:
+                continue
+            for bad in ("inf", "-inf", "nan"):
+                with pytest.raises(ConfigError) as info:
+                    parse_config(f"{key} = {bad}\n", command, "x")
+                assert info.value.errors == [
+                    f"key {key!r}: expected a finite real, got {bad!r}"], (command, key)
+
+
 def test_attribute_names_of_renamed_keys():
     cfg = parse_config("N = 64\nL = 3.0\nT = 0.25\n", "holder", "x")
     assert (cfg.n, cfg.length, cfg.horizon) == (64, 3.0, 0.25)

@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 from chslab.fields import random_field
-from chslab.solver import State, SystemParams, rhs
+from chslab.solver import State, SystemParams, _Operators, rhs
 from chslab.spectral import (
     Field,
     Grid,
@@ -98,3 +98,21 @@ def test_fused_rhs_output_is_real_and_dealiased(line):
         c = f.coefficients
         assert np.array_equal(c[1:], np.conj(c[-1:0:-1]))
         assert np.all(c[np.abs(line.modes) > line.n // 3] == 0.0)
+
+
+def test_operator_tables_keep_their_inline_expressions_bit_for_bit():
+    # the tables come from spectral's half-spectrum multipliers; these are
+    # the expressions they were built from inline, on |xi|.  Only the
+    # Nyquist entry differs in sign, and the 2/3 mask zeroes it
+    for n, length in ((8, 1.0), (256, 64.0), (4096, 2.0 * np.pi)):
+        grid = Grid(n, length)
+        ops = _Operators(grid, SystemParams(alpha=1.7))
+        xi = np.abs(grid.xi[: n // 2 + 1])
+        mask = np.abs(grid.modes[: n // 2 + 1]) <= n // 3
+        deriv = [(1j * xi) ** k for k in range(4)]
+        helm = 1j * xi / (1.0 + xi**2) ** 2
+        helm[-1] = 0.0
+        one = np.ones_like(helm)
+        assert np.array_equal(ops.analysis, (n * mask) * np.array(deriv + deriv[:2]))
+        assert np.array_equal(ops.synthesis, (mask / n) * np.array([-helm, -one, one]))
+        assert np.array_equal(ops.linear, 1.7 * helm)

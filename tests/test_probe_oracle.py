@@ -29,7 +29,7 @@ from chslab.inequalities import (
     probe_product_negative,
     product_negative_sweep,
 )
-from chslab.mollifier import build_mollifier, commutator_mollifier, mollify
+from chslab.mollifier import build_mollifier, commutator_mollifier
 from chslab.spectral import (
     Field,
     Grid,
@@ -42,6 +42,7 @@ from chslab.spectral import (
     sobolev_norm,
     sup_norm,
 )
+from full_spectrum import mollify
 
 # -- Field-by-Field oracle ------------------------------------------------
 

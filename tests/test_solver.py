@@ -6,6 +6,7 @@ rather than chasing any particular trajectory.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -264,7 +265,7 @@ def test_non_finite_state_mid_run_is_a_blowup(line):
 
 def test_non_finite_state_raises_its_own_error(line):
     st = bump_state(line)
-    bad = State(Field(line, np.full(line.n, np.nan, dtype=complex)), st.rho, 0.0)
+    bad = State(Field(line, np.full(line.n // 2 + 1, np.nan, dtype=complex)), st.rho, 0.0)
     with pytest.raises(NonFiniteStateError):
         rhs(bad, default_params())
 
@@ -475,6 +476,17 @@ def test_snapshot_rejects_trailing_bytes(tmp_path, line):
     save_snapshot(st, path)
     path.write_bytes(path.read_bytes() + b"\0")
     with pytest.raises(ValueError, match="trailing"):
+        load_snapshot(path)
+
+
+def test_snapshot_rejects_a_non_finite_length(tmp_path, line):
+    st = bump_state(line)
+    path = tmp_path / "state.chs2"
+    save_snapshot(st, path)
+    data = bytearray(path.read_bytes())
+    data[12:20] = struct.pack("<d", math.inf)  # L follows magic, version, N
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="finite"):
         load_snapshot(path)
 
 
