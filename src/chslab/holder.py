@@ -4,14 +4,16 @@ The exponent law beta(s, r) is piecewise: Lipschitz for low r with
 s + r >= 5, an interpolation exponent (2s-5)/(s-r) below that corner,
 and s - r once r climbs within one of s.  The experiment side perturbs
 a base datum along a fixed direction with a log-spaced amplitude ladder,
-solves every member with one shared dt, and regresses log distance
-against log amplitude.  The exponent law is an upper bound on
-distances, so a fitted slope above beta is consistent; verdicts only
-check slope >= beta - 0.1.
+steps the base and every member as one stack with one shared dt while
+taking each member's running-max distance to the base, and regresses
+log distance against log amplitude; a sweep steps each family once per
+s.  The exponent law is an upper bound on distances, so a fitted slope
+above beta is consistent; verdicts only check slope >= beta - 0.1.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -26,9 +28,10 @@ from .solver import (
     SystemParams,
     fit_min_cs,
     solve,
+    solve_stack,
     t0_lower_bound,
 )
-from .spectral import Field, Grid, sobolev_norm, sup_norm
+from .spectral import Field, Grid, sobolev_norm, sobolev_norms, sup_norm
 
 __all__ = [
     "HolderCase", "holder_exponent", "PerturbationFamily", "make_family",
@@ -224,14 +227,6 @@ class HolderReport:
         }
 
 
-def _distance(traj_a, traj_b, r: float) -> float:
-    best = 0.0
-    for a, b in zip(traj_a.states, traj_b.states):
-        best = max(best, sobolev_norm(a.u - b.u, r)
-                   + sobolev_norm(a.rho - b.rho, r - 2.0))
-    return best
-
-
 def default_horizon(family: PerturbationFamily, params: SystemParams,
                     s: float, cfl: float = 0.3) -> float:
     """Existence-time bound evaluated at the fitted constant.
@@ -255,61 +250,88 @@ def default_horizon(family: PerturbationFamily, params: SystemParams,
 def run_holder(family: PerturbationFamily, params: SystemParams, s: float,
                r: float, T: float | None = None, cfl: float = 0.3,
                seam_policy: str = "ignore") -> HolderReport:
-    """Solve the family, measure distances, regress, and judge the slope.
+    """Solve the family, measure distances, regress, and judge the slope."""
+    holder_exponent(s, r, rho_trivial=family.rho_trivial)  # a bad (s, r) raises
+    return _run_cases(family, params, s, [r], T, cfl, seam_policy)[0]
 
-    Every member runs with the same fixed dt (the CFL step of the worst
-    initial sup-norm in the family) so trajectories share their time
-    grid and distances come from direct state subtraction.
+
+def _case(s: float, r: float, rho_trivial: bool):
+    try:
+        return holder_exponent(s, r, rho_trivial=rho_trivial)
+    except ValueError as exc:
+        return _error_report(s, r, exc)
+
+
+def _run_cases(family: PerturbationFamily, params: SystemParams, s: float,
+               rs, T: float | None = None, cfl: float = 0.3,
+               seam_policy: str = "ignore") -> list:
+    """One report per r (an error row if holder_exponent rejects it).
+
+    The base and the members step as one stack with one fixed dt, the
+    CFL step of the worst initial sup-norm in the family.  Each member's
+    H^r x H^{r-2} distance to the base is a running max over the ledger
+    times, so no trajectory is stored.
     """
-    case = holder_exponent(s, r, rho_trivial=family.rho_trivial)
+    cases = [_case(s, r, family.rho_trivial) for r in rs]
+    valid = [c for c in cases if isinstance(c, HolderCase)]
+    if not valid:
+        return cases
     if T is None:
         T = default_horizon(family, params, s, cfl)
+    members = [family.member(0.0)] + [family.member(float(d)) for d in family.deltas]
+    dt = cfl * family.grid.dx / max(1.0, sup_norm(members[0].u), sup_norm(members[1].u))
 
-    worst_sup = max(sup_norm(family.member(0.0).u),
-                    sup_norm(family.member(float(family.deltas[0])).u))
-    dt = cfl * family.grid.dx / max(1.0, worst_sup)
+    grid, nrows = family.grid, len(members)
+    distances = np.zeros((len(valid), nrows - 1))
 
-    base_traj = solve(family.member(0.0), params, s, T, dt_policy=dt,
-                      seam_policy=seam_policy)
-    trajs = [solve(family.member(float(d)), params, s, T, dt_policy=dt,
-                   seam_policy=seam_policy) for d in family.deltas]
-    statuses = tuple([base_traj.status] + [t.status for t in trajs])
+    def track(t, stack, rows):
+        if len(rows) < nrows:
+            return  # a member aborted: no case reports distances
+        diff = stack[1:] - stack[:1]
+        for best, case in zip(distances, valid):
+            np.fmax(best, sobolev_norms(diff[:, 0], grid, case.r)
+                    + sobolev_norms(diff[:, 1], grid, case.r - 2.0), out=best)
 
+    trajs = solve_stack(members, params, s, T, dt_policy=dt, store_stride=0,
+                        seam_policy=seam_policy, observe=track)
+    statuses = tuple(traj.status for traj in trajs)
+    # keep regression points clear of accumulated roundoff
+    nsteps = len(trajs[0].times) - 1
+    floor = 1e3 * 2.22e-16 * max(1.0, float(trajs[0].y.max())) * max(nsteps, 1)
+    fits = iter([_fit(case, family.deltas, dist, floor, statuses, T, dt)
+                 for case, dist in zip(valid, distances)])
+    return [next(fits) if isinstance(c, HolderCase) else c for c in cases]
+
+
+def _fit(case, deltas, distances, floor, statuses, T, dt) -> HolderReport:
     nan = float("nan")
     if any(st != COMPLETED for st in statuses):
-        return HolderReport(case, family.deltas.copy(), np.full(len(trajs), nan),
+        return HolderReport(case, deltas.copy(), np.full(len(deltas), nan),
                             nan, nan, nan, "no-verdict: member aborted",
                             statuses, T, dt)
-
-    distances = np.array([_distance(t, base_traj, r) for t in trajs])
-
-    # keep regression points clear of accumulated roundoff
-    nsteps = len(base_traj.times) - 1
-    floor = 1e3 * 2.22e-16 * max(1.0, float(base_traj.y.max())) * max(nsteps, 1)
     live = distances > floor
     if live.sum() < 3:
-        return HolderReport(case, family.deltas.copy(), distances,
+        return HolderReport(case, deltas.copy(), distances,
                             nan, nan, nan, "degenerate: distances at noise floor",
                             statuses, T, dt)
 
-    logd = np.log10(family.deltas[live])
+    logd = np.log10(deltas[live])
     logdist = np.log10(distances[live])
     slope, intercept = np.polyfit(logd, logdist, 1)
     resid = float(np.sqrt(np.mean((np.polyval([slope, intercept], logd) - logdist) ** 2)))
     ok = slope >= case.beta - 0.1 and resid <= 0.05
-    return HolderReport(case, family.deltas.copy(), distances, float(slope),
+    return HolderReport(case, deltas.copy(), distances, float(slope),
                         float(intercept), resid, "pass" if ok else "fail",
                         statuses, T, dt)
 
 
-def _sweep_case(payload) -> HolderReport:
-    (s, r, n, length, pdict, h, base_kind, direction_kind, deltas, seed, T,
-     base_amplitude, rho_trivial, cfl) = payload
-    grid = Grid(n, length)
-    params = SystemParams(**pdict)
-    family = make_family(grid, s, h, base_kind, direction_kind, deltas, seed,
-                         base_amplitude, rho_trivial)
-    return run_holder(family, params, s, r, T, cfl)
+def _sweep_group(payload) -> list:
+    """Reports of one s-group; a ValueError from its family marks every case."""
+    s, rs, params, T, cfl, family_args = payload
+    try:
+        return _run_cases(make_family(s=s, **family_args), params, s, rs, T, cfl)
+    except ValueError as exc:
+        return [_error_report(s, r, exc) for r in rs]
 
 
 def sweep(cases, grid: Grid, params: SystemParams, h: float = 2.0,
@@ -317,38 +339,30 @@ def sweep(cases, grid: Grid, params: SystemParams, h: float = 2.0,
           deltas=None, seed: int = 0, T: float | None = None,
           base_amplitude: float = 0.5, rho_trivial: bool = False,
           cfl: float = 0.3, workers: int = 1):
-    """Independent run_holder per (s, r) case, in input order.
+    """One report per (s, r) case, in input order.
 
-    Per-case failures are captured as error rows instead of aborting the
-    sweep.  Workers > 1 fans cases out to processes; each worker rebuilds
-    its family from the same seed, so results match the serial run.
+    Cases that share s share a family, built and stepped once for all of
+    their r.  A ValueError (the documented rejections of holder_exponent,
+    make_family and solve) becomes an error row; any other exception
+    propagates.  Workers > 1 fans the s-groups out to processes; each
+    rebuilds its family from the same seed, so results match the serial
+    run.
     """
-    if deltas is None:
-        deltas = np.geomspace(1e-2, 1e-5, 7)
-    payloads = [
-        (float(s), float(r), grid.n, grid.length,
-         {"b": params.b, "kappa": params.kappa, "alpha": params.alpha,
-          "c_s": params.c_s},
-         h, base_kind, direction_kind, np.asarray(deltas, dtype=float), seed, T,
-         base_amplitude, rho_trivial, cfl)
-        for s, r in cases
-    ]
-    reports = []
+    family_args = dict(grid=grid, h=h, base_kind=base_kind, direction_kind=direction_kind,
+                       deltas=deltas, seed=seed, base_amplitude=base_amplitude,
+                       rho_trivial=rho_trivial)
+    groups = {}
+    for i, (s, _) in enumerate(cases):
+        groups.setdefault(float(s), []).append(i)
+    payloads = [(s, [float(cases[i][1]) for i in idx], params, T, cfl, family_args)
+                for s, idx in groups.items()]
     if workers > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
-            futures = [pool.submit(_sweep_case, p) for p in payloads]
-            for (s, r), fut in zip(cases, futures):
-                try:
-                    reports.append(fut.result())
-                except Exception as exc:
-                    reports.append(_error_report(float(s), float(r), exc))
+            results = list(pool.map(_sweep_group, payloads))
     else:
-        for (s, r), payload in zip(cases, payloads):
-            try:
-                reports.append(_sweep_case(payload))
-            except Exception as exc:
-                reports.append(_error_report(float(s), float(r), exc))
-    return reports
+        results = [_sweep_group(p) for p in payloads]
+    by_case = dict(zip(itertools.chain(*groups.values()), itertools.chain(*results)))
+    return [by_case[i] for i in range(len(cases))]
 
 
 def _error_report(s: float, r: float, exc: Exception) -> HolderReport:

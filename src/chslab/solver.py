@@ -7,25 +7,23 @@ Everything runs on the periodic grid with 2/3-rule dealiasing, classical
 RK4 in time, and a per-step norm ledger out of which the existence-time
 and size-bound probes are built.
 
-The right-hand side is one fused real-FFT kernel over an operator table
-built once per (grid, params): one batched irfft gives the values of
-(u, u_x, u_xx, u_xxx, rho, rho_x), the quadratic terms are formed
-pointwise as a bilinear form B, and one batched rfft brings three rows
-back.  `rhs` is B(U, U) and `diff_rhs` is B(w, U) + B(V, w), plus the
-linear alpha term.  The kernel reads each Field's rfft half spectrum,
-which is all a Field stores, so every state is real by construction.
-Its multipliers are the `spectral` ones that `dx` and
-`helmholtz_inverse_dx` apply.  Alias-free products on the doubled grid
-(`spectral.product_exact`) remain the diagnostic path.
+States step as stacks of rfft half spectra, shape (P, 2, N/2+1), one row
+(u, rho) per state.  The right-hand side is one fused real-FFT kernel
+over an operator table built once per (grid, params): one batched irfft
+gives the values of (u, u_x, u_xx, u_xxx, rho, rho_x), the quadratic
+terms are formed pointwise as a bilinear form B, and one batched rfft
+brings three rows back.  `rhs` is B(U, U) and `diff_rhs` is B(w, U) +
+B(V, w), plus the linear alpha term.  `solve` is the one-row call of
+`solve_stack`, which builds State objects only for the states it keeps.
 
 Status/ledger conventions: a trajectory records (t, ||u||_{H^s},
 ||rho||_{H^{s-2}}, y = sum) every step.  Integration stops early either
 when y explodes past a threshold (or values go non-finite), or when the
 top third of the retained spectral band carries more than a set fraction
 of the H^s energy, meaning the grid can no longer represent the
-solution.  Ledger entries are finite unless the run aborted.  Only a
-non-finite state counts as a blow-up; any other error inside a step
-propagates.
+solution.  In a stack each row has its own ledger and status.  Ledger
+entries are finite unless the run aborted.  Only a non-finite state
+counts as a blow-up; any other error inside a step propagates.
 """
 
 from __future__ import annotations
@@ -38,15 +36,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (Field, Grid, dealias_truncate, half_dealias_mask, half_dx,
-                       half_helmholtz_dx, half_weights, sobolev_norm, sup_norm)
+from .spectral import (Field, Grid, half_dealias_mask, half_dx, half_helmholtz_dx,
+                       half_values, half_weights, sobolev_norm)
 
 __all__ = [
     "SystemParams", "State", "Trajectory", "DifferenceState",
     "DifferenceTrajectory", "SizeBoundReport", "SeamWarning",
     "NonFiniteStateError",
     "COMPLETED", "BLOWUP", "RESOLUTION_EXHAUSTED",
-    "rhs", "step_rk4", "solve", "t0_lower_bound", "size_bound_check",
+    "rhs", "step_rk4", "solve", "solve_stack", "t0_lower_bound", "size_bound_check",
     "fit_min_cs", "diff_rhs", "diff_solve",
     "save_ledger_csv", "save_snapshot", "load_snapshot",
 ]
@@ -186,13 +184,11 @@ class _Operators:
         for table in (self.analysis, self.synthesis, self.linear):
             table.flags.writeable = False
 
-    def values(self, *pairs) -> np.ndarray:
-        """Value stacks of (u, rho) pairs, shape (pairs, 6, N), one irfft."""
-        h = self.half
-        spec = np.empty((len(pairs), 6, h), dtype=complex)
-        for out, (u, rho) in zip(spec, pairs):
-            np.multiply(self.analysis[:4], u.half, out=out[:4])
-            np.multiply(self.analysis[4:], rho.half, out=out[4:])
+    def values(self, stack: np.ndarray) -> np.ndarray:
+        """Value stacks of (u, rho) rows (..., 2, N/2+1): (..., 6, N), one irfft."""
+        spec = np.empty(stack.shape[:-2] + (6, self.half), dtype=complex)
+        np.multiply(self.analysis[:4], stack[..., :1, :], out=spec[..., :4, :])
+        np.multiply(self.analysis[4:], stack[..., 1:, :], out=spec[..., 4:, :])
         return np.fft.irfft(spec, n=self.grid.n, axis=-1)
 
     def bilinear(self, a: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -202,18 +198,34 @@ class _Operators:
         B(U, U) - B(V, V) = B(U - V, U) + B(V, U - V) exactly.
         """
         b, kap = self.params.b, self.params.kappa
-        u, ux, uxx, _, rho, _ = a
+        u, ux, uxx, _, rho, _ = np.moveaxis(a, -2, 0)
+        c = np.moveaxis(c, -2, 0)
         bracket = ((0.5 * b) * u * c[0] + (3.0 - b) * ux * c[1]
                    - (0.5 * (b + 5.0)) * uxx * c[2] + (b - 5.0) * ux * c[3]
                    + (0.5 * kap) * rho * c[4])
-        return np.stack([bracket, u * c[1], -(u * c[5] + (b - 1.0) * ux * c[4])])
+        return np.stack([bracket, u * c[1], -(u * c[5] + (b - 1.0) * ux * c[4])], axis=-2)
 
-    def tendencies(self, rows: np.ndarray, u: Field) -> tuple[Field, Field]:
-        """(du, drho) from the bilinear rows plus the linear alpha term in u."""
+    def tendencies(self, rows: np.ndarray, stack: np.ndarray) -> np.ndarray:
+        """(du, drho) rows from the bilinear rows plus the alpha term in u."""
         out = np.fft.rfft(rows, axis=-1)
         out *= self.synthesis
-        du = out[0] + out[1] + self.linear * u.half
-        return Field(self.grid, du), Field(self.grid, out[2])
+        du = out[..., 0, :] + out[..., 1, :] + self.linear * stack[..., 0, :]
+        return np.stack([du, out[..., 2, :]], axis=-2)
+
+    def rhs(self, stack: np.ndarray) -> np.ndarray:
+        """B(U, U) plus the alpha term for every row of a (P, 2, N/2+1) stack."""
+        vals = self.values(stack)
+        return self.tendencies(self.bilinear(vals, vals), stack)
+
+    def rk4(self, stack: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+        """One RK4 step of each row, and the mask of rows with a non-finite stage."""
+        k1 = self.rhs(stack)
+        k2 = self.rhs(x2 := stack + (0.5 * dt) * k1)
+        k3 = self.rhs(x3 := stack + (0.5 * dt) * k2)
+        k4 = self.rhs(x4 := stack + dt * k3)
+        finite = np.isfinite([stack, x2, x3, x4]).all(axis=(0, 2, 3))
+        sixth = dt / 6.0
+        return stack + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4), ~finite
 
 
 @functools.lru_cache(maxsize=16)
@@ -228,26 +240,27 @@ def rhs(state: State, params: SystemParams) -> tuple[Field, Field]:
     products are dealiased by the 2/3 rule.
     """
     _check_finite(state)
-    ops = _operators(state.grid, params)
-    (stack,) = ops.values((state.u, state.rho))
-    return ops.tendencies(ops.bilinear(stack, stack), state.u)
+    stack = np.array([[state.u.half, state.rho.half]])
+    du, drho = _operators(state.grid, params).rhs(stack)[0]
+    return Field(state.grid, du), Field(state.grid, drho)
 
 
-def step_rk4(state: State, params: SystemParams, dt: float) -> State:
-    """One classical Runge-Kutta step of the full system."""
+def step_rk4(state, params: SystemParams, dt: float):
+    """One classical Runge-Kutta step of the full system.
+
+    `state` is a State, or the (grid, stack) pair that `solve_stack`
+    steps, which comes back with the mask of the rows whose RK stage
+    went non-finite.
+    """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    u, rho, t = state.u, state.rho, state.t
-    k1u, k1r = rhs(state, params)
-    k2u, k2r = rhs(State(u + (0.5 * dt) * k1u, rho + (0.5 * dt) * k1r, t + 0.5 * dt), params)
-    k3u, k3r = rhs(State(u + (0.5 * dt) * k2u, rho + (0.5 * dt) * k2r, t + 0.5 * dt), params)
-    k4u, k4r = rhs(State(u + dt * k3u, rho + dt * k3r, t + dt), params)
-    sixth = dt / 6.0
-    return State(
-        u + sixth * (k1u + 2.0 * k2u + 2.0 * k3u + k4u),
-        rho + sixth * (k1r + 2.0 * k2r + 2.0 * k3r + k4r),
-        t + dt,
-    )
+    if not isinstance(state, State):
+        return _operators(state[0], params).rk4(state[1], dt)
+    stack = np.array([[state.u.half, state.rho.half]])
+    (new,), bad = _operators(state.grid, params).rk4(stack, dt)
+    if bad[0]:
+        raise NonFiniteStateError("non-finite values in state fields")
+    return State(Field(state.grid, new[0]), Field(state.grid, new[1]), state.t + dt)
 
 
 def _seam_check(state: State, tol: float, policy: str):
@@ -269,25 +282,35 @@ def _seam_check(state: State, tol: float, policy: str):
         warnings.warn(msg, SeamWarning)
 
 
-def _cfl_dt(u: Field, cfl: float) -> float:
-    return cfl * u.grid.dx / max(1.0, sup_norm(u))
-
-
 def solve(initial: State, params: SystemParams, s: float, t_end: float,
-          dt_policy="cfl", cfl: float = 0.3, recompute_every: int = 16,
-          blowup_threshold: float = 1e6, tail_limit: float = 0.01,
-          store_stride: int = 1, seam_tol: float = 1e-10,
-          seam_policy: str = "warn") -> Trajectory:
+          **options) -> Trajectory:
     """Integrate from initial.t to t_end recording the norm ledger.
 
-    dt_policy is either "cfl" (dt = cfl * dx / max(1, sup|u|), refreshed
-    every `recompute_every` steps) or a positive float requesting that
-    fixed dt; either way the step is rounded down so t_end is hit
-    exactly.  Initial data is dealiased once up front; the quadratic
-    terms keep every later state inside the retained band.
+    The one-row call of `solve_stack`, which documents the options.
     """
-    if not t_end > initial.t:
-        raise ValueError(f"t_end {t_end} must exceed initial time {initial.t}")
+    return solve_stack([initial], params, s, t_end, **options)[0]
+
+
+def solve_stack(initials, params: SystemParams, s: float, t_end: float,
+                dt_policy="cfl", cfl: float = 0.3, recompute_every: int = 16,
+                blowup_threshold: float = 1e6, tail_limit: float = 0.01,
+                store_stride: int = 1, seam_tol: float = 1e-10,
+                seam_policy: str = "warn", observe=None) -> list[Trajectory]:
+    """Integrate several states, one (P, 2, N/2+1) stack, to t_end.
+
+    dt_policy is either "cfl" (dt = cfl * dx / max(1, sup|u|) over the
+    running rows, refreshed every max(1, `recompute_every`) steps) or a
+    positive float requesting that fixed dt; either way the step is
+    rounded down so t_end is hit exactly.  Initial data is dealiased once.
+    Each row keeps its own ledger, stored states and watchdog; a row that
+    aborts leaves the stack.  Rows never mix, so under a fixed dt each
+    steps bit for bit as it would alone.  `observe(t, stack, rows)` sees
+    the running rows (indices into `initials`) at each ledger time,
+    before the watchdog acts.
+    """
+    grid, t = initials[0].grid, initials[0].t
+    if not t_end > t:
+        raise ValueError(f"t_end {t_end} must exceed initial time {t}")
     if seam_policy not in ("warn", "error", "ignore"):
         raise ValueError(f"unknown seam policy {seam_policy!r}")
     if isinstance(dt_policy, str):
@@ -298,77 +321,76 @@ def solve(initial: State, params: SystemParams, s: float, t_end: float,
         fixed_dt = float(dt_policy)
         if not (fixed_dt > 0.0 and math.isfinite(fixed_dt)):
             raise ValueError(f"fixed dt must be a positive real, got {dt_policy!r}")
+    for st in initials:
+        if (st.grid, st.t) != (grid, t):
+            raise ValueError("stacked states must share grid and start time")
+        _check_finite(st)
+        _seam_check(st, seam_tol, seam_policy)
 
-    _check_finite(initial)
-    _seam_check(initial, seam_tol, seam_policy)
-
-    state = State(dealias_truncate(initial.u), dealias_truncate(initial.rho), initial.t)
-    times, nus, nrs, ys = [], [], [], []
-    states = [state]
-    grid = state.grid
+    stack = np.where(half_dealias_mask(grid),
+                     [[st.u.half, st.rho.half] for st in initials], 0.0)
+    rows = np.arange(len(stack))
+    status = np.full(len(rows), COMPLETED, dtype=object)
+    ledger, stored, last = [[] for _ in rows], [[] for _ in rows], [None] * len(rows)
     w_u, w_rho = half_weights(grid, s), half_weights(grid, s - 2.0)
-    # the 2/3 rule empties the literal top third of the grid spectrum, so
     # the resolution test watches the top third of the retained band
-    # |k| <= N//3, from mode `tail` on
+    # |k| <= N//3 (the 2/3 rule empties the grid's own), from mode `tail` on
     tail = math.ceil(2.0 * (grid.n // 3) / 3.0)
 
-    def record(st: State) -> tuple[float, float]:
-        """Append st's ledger row; return y and the H^s tail fraction of u."""
-        energy = w_u * np.abs(st.u.half) ** 2
-        total = float(energy.sum())
-        nu = math.sqrt(grid.length * total)
-        nr = math.sqrt(grid.length * float(np.sum(w_rho * np.abs(st.rho.half) ** 2)))
-        times.append(st.t)
-        nus.append(nu)
-        nrs.append(nr)
-        ys.append(nu + nr)
-        return nu + nr, float(energy[tail:].sum()) / total if total else 0.0
+    def drop_aborted():
+        nonlocal stack, rows
+        running = status[rows] == COMPLETED
+        if not running.all():
+            stack, rows = stack[running], rows[running]
 
-    status = COMPLETED
-    y0, tail_fraction = record(state)
-    if not (math.isfinite(y0) and y0 <= blowup_threshold):
-        status = BLOWUP
-    elif tail_fraction > tail_limit:
-        status = RESOLUTION_EXHAUSTED
+    def record(step):
+        """Ledger rows, stored states and the watchdog at the current t."""
+        energy = w_u * np.abs(stack[:, 0]) ** 2
+        total = energy.sum(axis=-1)
+        nu = np.sqrt(grid.length * total)
+        nr = np.sqrt(grid.length * np.sum(w_rho * np.abs(stack[:, 1]) ** 2, axis=-1))
+        keep = step == 0 or (store_stride > 0 and (step % store_stride == 0 or t >= t_end))
+        for k, i in enumerate(rows):
+            ledger[i].append((t, nu[k], nr[k]))
+            last[i] = (t, stack[k])
+            if keep:
+                stored[i].append(last[i])
+        if observe is not None:
+            observe(t, stack, rows)
+        y = nu + nr
+        tail_fraction = energy[:, tail:].sum(axis=-1) / np.where(total != 0.0, total, np.inf)
+        blown = ~(np.isfinite(y) & (y <= blowup_threshold))
+        status[rows[blown]] = BLOWUP
+        status[rows[~blown & (tail_fraction > tail_limit)]] = RESOLUTION_EXHAUSTED
+        drop_aborted()
 
-    step_count = 0
-    while status == COMPLETED and state.t < t_end:
-        remaining = t_end - state.t
-        raw = fixed_dt if fixed_dt is not None else _cfl_dt(state.u, cfl)
-        nsteps = max(1, math.ceil(remaining / raw - 1e-12))
-        dt = remaining / nsteps
-        for j in range(min(recompute_every, nsteps)):
-            # land on t_end exactly rather than accumulating roundoff
-            if nsteps - j == 1:
-                dt = t_end - state.t
-            try:
-                state = step_rk4(state, params, dt)
-            except NonFiniteStateError:
-                status = BLOWUP
-                break
-            step_count += 1
-            yv, tail_fraction = record(state)
-            if store_stride > 0 and (step_count % store_stride == 0 or state.t >= t_end):
-                states.append(state)
-            if not (math.isfinite(yv) and yv <= blowup_threshold):
-                status = BLOWUP
-                break
-            if tail_fraction > tail_limit:
-                status = RESOLUTION_EXHAUSTED
-                break
+    step = start = nsteps = 0
+    record(step)
+    while len(rows) and t < t_end:
+        if step - start >= min(recompute_every, nsteps):
+            remaining = t_end - t
+            raw = fixed_dt if fixed_dt is not None else (
+                cfl * grid.dx / max(1.0, float(np.abs(half_values(stack[:, 0])).max())))
+            nsteps = max(1, math.ceil(remaining / raw - 1e-12))
+            dt, start = remaining / nsteps, step
+        # land on t_end exactly rather than accumulating roundoff
+        if nsteps - (step - start) == 1:
+            dt = t_end - t
+        stack, bad = step_rk4((grid, stack), params, dt)
+        status[rows[bad]] = BLOWUP  # a non-finite stage never reaches the ledger
+        drop_aborted()
+        t += dt
+        step += 1
+        record(step)
 
-    if states[-1] is not state:
-        states.append(state)
-    return Trajectory(
-        states=tuple(states),
-        times=np.asarray(times),
-        norm_u=np.asarray(nus),
-        norm_rho=np.asarray(nrs),
-        y=np.asarray(ys),
-        status=status,
-        s=s,
-        params=params,
-    )
+    trajs = []
+    for i, row in enumerate(ledger):
+        if stored[i][-1] is not last[i]:
+            stored[i].append(last[i])
+        times, nus, nrs = np.array(row).T.copy()
+        states = tuple(State(Field(grid, c[0]), Field(grid, c[1]), ts) for ts, c in stored[i])
+        trajs.append(Trajectory(states, times, nus, nrs, nus + nrs, status[i], s, params))
+    return trajs
 
 
 def t0_lower_bound(initial: State, s: float, params: SystemParams) -> float:
@@ -457,8 +479,10 @@ def diff_rhs(dstate: DifferenceState, u: Field, v: Field, rho: Field,
     if not (w.grid == u.grid == v.grid == rho.grid == theta.grid):
         raise ValueError("difference state and drivers must share one grid")
     ops = _operators(w.grid, params)
-    dw, us, vs = ops.values((w, eta), (u, rho), (v, theta))
-    return ops.tendencies(ops.bilinear(dw, us) + ops.bilinear(vs, dw), w)
+    pairs = np.array([[w.half, eta.half], [u.half, rho.half], [v.half, theta.half]])
+    dw, us, vs = ops.values(pairs)
+    dwt, deta = ops.tendencies(ops.bilinear(dw, us) + ops.bilinear(vs, dw), pairs[0])
+    return Field(w.grid, dwt), Field(w.grid, deta)
 
 
 def _midpoint(a: State, b: State) -> tuple[Field, Field]:

@@ -1,0 +1,101 @@
+"""Per-member Holder oracle: the experiment before families were stacked.
+
+`oracle_run_holder` solves the base and every member with its own dense
+`solve` under the shared dt, then takes each member's distance to the
+base as a max over the stored states.  `oracle_sweep` runs it once per
+(s, r) case, rebuilding the family every time.  The stacked,
+s-grouped `holder.sweep` must reproduce both bit for bit.
+"""
+
+import math
+
+import numpy as np
+
+from chslab.holder import (
+    HolderReport,
+    _error_report,
+    default_horizon,
+    holder_exponent,
+    make_family,
+)
+from chslab.solver import COMPLETED, solve
+from chslab.spectral import sobolev_norm, sup_norm
+
+
+def oracle_distance(traj_a, traj_b, r: float) -> float:
+    best = 0.0
+    for a, b in zip(traj_a.states, traj_b.states):
+        best = max(best, sobolev_norm(a.u - b.u, r)
+                   + sobolev_norm(a.rho - b.rho, r - 2.0))
+    return best
+
+
+def oracle_run_holder(family, params, s, r, T=None, cfl=0.3,
+                      seam_policy="ignore") -> HolderReport:
+    case = holder_exponent(s, r, rho_trivial=family.rho_trivial)
+    if T is None:
+        T = default_horizon(family, params, s, cfl)
+
+    worst_sup = max(sup_norm(family.member(0.0).u),
+                    sup_norm(family.member(float(family.deltas[0])).u))
+    dt = cfl * family.grid.dx / max(1.0, worst_sup)
+
+    base_traj = solve(family.member(0.0), params, s, T, dt_policy=dt,
+                      seam_policy=seam_policy)
+    trajs = [solve(family.member(float(d)), params, s, T, dt_policy=dt,
+                   seam_policy=seam_policy) for d in family.deltas]
+    statuses = tuple([base_traj.status] + [t.status for t in trajs])
+
+    nan = float("nan")
+    if any(st != COMPLETED for st in statuses):
+        return HolderReport(case, family.deltas.copy(), np.full(len(trajs), nan),
+                            nan, nan, nan, "no-verdict: member aborted",
+                            statuses, T, dt)
+
+    distances = np.array([oracle_distance(t, base_traj, r) for t in trajs])
+
+    nsteps = len(base_traj.times) - 1
+    floor = 1e3 * 2.22e-16 * max(1.0, float(base_traj.y.max())) * max(nsteps, 1)
+    live = distances > floor
+    if live.sum() < 3:
+        return HolderReport(case, family.deltas.copy(), distances,
+                            nan, nan, nan, "degenerate: distances at noise floor",
+                            statuses, T, dt)
+
+    logd = np.log10(family.deltas[live])
+    logdist = np.log10(distances[live])
+    slope, intercept = np.polyfit(logd, logdist, 1)
+    resid = float(np.sqrt(np.mean((np.polyval([slope, intercept], logd) - logdist) ** 2)))
+    ok = slope >= case.beta - 0.1 and resid <= 0.05
+    return HolderReport(case, family.deltas.copy(), distances, float(slope),
+                        float(intercept), resid, "pass" if ok else "fail",
+                        statuses, T, dt)
+
+
+def oracle_sweep(cases, grid, params, T=None, cfl=0.3, **family_args):
+    """One family build and one oracle run per case, errors as rows."""
+    reports = []
+    for s, r in cases:
+        try:
+            family = make_family(grid, float(s), **family_args)
+            reports.append(oracle_run_holder(family, params, float(s), float(r), T, cfl))
+        except ValueError as exc:
+            reports.append(_error_report(float(s), float(r), exc))
+    return reports
+
+
+def _same_float(a, b) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def assert_same_report(got: HolderReport, want: HolderReport):
+    """Every field equal, NaN matching NaN, arrays bit for bit."""
+    for name in ("s", "r", "rho_trivial", "regime"):
+        assert getattr(got.case, name) == getattr(want.case, name), name
+    assert _same_float(got.case.beta, want.case.beta)
+    assert got.verdict == want.verdict
+    assert got.statuses == want.statuses
+    assert np.array_equal(got.deltas, want.deltas)
+    assert np.array_equal(got.distances, want.distances, equal_nan=True)
+    for name in ("slope", "intercept", "residual", "horizon", "dt"):
+        assert _same_float(getattr(got, name), getattr(want, name)), name

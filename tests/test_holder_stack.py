@@ -1,0 +1,289 @@
+"""Stacked stepping: row independence, per-row watchdog, grouped sweeps.
+
+A stack of P states steps as one (P, 2, N/2+1) array, and `holder.sweep`
+steps each s-group's family once with streamed distances.  The oracles
+are one-row runs (`solve`, `step_rk4` on a State) and the per-member
+Holder experiment in `per_member_holder`.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from chslab import holder
+from chslab.cli import execute
+from chslab.config import parse_config
+from chslab.fields import cosine_mode, gaussian_bump, random_field
+from chslab.holder import (
+    PerturbationFamily,
+    make_family,
+    run_holder,
+    save_curves_csv,
+    save_reports_csv,
+    save_reports_json,
+    sweep,
+)
+from chslab.solver import (
+    BLOWUP,
+    COMPLETED,
+    RESOLUTION_EXHAUSTED,
+    State,
+    SystemParams,
+    solve,
+    solve_stack,
+    step_rk4,
+)
+from chslab.spectral import Field, Grid, dealias_truncate
+from per_member_holder import assert_same_report, oracle_run_holder, oracle_sweep
+
+
+def params(**kw):
+    return SystemParams(**{"b": 2.0, "kappa": 1.0, "alpha": 0.0, "c_s": 1.0, **kw})
+
+
+def bump(grid, amp, rho_amp=0.2):
+    return State(gaussian_bump(grid, amplitude=amp),
+                 gaussian_bump(grid, amplitude=rho_amp, width=grid.length / 20.0), 0.0)
+
+
+def assert_same_trajectory(got, want):
+    assert got.status == want.status
+    for name in ("times", "norm_u", "norm_rho", "y"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert len(got.states) == len(want.states)
+    for a, b in zip(got.states, want.states):
+        assert a.t == b.t
+        assert np.array_equal(a.u.half, b.u.half)
+        assert np.array_equal(a.rho.half, b.rho.half)
+
+
+# ------------------------------------------------------- row independence
+
+@given(log_n=st.integers(3, 10), rows=st.integers(1, 6),
+       seed=st.integers(0, 2**31), dt=st.floats(1e-3, 0.2),
+       alpha=st.floats(-2.0, 2.0))
+def test_stacked_step_equals_one_row_steps(log_n, rows, seed, dt, alpha):
+    grid = Grid(2**log_n, 20.0)
+    p = params(b=2.5, kappa=0.7, alpha=alpha)
+    states = [State(dealias_truncate(random_field(grid, 4.0, amplitude=0.3, seed=seed + i)),
+                    dealias_truncate(random_field(grid, 2.0, amplitude=0.1,
+                                                  seed=seed + 100 + i)), 0.0)
+              for i in range(rows)]
+    stack = np.array([[s.u.half, s.rho.half] for s in states])
+    new, bad = step_rk4((grid, stack), p, dt)
+    assert new.shape == stack.shape
+    assert not bad.any()
+    for row, state in zip(new, states):
+        one = step_rk4(state, p, dt)
+        assert np.array_equal(row[0], one.u.half)
+        assert np.array_equal(row[1], one.rho.half)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_stacked_solve_equals_one_row_solves(n):
+    grid = Grid(n, 64.0)
+    states = [bump(grid, a) for a in (0.5, 0.3, 0.7)]
+    # sup|u| < 1 on every row, so the CFL step is the same for all of them
+    for kw in ({"dt_policy": 0.02}, {"dt_policy": 0.013, "store_stride": 3}, {}):
+        for got, state in zip(solve_stack(states, params(), 4.0, 0.37, **kw), states):
+            assert_same_trajectory(got, solve(state, params(), 4.0, 0.37, **kw))
+
+
+def test_stacked_cfl_step_follows_the_largest_row(line):
+    big, small = bump(line, 1.6), bump(line, 0.5)
+    got = solve_stack([small, big], params(), 4.0, 0.5)
+    assert np.array_equal(got[0].times, got[1].times)
+    assert np.array_equal(got[1].times, solve(big, params(), 4.0, 0.5).times)
+    assert len(got[0].times) > len(solve(small, params(), 4.0, 0.5).times)
+
+
+def test_cfl_refresh_below_one_step_refreshes_every_step(line):
+    state = bump(line, 1.6)
+    every_step = solve(state, params(), 4.0, 0.3, recompute_every=1)
+    for refresh in (0, -2):
+        assert_same_trajectory(solve(state, params(), 4.0, 0.3, recompute_every=refresh),
+                               every_step)
+
+
+def test_stack_rejects_mixed_grids_and_start_times(line):
+    other = Grid(256, 32.0)
+    with pytest.raises(ValueError, match="share grid"):
+        solve_stack([bump(line, 0.5), bump(other, 0.5)], params(), 4.0, 0.1)
+    late = bump(line, 0.5)
+    with pytest.raises(ValueError, match="share grid"):
+        solve_stack([bump(line, 0.5), State(late.u, late.rho, 0.05)], params(), 4.0, 0.1)
+
+
+# ------------------------------------------------------ per-row watchdog
+
+def test_non_finite_row_leaves_the_stack_alone(line):
+    # the 1e5 bump overflows inside an RK stage; its neighbours do not notice
+    states = [bump(line, 0.5), bump(line, 1e5), bump(line, 0.45)]
+    kw = dict(dt_policy=0.05, blowup_threshold=math.inf, tail_limit=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = solve_stack(states, params(), 4.0, 1.0, **kw)
+        want = [solve(s, params(), 4.0, 1.0, **kw) for s in states]
+    assert [t.status for t in got] == [COMPLETED, BLOWUP, COMPLETED]
+    for g, w in zip(got, want):
+        assert_same_trajectory(g, w)
+    assert np.isfinite(got[1].y).all()
+
+
+def test_watchdog_statuses_are_per_row():
+    grid = Grid(64, 2.0 * np.pi)
+
+    def bump_state(amp, rho_amp):
+        return State(gaussian_bump(grid, amplitude=amp, width=0.8),
+                     gaussian_bump(grid, amplitude=rho_amp, width=0.5), 0.0)
+
+    smooth = State(cosine_mode(grid, 1, 0.3), Field.zero(grid), 0.0)
+    rough = State(random_field(grid, 2.0, seed=3, amplitude=0.5), Field.zero(grid), 0.0)
+    kw = dict(dt_policy=0.01, seam_policy="ignore", tail_limit=1e-3)
+    # y grows along this run before it runs out of resolution, so a
+    # threshold between its first and largest ledger values stops it
+    # mid-run as a blow-up
+    growing = bump_state(2.0, 0.5)
+    solo = solve(growing, params(), 2.5, 1.0, **kw)
+    threshold = 0.5 * (solo.y[0] + solo.y.max())
+    states = [smooth, rough, bump_state(0.9, 0.3), growing, bump_state(50.0, 0.0), smooth]
+    kw["blowup_threshold"] = threshold
+    got = solve_stack(states, params(), 2.5, 1.0, **kw)
+    assert [t.status for t in got] == [COMPLETED, RESOLUTION_EXHAUSTED, RESOLUTION_EXHAUSTED,
+                                       BLOWUP, BLOWUP, COMPLETED]
+    # at t = 0, mid-run, mid-run, at t = 0
+    assert [len(t.times) for t in got[1:5]] == [1, 74, len(got[3].times), 1]
+    assert 1 < len(got[3].times) < len(solo.times)
+    for g, state in zip(got, states):
+        assert_same_trajectory(g, solve(state, params(), 2.5, 1.0, **kw))
+
+
+def test_planted_family_statuses_match_their_own_solves():
+    # a hand-built ladder past make_family's ball: its largest member is
+    # over the blow-up threshold at t = 0, the next ones run out of
+    # resolution, the small ones complete.  The shared dt follows the
+    # largest member, hence the short horizon.
+    grid = Grid(64, 64.0)
+    fam = make_family(grid, 4.0, 2.0)
+    planted = PerturbationFamily(
+        u0=fam.u0, rho0=fam.rho0, dir_u=fam.dir_u, dir_rho=fam.dir_rho,
+        deltas=np.geomspace(2e6, 2e-3, 10), h=1e7, s=4.0, base_kind=fam.base_kind,
+        direction_kind=fam.direction_kind, seed=0)
+    with np.errstate(all="ignore"):
+        got = run_holder(planted, params(), 4.0, 2.0, T=2e-4)
+        want = oracle_run_holder(planted, params(), 4.0, 2.0, T=2e-4)
+    assert_same_report(got, want)
+    assert got.statuses[:4] == (COMPLETED, BLOWUP, RESOLUTION_EXHAUSTED,
+                                RESOLUTION_EXHAUSTED)
+    assert set(got.statuses[4:]) == {COMPLETED}
+    assert got.verdict == "no-verdict: member aborted"
+
+
+# ------------------------------------------- grouped sweep against oracle
+
+SWEEP_SETUPS = [
+    # N, direction, rho_trivial, T, deltas, cases
+    (64, "high-mode", False, None, None,
+     [(4.0, 1.0), (4.0, 3.5), (3.75, 1.0), (4.0, 2.0)]),
+    (256, "random-decay", True, 0.3, None,
+     [(4.0, 0.5), (4.5, 0.3), (4.0, 2.0), (3.4, 1.0)]),
+    (256, "high-mode", False, 0.2, np.geomspace(1e-12, 1e-15, 5),
+     [(4.0, 2.0), (4.0, 3.5)]),
+    (1024, "random-decay", False, 0.1, None,
+     [(4.0, 1.0), (3.75, 1.0), (4.0, 0.5), (4.0, 3.5)]),
+    (1024, "high-mode", False, 0.1, None, [(4.0, 2.0), (4.0, 2.0)]),
+]
+
+
+@pytest.mark.parametrize("n,direction,rho_trivial,T,deltas,cases", SWEEP_SETUPS)
+def test_grouped_sweep_equals_per_member_oracle(n, direction, rho_trivial, T,
+                                                deltas, cases):
+    grid = Grid(n, 64.0)
+    family_args = dict(h=2.0, base_kind="gaussian-bump", direction_kind=direction,
+                       deltas=deltas, seed=3, base_amplitude=0.5,
+                       rho_trivial=rho_trivial)
+    got = sweep(cases, grid, params(), T=T, **family_args)
+    want = oracle_sweep(cases, grid, params(), T=T, **family_args)
+    assert len(got) == len(want) == len(cases)
+    for g, w in zip(got, want):
+        assert_same_report(g, w)
+
+
+def test_degenerate_ladder_matches_the_oracle(line):
+    fam = make_family(line, 4.0, 2.0, deltas=np.geomspace(1e-12, 1e-15, 5))
+    got = run_holder(fam, params(), 4.0, 2.0, T=0.2)
+    assert got.verdict.startswith("degenerate")
+    assert_same_report(got, oracle_run_holder(fam, params(), 4.0, 2.0, T=0.2))
+
+
+def test_case_error_marks_only_its_case(line):
+    # r = 0.5 is below the r >= 1 floor when rho is not trivial
+    reports = sweep([(4.0, 0.5), (4.0, 2.0), (3.75, 1.0)], line, params(), T=0.3)
+    assert reports[0].verdict.startswith("error:")
+    assert reports[1].verdict == reports[2].verdict == "pass"
+
+
+def test_family_error_marks_every_case_of_its_group(line, monkeypatch):
+    real = holder.solve_stack
+
+    def fails_at_375(members, p, s, *args, **kw):
+        if s == 3.75:
+            raise ValueError("planted family failure")
+        return real(members, p, s, *args, **kw)
+
+    monkeypatch.setattr(holder, "solve_stack", fails_at_375)
+    reports = sweep([(3.75, 1.0), (4.0, 2.0), (3.75, 1.25)], line, params(), T=0.3)
+    assert reports[0].verdict == reports[2].verdict == "error: planted family failure"
+    assert reports[1].verdict == "pass"
+
+
+def test_programming_errors_propagate_out_of_the_sweep(line, monkeypatch, tmp_path,
+                                                        capsys):
+    def broken(*args, **kw):
+        raise RuntimeError("not a rejected case")
+
+    monkeypatch.setattr(holder, "solve_stack", broken)
+    with pytest.raises(RuntimeError, match="not a rejected case"):
+        sweep([(4.0, 2.0), (3.4, 1.0)], line, params(), T=0.3)
+    # the command reports it as a failed run (exit 2), not a failed verdict
+    cfg = parse_config("", "holder", str(tmp_path / "h"), {"N": "64", "T": "0.1"})
+    assert execute(cfg) == 2
+    assert "not a rejected case" in capsys.readouterr().err
+
+
+def test_parallel_sweep_writes_the_serial_bytes(tmp_path):
+    grid = Grid(128, 64.0)
+    cases = [(4.0, 2.0), (3.75, 1.0), (4.0, 3.5), (4.0, 2.0), (3.4, 1.0)]
+    outputs = {}
+    for workers in (1, 2):
+        reports = sweep(cases, grid, params(), T=0.3,
+                        direction_kind="random-decay", seed=5, workers=workers)
+        out = tmp_path / f"w{workers}"
+        out.mkdir()
+        save_reports_csv(reports, out / "reports.csv")
+        save_reports_json(reports, out / "reports.json")
+        for i, rep in enumerate(reports):
+            save_curves_csv(rep, out / f"curve_{i}.csv")
+        outputs[workers] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert len(outputs[1]) == 2 + len(cases)
+    assert outputs[1] == outputs[2]
+
+
+# ---------------------------------------------------------- bounded memory
+
+def test_holder_memory_does_not_grow_with_the_horizon():
+    grid = Grid(1024, 64.0)
+    fam = make_family(grid, 4.0, 2.0)
+    run_holder(fam, params(), 4.0, 2.0, T=0.05)  # warm the operator caches
+    peaks = []
+    for T in (0.15, 0.6):
+        tracemalloc.start()
+        try:
+            run_holder(fam, params(), 4.0, 2.0, T=T)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # storing every member's trajectory would roughly double the peak here
+    assert peaks[1] <= 1.1 * peaks[0]
