@@ -233,9 +233,9 @@ def _run_t0probe(cfg: RunConfig):
     else:
         probe = solver.solve(state, params, cfg.s, t0_config,
                              dt_policy=probe_dt(t0_config), store_stride=0)
-        c_used = max(solver.fit_min_cs(probe), holder.MIN_FITTED_CS)
+        c_used = max(solver.fit_min_cs(probe), solver.MIN_FITTED_CS)
         y0 = float(probe.y[0])
-        t_fit = math.log1p(1.0 / y0) / (2.0 * c_used)
+        t_fit = solver.existence_time(y0, c_used)
         traj = solver.solve(state, params, cfg.s, t_fit,
                             dt_policy=probe_dt(t_fit), store_stride=0)
         # refitting on the longer ledger can only raise the constant, so
@@ -250,7 +250,7 @@ def _run_t0probe(cfg: RunConfig):
             bound = 2.0 * math.sqrt(y0 * y0 + y0)
             check = solver.SizeBoundReport(
                 False, float(traj.y.max()) / bound, bound,
-                math.log1p(1.0 / y0) / (2.0 * fitted), None)
+                solver.existence_time(y0, fitted), None)
 
     solver.save_ledger_csv(traj, os.path.join(cfg.out, "ledger.csv"))
     report = {

@@ -24,8 +24,10 @@ import numpy as np
 from .fields import cosine_mode, initial_pair, random_field
 from .solver import (
     COMPLETED,
+    MIN_FITTED_CS,
     State,
     SystemParams,
+    existence_time,
     fit_min_cs,
     solve,
     solve_stack,
@@ -44,11 +46,6 @@ _BASE_DATA = {"gaussian-bump": "gaussian", "sech2-bump": "sech2",
               "random-decay": "random"}
 BASE_KINDS = tuple(_BASE_DATA)
 DIRECTION_KINDS = ("high-mode", "random-decay")
-
-# fitted existence-time constants below this are floored when they set
-# the default horizon; the window diverges as the constant goes to zero
-MIN_FITTED_CS = 0.05
-
 
 @dataclass(frozen=True)
 class HolderCase:
@@ -242,9 +239,7 @@ def default_horizon(family: PerturbationFamily, params: SystemParams,
     traj = solve(base, params, s, t_probe, seam_policy="ignore", cfl=cfl)
     if traj.status != COMPLETED or len(traj.times) < 10:
         return t_probe
-    c_fit = max(fit_min_cs(traj), MIN_FITTED_CS)
-    y0 = traj.y[0]
-    return math.log1p(1.0 / y0) / (2.0 * c_fit)
+    return existence_time(traj.y[0], max(fit_min_cs(traj), MIN_FITTED_CS))
 
 
 def run_holder(family: PerturbationFamily, params: SystemParams, s: float,

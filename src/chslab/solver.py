@@ -13,8 +13,9 @@ over an operator table built once per (grid, params): one batched irfft
 gives the values of (u, u_x, u_xx, u_xxx, rho, rho_x), the quadratic
 terms are formed pointwise as a bilinear form B, and one batched rfft
 brings three rows back.  `rhs` is B(U, U) and `diff_rhs` is B(w, U) +
-B(V, w), plus the linear alpha term.  `solve` is the one-row call of
-`solve_stack`, which builds State objects only for the states it keeps.
+B(V, w), plus the linear alpha term; one RK4 stage formula steps both.
+`solve` is the one-row call of `solve_stack`, which builds State objects
+only for the states it keeps; `diff_solve` steps w = U - V as one row.
 
 Status/ledger conventions: a trajectory records (t, ||u||_{H^s},
 ||rho||_{H^{s-2}}, y = sum) every step.  Integration stops early either
@@ -29,7 +30,9 @@ counts as a blow-up; any other error inside a step propagates.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import os
 import struct
 import warnings
 from dataclasses import dataclass
@@ -37,15 +40,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (Field, Grid, half_dealias_mask, half_dx, half_helmholtz_dx,
-                       half_values, half_weights, sobolev_norm)
+                       half_values, half_weights, sobolev_norm, sobolev_norms)
 
 __all__ = [
-    "SystemParams", "State", "Trajectory", "DifferenceState",
-    "DifferenceTrajectory", "SizeBoundReport", "SeamWarning",
-    "NonFiniteStateError",
-    "COMPLETED", "BLOWUP", "RESOLUTION_EXHAUSTED",
-    "rhs", "step_rk4", "solve", "solve_stack", "t0_lower_bound", "size_bound_check",
-    "fit_min_cs", "diff_rhs", "diff_solve",
+    "SystemParams", "State", "Trajectory", "DifferenceTrajectory", "SizeBoundReport",
+    "SeamWarning", "NonFiniteStateError", "COMPLETED", "BLOWUP", "RESOLUTION_EXHAUSTED",
+    "rhs", "step_rk4", "solve", "solve_stack", "existence_time", "t0_lower_bound",
+    "size_bound_check", "MIN_FITTED_CS", "fit_min_cs", "diff_rhs", "diff_solve",
     "save_ledger_csv", "save_snapshot", "load_snapshot",
 ]
 
@@ -130,19 +131,7 @@ class Trajectory:
 
 
 @dataclass(frozen=True)
-class DifferenceState:
-    w: Field
-    eta: Field
-    t: float = 0.0
-
-    def __post_init__(self):
-        if self.w.grid != self.eta.grid:
-            raise ValueError("w and eta must share one grid")
-
-
-@dataclass(frozen=True)
 class DifferenceTrajectory:
-    states: tuple
     times: np.ndarray
     r: float
     defect: float
@@ -217,20 +206,28 @@ class _Operators:
         vals = self.values(stack)
         return self.tendencies(self.bilinear(vals, vals), stack)
 
-    def rk4(self, stack: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """One RK4 step of each row, and the mask of rows with a non-finite stage."""
-        k1 = self.rhs(stack)
-        k2 = self.rhs(x2 := stack + (0.5 * dt) * k1)
-        k3 = self.rhs(x3 := stack + (0.5 * dt) * k2)
-        k4 = self.rhs(x4 := stack + dt * k3)
-        finite = np.isfinite([stack, x2, x3, x4]).all(axis=(0, 2, 3))
-        sixth = dt / 6.0
-        return stack + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4), ~finite
+    def diff_rhs(self, stack: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """B(w, U) + B(V, w) plus the alpha term for rows w, from U's and V's values."""
+        vals = self.values(stack)
+        return self.tendencies(self.bilinear(vals, us) + self.bilinear(vs, vals), stack)
 
 
 @functools.lru_cache(maxsize=16)
 def _operators(grid: Grid, params: SystemParams) -> _Operators:
     return _Operators(grid, params)
+
+
+def _rk4(tendency, stack: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """One RK4 step of each row, and the mask of rows with a non-finite stage.
+
+    `tendency(x, c)` is the right-hand side at x, c = 0, 1/2 or 1 dt into the step.
+    """
+    k1 = tendency(stack, 0.0)
+    k2 = tendency(x2 := stack + (0.5 * dt) * k1, 0.5)
+    k3 = tendency(x3 := stack + (0.5 * dt) * k2, 0.5)
+    k4 = tendency(x4 := stack + dt * k3, 1.0)
+    finite = np.isfinite([stack, x2, x3, x4]).all(axis=(0, 2, 3))
+    return stack + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), ~finite
 
 
 def rhs(state: State, params: SystemParams) -> tuple[Field, Field]:
@@ -240,27 +237,27 @@ def rhs(state: State, params: SystemParams) -> tuple[Field, Field]:
     products are dealiased by the 2/3 rule.
     """
     _check_finite(state)
-    stack = np.array([[state.u.half, state.rho.half]])
-    du, drho = _operators(state.grid, params).rhs(stack)[0]
+    du, drho = _operators(state.grid, params).rhs(np.array([[state.u.half, state.rho.half]]))[0]
     return Field(state.grid, du), Field(state.grid, drho)
 
 
 def step_rk4(state, params: SystemParams, dt: float):
     """One classical Runge-Kutta step of the full system.
 
-    `state` is a State, or the (grid, stack) pair that `solve_stack`
-    steps, which comes back with the mask of the rows whose RK stage
-    went non-finite.
+    `state` is a State, or the (grid, stack) pair that `solve_stack` steps,
+    which comes back with the mask of the rows whose RK stage went non-finite.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if not isinstance(state, State):
-        return _operators(state[0], params).rk4(state[1], dt)
-    stack = np.array([[state.u.half, state.rho.half]])
-    (new,), bad = _operators(state.grid, params).rk4(stack, dt)
+    one = isinstance(state, State)
+    grid, stack = (state.grid, np.array([[state.u.half, state.rho.half]])) if one else state
+    ops = _operators(grid, params)
+    new, bad = _rk4(lambda x, _: ops.rhs(x), stack, dt)
+    if not one:
+        return new, bad
     if bad[0]:
         raise NonFiniteStateError("non-finite values in state fields")
-    return State(Field(state.grid, new[0]), Field(state.grid, new[1]), state.t + dt)
+    return State(Field(grid, new[0, 0]), Field(grid, new[0, 1]), state.t + dt)
 
 
 def _seam_check(state: State, tol: float, policy: str):
@@ -393,8 +390,13 @@ def solve_stack(initials, params: SystemParams, s: float, t_end: float,
     return trajs
 
 
+def existence_time(y0: float, c: float) -> float:
+    """The existence window (1/(2 c)) log(1 + 1/y0) of data of size y0 > 0."""
+    return math.log1p(1.0 / y0) / (2.0 * c)
+
+
 def t0_lower_bound(initial: State, s: float, params: SystemParams) -> float:
-    """Guaranteed existence time (1/(2 c_s)) log(1 + 1/y0).
+    """Guaranteed existence time `existence_time(y0, c_s)`.
 
     y0 = ||u0||_{H^s} + ||rho0||_{H^{s-2}}.  Zero data has no finite
     bound; math.inf is returned as the documented sentinel.
@@ -402,7 +404,7 @@ def t0_lower_bound(initial: State, s: float, params: SystemParams) -> float:
     y0 = sobolev_norm(initial.u, s) + sobolev_norm(initial.rho, s - 2.0)
     if y0 == 0.0:
         return math.inf
-    return math.log1p(1.0 / y0) / (2.0 * params.c_s)
+    return existence_time(y0, params.c_s)
 
 
 @dataclass(frozen=True)
@@ -430,7 +432,7 @@ def size_bound_check(traj: Trajectory, initial_y: float, params: SystemParams,
         ok = bool(np.all(traj.y <= 1e-14))
         return SizeBoundReport(ok, 0.0 if ok else math.inf, 0.0, math.inf,
                                None if ok else float(traj.times[np.argmax(traj.y > 1e-14)]))
-    t0 = math.log1p(1.0 / initial_y) / (2.0 * params.c_s)
+    t0 = existence_time(initial_y, params.c_s)
     horizon = traj.times[-1] - traj.times[0]
     if horizon < t0 * (1.0 - 1e-12):
         raise ValueError(f"trajectory covers {horizon:.6g} but T0 = {t0:.6g}")
@@ -445,6 +447,10 @@ def size_bound_check(traj: Trajectory, initial_y: float, params: SystemParams,
         bad = np.nonzero(ratios > 1.0 + 1e-12)[0][0]
         first = float(traj.times[mask][bad])
     return SizeBoundReport(passed, max_ratio, bound, t0, first)
+
+
+# fitted constants are floored here when they set a window, which diverges as c -> 0
+MIN_FITTED_CS = 0.05
 
 
 def fit_min_cs(traj: Trajectory) -> float:
@@ -465,39 +471,33 @@ def fit_min_cs(traj: Trajectory) -> float:
     return max(best, 0.0)
 
 
-def diff_rhs(dstate: DifferenceState, u: Field, v: Field, rho: Field,
+def diff_rhs(diff: tuple[Field, Field], u: Field, v: Field, rho: Field,
              theta: Field, params: SystemParams) -> tuple[Field, Field]:
-    """Right-hand side of the difference system in (w, eta).
+    """Right-hand side of the difference system at diff = (w, eta).
 
-    With U = (u, rho), V = (v, theta) and w = (w, eta) this is
-    B(w, U) + B(V, w) plus the alpha term in w, linear in (w, eta); for
-    w = U - V it equals rhs(U) - rhs(V), since B(U, U) - B(V, V) =
-    B(U - V, U) + B(V, U - V).  diff_solve exploits that as its
-    cross-check.
+    With U = (u, rho) and V = (v, theta) this is B(w, U) + B(V, w) plus
+    the alpha term, linear in w; for w = U - V it equals rhs(U) - rhs(V),
+    the identity that diff_solve cross-checks.
     """
-    w, eta = dstate.w, dstate.eta
-    if not (w.grid == u.grid == v.grid == rho.grid == theta.grid):
+    w, eta = diff
+    if not (w.grid == eta.grid == u.grid == v.grid == rho.grid == theta.grid):
         raise ValueError("difference state and drivers must share one grid")
     ops = _operators(w.grid, params)
-    pairs = np.array([[w.half, eta.half], [u.half, rho.half], [v.half, theta.half]])
-    dw, us, vs = ops.values(pairs)
-    dwt, deta = ops.tendencies(ops.bilinear(dw, us) + ops.bilinear(vs, dw), pairs[0])
-    return Field(w.grid, dwt), Field(w.grid, deta)
-
-
-def _midpoint(a: State, b: State) -> tuple[Field, Field]:
-    return 0.5 * (a.u + b.u), 0.5 * (a.rho + b.rho)
+    us, vs = ops.values(np.array([[u.half, rho.half], [v.half, theta.half]]))
+    (dw, deta), = ops.diff_rhs(np.array([[w.half, eta.half]]), us, vs)
+    return Field(w.grid, dw), Field(w.grid, deta)
 
 
 def diff_solve(traj_u: Trajectory, traj_v: Trajectory, params: SystemParams,
                r: float | None = None) -> DifferenceTrajectory:
     """Integrate the difference system along two stored trajectories.
 
-    Drivers at RK stage times are linear interpolants between stored
-    steps (this keeps the difference solver independent of the primal
-    integrator, at O(dt^2) interpolation cost).  The defect is the max
-    over time of ||w - (u - v)||_{H^r} + ||eta - (rho - theta)||_{H^{r-2}},
-    the direct subtraction being the exact answer.
+    w = (w, eta) steps as a one-row stack through the primal RK4 stages,
+    driven at stage offsets 0, 1/2 and 1 by the stored states and their
+    midpoints (linear interpolants: independent of the primal integrator
+    at O(dt^2) cost).  The defect is the max over the stored times of
+    ||w - (u - v)||_{H^r} + ||eta - (rho - theta)||_{H^{r-2}}.  A non-finite
+    stage, difference or exact difference raises NonFiniteStateError.
     """
     if traj_u.grid != traj_v.grid:
         raise ValueError("trajectories live on different grids")
@@ -509,36 +509,20 @@ def diff_solve(traj_u: Trajectory, traj_v: Trajectory, params: SystemParams,
     if r is None:
         r = traj_u.s - 1.0
 
-    su, sv = traj_u.states, traj_v.states
-    cur = DifferenceState(su[0].u - sv[0].u, su[0].rho - sv[0].rho, su[0].t)
-    out = [cur]
-    defect = 0.0
-    for i in range(len(su) - 1):
-        dt = su[i + 1].t - su[i].t
-        mu, mrho = _midpoint(su[i], su[i + 1])
-        mv, mtheta = _midpoint(sv[i], sv[i + 1])
-        w, eta, t = cur.w, cur.eta, cur.t
-
-        k1w, k1e = diff_rhs(cur, su[i].u, sv[i].u, su[i].rho, sv[i].rho, params)
-        half = 0.5 * dt
-        k2w, k2e = diff_rhs(DifferenceState(w + half * k1w, eta + half * k1e, t + half),
-                            mu, mv, mrho, mtheta, params)
-        k3w, k3e = diff_rhs(DifferenceState(w + half * k2w, eta + half * k2e, t + half),
-                            mu, mv, mrho, mtheta, params)
-        k4w, k4e = diff_rhs(DifferenceState(w + dt * k3w, eta + dt * k3e, t + dt),
-                            su[i + 1].u, sv[i + 1].u, su[i + 1].rho, sv[i + 1].rho, params)
-        sixth = dt / 6.0
-        cur = DifferenceState(
-            w + sixth * (k1w + 2.0 * k2w + 2.0 * k3w + k4w),
-            eta + sixth * (k1e + 2.0 * k2e + 2.0 * k3e + k4e),
-            su[i + 1].t,
-        )
-        out.append(cur)
-        exact_w = su[i + 1].u - sv[i + 1].u
-        exact_e = su[i + 1].rho - sv[i + 1].rho
-        defect = max(defect, sobolev_norm(cur.w - exact_w, r)
-                     + sobolev_norm(cur.eta - exact_e, r - 2.0))
-    return DifferenceTrajectory(tuple(out), traj_u.times.copy(), r, defect)
+    ops = _operators(traj_u.grid, params)
+    uv = np.array([[[a.u.half, a.rho.half], [b.u.half, b.rho.half]]
+                   for a, b in zip(traj_u.states, traj_v.states)])
+    w, defect = uv[:1, 0] - uv[:1, 1], 0.0
+    for i, (a, b) in enumerate(itertools.pairwise(traj_u.states)):
+        drivers = ops.values(np.array([uv[i], 0.5 * (uv[i] + uv[i + 1]), uv[i + 1]]))
+        w, bad = _rk4(lambda x, c: ops.diff_rhs(x, *drivers[int(2 * c)]), w, b.t - a.t)
+        # a difference is non-finite when either side is: this sees w and u - v
+        gap = w[0] - (uv[i + 1, 0] - uv[i + 1, 1])
+        if bad[0] or not np.isfinite(gap).all():
+            raise NonFiniteStateError(f"non-finite difference system at t = {b.t:g}")
+        defect = max(defect, float(sobolev_norms(gap[0], ops.grid, r)
+                                   + sobolev_norms(gap[1], ops.grid, r - 2.0)))
+    return DifferenceTrajectory(traj_u.times.copy(), r, defect)
 
 
 # -- artifact formats ---------------------------------------------------
@@ -574,11 +558,12 @@ def load_snapshot(path) -> State:
             raise ValueError(f"bad magic {magic!r}")
         if version != _VERSION:
             raise ValueError(f"unsupported snapshot version {version}")
-        body = np.frombuffer(fh.read(2 * n * 8), dtype="<f8")
-        if body.size != 2 * n:
-            raise ValueError("truncated snapshot body")
-        if fh.read(1):
-            raise ValueError("trailing bytes after snapshot body")
+        # the header's N is checked against the file before anything is read
+        size, left = 2 * n * 8, os.fstat(fh.fileno()).st_size - fh.tell()
+        if left != size:
+            raise ValueError("truncated snapshot body" if left < size
+                             else "trailing bytes after snapshot body")
+        body = np.frombuffer(fh.read(size), dtype="<f8")
     grid = Grid(n, length)
     return State(Field.from_values(grid, body[:n].copy()),
                  Field.from_values(grid, body[n:].copy()), t)

@@ -7,6 +7,7 @@ rather than chasing any particular trajectory.
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from chslab.solver import (
     BLOWUP,
     COMPLETED,
     RESOLUTION_EXHAUSTED,
-    DifferenceState,
     NonFiniteStateError,
     SeamWarning,
     State,
@@ -396,7 +396,7 @@ def test_difference_rhs_matches_direct_subtraction(line):
     v = dealias_truncate(gaussian_bump(line, 0.3, width=line.length / 12.0))
     rho = dealias_truncate(gaussian_bump(line, 0.2, width=line.length / 20.0))
     theta = dealias_truncate(gaussian_bump(line, 0.1, width=line.length / 24.0))
-    dw, deta = diff_rhs(DifferenceState(u - v, rho - theta, 0.0), u, v, rho, theta, p)
+    dw, deta = diff_rhs((u - v, rho - theta), u, v, rho, theta, p)
     ru, rrho = rhs(State(u, rho, 0.0), p)
     rv, rtheta = rhs(State(v, theta, 0.0), p)
     scale = max(1.0, sup_norm(dw))
@@ -468,6 +468,21 @@ def test_snapshot_rejects_truncation(tmp_path, line):
     path.write_bytes(data[: len(data) // 2])
     with pytest.raises(ValueError):
         load_snapshot(path)
+
+
+def test_snapshot_checks_the_body_size_before_reading(tmp_path):
+    # a 44-byte file whose header claims N = 2^22, a 64 MiB body
+    path = tmp_path / "huge.chs2"
+    path.write_bytes(struct.pack("<4sIIdd", b"CHS2", 1, 2**22, 64.0, 0.0) + bytes(16))
+    assert path.stat().st_size == 44
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="truncated"):
+            load_snapshot(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_snapshot_rejects_trailing_bytes(tmp_path, line):
