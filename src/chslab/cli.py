@@ -27,7 +27,7 @@ import numpy as np
 from . import fields, holder, solver
 from . import inequalities as ineq
 from .config import COMMANDS, ConfigError, RunConfig, effective_items, parse_config
-from .spectral import Grid, sobolev_norm, sup_norm
+from .spectral import Grid, sup_norm
 
 __all__ = ["main", "execute", "sweep_execute"]
 
@@ -73,10 +73,58 @@ def _write_manifest(cfg: RunConfig, results: dict, artifacts, wall: float):
         fh.write("\n".join(lines) + "\n")
 
 
-def _save_json(obj, path):
+# -- text artifacts: every CSV and JSON file a run writes goes through here
+
+def _write_json(path, obj):
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _cell(value) -> str:
+    """A CSV cell: str and int as they are, any other number as a float repr."""
+    return str(value) if isinstance(value, (str, int)) else repr(float(value))
+
+
+def _write_csv(path, header: str, rows):
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(_cell, row)) + "\n")
+
+
+def _write_ledger(traj: solver.Trajectory, out):
+    _write_csv(os.path.join(out, "ledger.csv"), "t,norm_u_Hs,norm_rho_Hs-2,y",
+               zip(traj.times, traj.norm_u, traj.norm_rho, traj.y))
+
+
+def _write_holder_reports(reports, out) -> list:
+    """The report table as CSV and JSON plus one curve per report; their names."""
+    rows = [{"case": f"s{rep.case.s:g}-r{rep.case.r:g}", "s": rep.case.s, "r": rep.case.r,
+             "beta_theory": rep.case.beta, "slope": rep.slope,
+             "residual": rep.residual, "verdict": rep.verdict} for rep in reports]
+    names = ["holder_reports.csv", "holder_reports.json"]
+    _write_csv(os.path.join(out, names[0]), "case,s,r,beta_theory,slope,residual,verdict",
+               [row.values() for row in rows])
+    _write_json(os.path.join(out, names[1]), [
+        dict(row, deltas=[float(v) for v in rep.deltas],
+             distances=[float(v) for v in rep.distances], intercept=rep.intercept,
+             statuses=list(rep.statuses), horizon=rep.horizon, dt=rep.dt,
+             regime=rep.case.regime) for rep, row in zip(reports, rows)])
+    for i, (rep, row) in enumerate(zip(reports, rows)):
+        name = f"curves_{row['case']}.csv"
+        if name in names:  # repeated case in the list
+            name = f"curves_{row['case']}_{i}.csv"
+        _write_csv(os.path.join(out, name), "delta,distance", zip(rep.deltas, rep.distances))
+        names.append(name)
+    return names
+
+
+def _probe_json(rep: ineq.ProbeReport) -> dict:
+    return {"lemma": rep.lemma, "params": rep.params, "constant": rep.constant,
+            "worst_seed": rep.worst_seed, "worst_index": rep.worst_index,
+            "violations": rep.violations, "ensemble": rep.ensemble,
+            "grid": {"n": rep.grid_n, "length": rep.grid_length}, "extra": rep.extra}
 
 
 def _worker_cap(requested: int) -> int:
@@ -106,7 +154,7 @@ def _run_solve(cfg: RunConfig):
     state = _initial_state(cfg, grid)
     traj = solver.solve(state, _params(cfg), cfg.s, cfg.t_end, cfl=cfg.cfl,
                         store_stride=0, seam_policy=cfg.seam)
-    solver.save_ledger_csv(traj, os.path.join(cfg.out, "ledger.csv"))
+    _write_ledger(traj, cfg.out)
     solver.save_snapshot(traj.final, os.path.join(cfg.out, "state_final.chs2"))
     results = {
         "status": traj.status,
@@ -127,17 +175,8 @@ def _run_holder(cfg: RunConfig):
         T=cfg.horizon, base_amplitude=cfg.base_amplitude,
         rho_trivial=cfg.rho_trivial, cfl=cfg.cfl,
         workers=_worker_cap(cfg.parallelism))
-    holder.save_reports_csv(reports, os.path.join(cfg.out, "holder_reports.csv"))
-    holder.save_reports_json(reports, os.path.join(cfg.out, "holder_reports.json"))
-    artifacts = ["holder_reports.csv", "holder_reports.json"]
-    for i, rep in enumerate(reports):
-        name = f"curves_{rep.row()['case']}.csv"
-        if name in artifacts:  # repeated case in the list
-            name = f"curves_{rep.row()['case']}_{i}.csv"
-        holder.save_curves_csv(rep, os.path.join(cfg.out, name))
-        artifacts.append(name)
     ok = all(r.verdict == "pass" for r in reports)
-    return ok, {"verdict": "pass" if ok else "fail"}, artifacts
+    return ok, {"verdict": "pass" if ok else "fail"}, _write_holder_reports(reports, cfg.out)
 
 
 _NEGATIVE_TRIPLES = ((0.0, 1.0, 1.0), (1.0, 2.0, 3.0))
@@ -179,10 +218,11 @@ def _run_ineq(cfg: RunConfig):
     problems = []
     constants = {}
     for stem, rep in reports:
-        rep.save_json(os.path.join(cfg.out, stem + ".json"))
+        _write_json(os.path.join(cfg.out, stem + ".json"), _probe_json(rep))
         artifacts.append(stem + ".json")
         if cfg.ratios_csv:
-            rep.save_ratios_csv(os.path.join(cfg.out, stem + "_ratios.csv"))
+            _write_csv(os.path.join(cfg.out, stem + "_ratios.csv"), "index,ratio",
+                       enumerate(rep.ratios))
             artifacts.append(stem + "_ratios.csv")
         constants[stem] = _json_num(rep.constant)
         if not math.isfinite(rep.constant):
@@ -201,7 +241,7 @@ def _run_ineq(cfg: RunConfig):
     summary = {"verdict": "pass" if ok else "fail", "constants": constants,
                "problems": problems, "sweeps": sweeps,
                "ensemble": cfg.ensemble, "seed": cfg.seed}
-    _save_json(summary, os.path.join(cfg.out, "probe_summary.json"))
+    _write_json(os.path.join(cfg.out, "probe_summary.json"), summary)
     artifacts.append("probe_summary.json")
     return ok, {"verdict": summary["verdict"], "probes": len(reports)}, artifacts
 
@@ -211,7 +251,7 @@ def _run_t0probe(cfg: RunConfig):
     params = _params(cfg)
     state = _initial_state(cfg, grid)
     if cfg.normalize:
-        y_raw = sobolev_norm(state.u, cfg.s) + sobolev_norm(state.rho, cfg.s - 2.0)
+        y_raw = float(solver.y_norms(np.array([state.u.half, state.rho.half]), grid, cfg.s))
         if y_raw == 0.0:
             raise ValueError("cannot normalize zero initial data")
         state = solver.State((1.0 / y_raw) * state.u, (1.0 / y_raw) * state.rho, 0.0)
@@ -231,28 +271,30 @@ def _run_t0probe(cfg: RunConfig):
         check = solver.size_bound_check(traj, 0.0, params, cfg.s)
         fitted = 0.0
     else:
-        probe = solver.solve(state, params, cfg.s, t0_config,
-                             dt_policy=probe_dt(t0_config), store_stride=0)
-        c_used = max(solver.fit_min_cs(probe), solver.MIN_FITTED_CS)
-        y0 = float(probe.y[0])
-        t_fit = solver.existence_time(y0, c_used)
-        traj = solver.solve(state, params, cfg.s, t_fit,
-                            dt_policy=probe_dt(t_fit), store_stride=0)
-        # refitting on the longer ledger can only raise the constant, so
-        # the window of the refitted T0 stays inside what we just ran
-        fitted = max(solver.fit_min_cs(traj), c_used)
+        traj = solver.solve(state, params, cfg.s, t0_config,
+                            dt_policy=probe_dt(t0_config), store_stride=0)
+        y0, fitted = float(traj.y[0]), None
+        if traj.status == solver.COMPLETED:
+            c_used = max(solver.fit_min_cs(traj), solver.MIN_FITTED_CS)
+            t_fit = solver.existence_time(y0, c_used)
+            traj = solver.solve(state, params, cfg.s, t_fit,
+                                dt_policy=probe_dt(t_fit), store_stride=0)
+            # refitting on the longer ledger can only raise the constant, so
+            # the window of the refitted T0 stays inside what we just ran
+            fitted = max(solver.fit_min_cs(traj), c_used)
         if traj.status == solver.COMPLETED:
             check = solver.size_bound_check(traj, y0,
                                             replace(params, c_s=fitted), cfg.s)
         else:
-            # the solver gave up before the window closed, so nothing is
-            # certified; still report how far the ledger got
+            # the solver gave up before the window closed (in the probe run,
+            # before anything was fitted), so nothing is certified; still
+            # report how far the ledger got
             bound = 2.0 * math.sqrt(y0 * y0 + y0)
             check = solver.SizeBoundReport(
                 False, float(traj.y.max()) / bound, bound,
-                solver.existence_time(y0, fitted), None)
+                math.nan if fitted is None else solver.existence_time(y0, fitted), None)
 
-    solver.save_ledger_csv(traj, os.path.join(cfg.out, "ledger.csv"))
+    _write_ledger(traj, cfg.out)
     report = {
         "y0": float(traj.y[0]),
         "c_s": params.c_s,
@@ -266,7 +308,7 @@ def _run_t0probe(cfg: RunConfig):
         "status": traj.status,
         "ledger_rows": len(traj.times),
     }
-    _save_json(report, os.path.join(cfg.out, "t0_report.json"))
+    _write_json(os.path.join(cfg.out, "t0_report.json"), report)
     ok = check.passed and traj.status == solver.COMPLETED
     results = {
         "T0": t0_config,
@@ -282,7 +324,7 @@ def _run_kernel(cfg: RunConfig):
     if j <= 0.5:
         report = {"r": r, "j": j, "k": k, "divergent": True,
                   "reason": "kernel integral diverges for j <= 1/2"}
-        _save_json(report, os.path.join(cfg.out, "kernel_report.json"))
+        _write_json(os.path.join(cfg.out, "kernel_report.json"), report)
         return False, {"divergent": True}, ["kernel_report.json"]
     try:
         etas = np.concatenate([[0.0],
@@ -290,19 +332,17 @@ def _run_kernel(cfg: RunConfig):
         scan = ineq.kernel_bound_scan(r, j, k, etas=etas)
     except ValueError as exc:
         report = {"r": r, "j": j, "k": k, "rejected": True, "reason": str(exc)}
-        _save_json(report, os.path.join(cfg.out, "kernel_report.json"))
+        _write_json(os.path.join(cfg.out, "kernel_report.json"), report)
         return False, {"rejected": True}, ["kernel_report.json"]
-    with open(os.path.join(cfg.out, "kernel_scan.csv"), "w", newline="") as fh:
-        fh.write("eta,integral,ratio\n")
-        for e, i_val, q in zip(scan.etas, scan.integrals, scan.ratios):
-            fh.write(f"{float(e)!r},{float(i_val)!r},{float(q)!r}\n")
+    _write_csv(os.path.join(cfg.out, "kernel_scan.csv"), "eta,integral,ratio",
+               zip(scan.etas, scan.integrals, scan.ratios))
     report = {
         "r": r, "j": j, "k": k,
         "sup_ratio": scan.sup, "argmax_eta": scan.argmax,
         "last_decade_growth": scan.last_decade_growth,
         "plateau": scan.plateau, "points": len(scan.etas),
     }
-    _save_json(report, os.path.join(cfg.out, "kernel_report.json"))
+    _write_json(os.path.join(cfg.out, "kernel_report.json"), report)
     results = {"sup_ratio": scan.sup, "plateau": scan.plateau}
     return scan.plateau, results, ["kernel_scan.csv", "kernel_report.json"]
 
@@ -318,14 +358,18 @@ _RUNNERS = {
 
 def execute(cfg: RunConfig) -> int:
     """Run one command, write artifacts and manifest, return exit code."""
-    os.makedirs(cfg.out, exist_ok=True)
-    start = time.perf_counter()
     try:
-        ok, results, artifacts = _RUNNERS[cfg.command](cfg)
-    except Exception:
-        traceback.print_exc()
+        os.makedirs(cfg.out, exist_ok=True)
+        start = time.perf_counter()
+        try:
+            ok, results, artifacts = _RUNNERS[cfg.command](cfg)
+        except Exception:
+            traceback.print_exc()
+            return 2
+        _write_manifest(cfg, results, artifacts, time.perf_counter() - start)
+    except OSError as exc:  # the output directory or its manifest is unusable
+        print(f"chslab: cannot write to {cfg.out}: {exc}", file=sys.stderr)
         return 2
-    _write_manifest(cfg, results, artifacts, time.perf_counter() - start)
     return 0 if ok else 1
 
 
@@ -344,10 +388,9 @@ def sweep_execute(configs, parallelism: int = 1, aggregate_path=None) -> int:
     else:
         codes = [execute(cfg) for cfg in configs]
     if aggregate_path:
-        with open(aggregate_path, "w", newline="") as fh:
-            fh.write("index,command,out,exit_code\n")
-            for i, (cfg, code) in enumerate(zip(configs, codes)):
-                fh.write(f"{i},{cfg.command},{cfg.out},{code}\n")
+        _write_csv(aggregate_path, "index,command,out,exit_code",
+                   [(i, cfg.command, cfg.out, code) for i, (cfg, code)
+                    in enumerate(zip(configs, codes))])
     return max(codes, default=0)
 
 

@@ -14,7 +14,6 @@ above beta is consistent; verdicts only check slope >= beta - 0.1.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -32,13 +31,13 @@ from .solver import (
     solve,
     solve_stack,
     t0_lower_bound,
+    y_norms,
 )
-from .spectral import Field, Grid, sobolev_norm, sobolev_norms, sup_norm
+from .spectral import Field, Grid, sobolev_norm, sup_norm
 
 __all__ = [
     "HolderCase", "holder_exponent", "PerturbationFamily", "make_family",
     "HolderReport", "run_holder", "sweep",
-    "save_reports_csv", "save_reports_json", "save_curves_csv",
 ]
 
 # base kind -> fields.initial_pair kind
@@ -126,7 +125,7 @@ class PerturbationFamily:
 
     def member_y(self, delta: float) -> float:
         st = self.member(delta)
-        return sobolev_norm(st.u, self.s) + sobolev_norm(st.rho, self.s - 2.0)
+        return float(y_norms(np.array([st.u.half, st.rho.half]), self.grid, self.s))
 
 
 def _base_pair(grid, kind, amplitude, seed, rho_trivial):
@@ -151,7 +150,7 @@ def _direction_pair(grid, kind, s, seed, rho_trivial):
     else:
         raise ValueError(
             f"unknown direction kind {kind!r}; pick one of {DIRECTION_KINDS}")
-    scale = sobolev_norm(dir_u, s) + sobolev_norm(dir_rho, s - 2.0)
+    scale = float(y_norms(np.array([dir_u.half, dir_rho.half]), grid, s))
     if scale == 0.0:
         raise ValueError("perturbation direction is identically zero")
     return (1.0 / scale) * dir_u, (1.0 / scale) * dir_rho
@@ -182,7 +181,7 @@ def make_family(grid: Grid, s: float, h: float, base_kind: str = "gaussian-bump"
     if delta_max >= h:
         raise ValueError(
             f"largest perturbation {delta_max} cannot fit in a ball of radius {h}")
-    y_base = sobolev_norm(u0, s) + sobolev_norm(rho0, s - 2.0)
+    y_base = float(y_norms(np.array([u0.half, rho0.half]), grid, s))
     if y_base + delta_max > h:
         # shrink the base; the unit direction and the ladder stay fixed
         factor = 0.98 * (h - delta_max) / y_base
@@ -210,18 +209,6 @@ class HolderReport:
     statuses: tuple
     horizon: float
     dt: float
-
-    def row(self) -> dict:
-        c = self.case
-        return {
-            "case": f"s{c.s:g}-r{c.r:g}",
-            "s": c.s,
-            "r": c.r,
-            "beta_theory": c.beta,
-            "slope": self.slope,
-            "residual": self.residual,
-            "verdict": self.verdict,
-        }
 
 
 def default_horizon(family: PerturbationFamily, params: SystemParams,
@@ -284,8 +271,7 @@ def _run_cases(family: PerturbationFamily, params: SystemParams, s: float,
             return  # a member aborted: no case reports distances
         diff = stack[1:] - stack[:1]
         for best, case in zip(distances, valid):
-            np.fmax(best, sobolev_norms(diff[:, 0], grid, case.r)
-                    + sobolev_norms(diff[:, 1], grid, case.r - 2.0), out=best)
+            np.fmax(best, y_norms(diff, grid, case.r), out=best)
 
     trajs = solve_stack(members, params, s, T, dt_policy=dt, store_stride=0,
                         seam_policy=seam_policy, observe=track)
@@ -366,38 +352,3 @@ def _error_report(s: float, r: float, exc: Exception) -> HolderReport:
     return HolderReport(case, np.array([]), np.array([]), nan, nan, nan,
                         f"error: {exc}", (), nan, nan)
 
-
-def save_reports_csv(reports, path):
-    with open(path, "w", newline="") as fh:
-        fh.write("case,s,r,beta_theory,slope,residual,verdict\n")
-        for rep in reports:
-            row = rep.row()
-            fh.write(",".join([
-                row["case"], repr(row["s"]), repr(row["r"]),
-                repr(row["beta_theory"]), repr(row["slope"]),
-                repr(row["residual"]), row["verdict"],
-            ]) + "\n")
-
-
-def save_reports_json(reports, path):
-    payload = []
-    for rep in reports:
-        entry = rep.row()
-        entry["deltas"] = [float(v) for v in rep.deltas]
-        entry["distances"] = [float(v) for v in rep.distances]
-        entry["intercept"] = rep.intercept
-        entry["statuses"] = list(rep.statuses)
-        entry["horizon"] = rep.horizon
-        entry["dt"] = rep.dt
-        entry["regime"] = rep.case.regime
-        payload.append(entry)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def save_curves_csv(report: HolderReport, path):
-    with open(path, "w", newline="") as fh:
-        fh.write("delta,distance\n")
-        for d, v in zip(report.deltas, report.distances):
-            fh.write(f"{float(d)!r},{float(v)!r}\n")

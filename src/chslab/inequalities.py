@@ -23,7 +23,6 @@ the line.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -108,30 +107,6 @@ class ProbeReport:
     params: dict
     ratios: np.ndarray
     extra: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lemma": self.lemma,
-            "params": self.params,
-            "constant": self.constant,
-            "worst_seed": self.worst_seed,
-            "worst_index": self.worst_index,
-            "violations": self.violations,
-            "ensemble": self.ensemble,
-            "grid": {"n": self.grid_n, "length": self.grid_length},
-            "extra": self.extra,
-        }
-
-    def save_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    def save_ratios_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write("index,ratio\n")
-            for i, v in enumerate(self.ratios):
-                fh.write(f"{i},{float(v)!r}\n")
 
 
 def _report(cfg: ProbeConfig, lemma: str, blocks, params: dict,

@@ -40,19 +40,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (Field, Grid, half_dealias_mask, half_dx, half_helmholtz_dx,
-                       half_values, half_weights, sobolev_norm, sobolev_norms)
+                       half_values, half_weights, sobolev_norms)
 
 __all__ = [
     "SystemParams", "State", "Trajectory", "DifferenceTrajectory", "SizeBoundReport",
     "SeamWarning", "NonFiniteStateError", "COMPLETED", "BLOWUP", "RESOLUTION_EXHAUSTED",
     "rhs", "step_rk4", "solve", "solve_stack", "existence_time", "t0_lower_bound",
     "size_bound_check", "MIN_FITTED_CS", "fit_min_cs", "diff_rhs", "diff_solve",
-    "save_ledger_csv", "save_snapshot", "load_snapshot",
+    "y_norms", "save_snapshot", "load_snapshot",
 ]
 
 COMPLETED = "completed"
 BLOWUP = "blow-up-detected"
 RESOLUTION_EXHAUSTED = "resolution-exhausted"
+# largest |value| initial data may keep within 10% of the domain edge
+_SEAM_TOL = 1e-10
 
 
 class SeamWarning(UserWarning):
@@ -260,7 +262,7 @@ def step_rk4(state, params: SystemParams, dt: float):
     return State(Field(grid, new[0, 0]), Field(grid, new[0, 1]), state.t + dt)
 
 
-def _seam_check(state: State, tol: float, policy: str):
+def _seam_check(state: State, policy: str):
     """Initial data must vanish near the periodic seam (x = 0 == L)."""
     if policy == "ignore":
         return
@@ -271,9 +273,9 @@ def _seam_check(state: State, tol: float, policy: str):
         float(np.abs(state.u.values[edge]).max()),
         float(np.abs(state.rho.values[edge]).max()),
     )
-    if worst > tol:
+    if worst > _SEAM_TOL:
         msg = (f"initial data reaches {worst:.3e} within 10% of the domain "
-               f"edge (tolerance {tol:.1e}); periodic wrap-around will pollute the run")
+               f"edge (tolerance {_SEAM_TOL:.1e}); periodic wrap-around will pollute the run")
         if policy == "error":
             raise ValueError(msg)
         warnings.warn(msg, SeamWarning)
@@ -291,8 +293,8 @@ def solve(initial: State, params: SystemParams, s: float, t_end: float,
 def solve_stack(initials, params: SystemParams, s: float, t_end: float,
                 dt_policy="cfl", cfl: float = 0.3, recompute_every: int = 16,
                 blowup_threshold: float = 1e6, tail_limit: float = 0.01,
-                store_stride: int = 1, seam_tol: float = 1e-10,
-                seam_policy: str = "warn", observe=None) -> list[Trajectory]:
+                store_stride: int = 1, seam_policy: str = "warn",
+                observe=None) -> list[Trajectory]:
     """Integrate several states, one (P, 2, N/2+1) stack, to t_end.
 
     dt_policy is either "cfl" (dt = cfl * dx / max(1, sup|u|) over the
@@ -322,7 +324,7 @@ def solve_stack(initials, params: SystemParams, s: float, t_end: float,
         if (st.grid, st.t) != (grid, t):
             raise ValueError("stacked states must share grid and start time")
         _check_finite(st)
-        _seam_check(st, seam_tol, seam_policy)
+        _seam_check(st, seam_policy)
 
     stack = np.where(half_dealias_mask(grid),
                      [[st.u.half, st.rho.half] for st in initials], 0.0)
@@ -390,6 +392,12 @@ def solve_stack(initials, params: SystemParams, s: float, t_end: float,
     return trajs
 
 
+def y_norms(stack: np.ndarray, grid: Grid, s: float) -> np.ndarray:
+    """y = ||u||_{H^s} + ||rho||_{H^{s-2}} of each (u, rho) row of half spectra."""
+    return (sobolev_norms(stack[..., 0, :], grid, s)
+            + sobolev_norms(stack[..., 1, :], grid, s - 2.0))
+
+
 def existence_time(y0: float, c: float) -> float:
     """The existence window (1/(2 c)) log(1 + 1/y0) of data of size y0 > 0."""
     return math.log1p(1.0 / y0) / (2.0 * c)
@@ -401,7 +409,7 @@ def t0_lower_bound(initial: State, s: float, params: SystemParams) -> float:
     y0 = ||u0||_{H^s} + ||rho0||_{H^{s-2}}.  Zero data has no finite
     bound; math.inf is returned as the documented sentinel.
     """
-    y0 = sobolev_norm(initial.u, s) + sobolev_norm(initial.rho, s - 2.0)
+    y0 = float(y_norms(np.array([initial.u.half, initial.rho.half]), initial.grid, s))
     if y0 == 0.0:
         return math.inf
     return existence_time(y0, params.c_s)
@@ -520,23 +528,15 @@ def diff_solve(traj_u: Trajectory, traj_v: Trajectory, params: SystemParams,
         gap = w[0] - (uv[i + 1, 0] - uv[i + 1, 1])
         if bad[0] or not np.isfinite(gap).all():
             raise NonFiniteStateError(f"non-finite difference system at t = {b.t:g}")
-        defect = max(defect, float(sobolev_norms(gap[0], ops.grid, r)
-                                   + sobolev_norms(gap[1], ops.grid, r - 2.0)))
+        defect = max(defect, float(y_norms(gap, ops.grid, r)))
     return DifferenceTrajectory(traj_u.times.copy(), r, defect)
 
 
-# -- artifact formats ---------------------------------------------------
+# -- snapshot format -----------------------------------------------------
 
 _MAGIC = b"CHS2"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIIdd")  # magic, version, N, L, t
-
-
-def save_ledger_csv(traj: Trajectory, path):
-    with open(path, "w", newline="") as fh:
-        fh.write("t,norm_u_Hs,norm_rho_Hs-2,y\n")
-        for row in zip(traj.times, traj.norm_u, traj.norm_rho, traj.y):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def save_snapshot(state: State, path):

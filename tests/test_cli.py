@@ -3,10 +3,12 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from chslab import cli, solver
-from chslab.cli import _git_blob_sha1, _worker_cap, execute, main, sweep_execute
+from chslab.cli import (_cell, _git_blob_sha1, _worker_cap, _write_csv, execute, main,
+                        sweep_execute)
 from chslab.config import parse_config
 
 
@@ -208,6 +210,57 @@ def test_t0probe_reports_unresolved_window_as_failure(tmp_path):
     assert rep["status"] == "resolution-exhausted"
     assert rep["first_violation"] is None
     assert any(l == "status = resolution-exhausted" for l in manifest_lines(out))
+
+
+def test_t0probe_aborted_probe_run_is_a_failed_verdict(tmp_path):
+    # at N = 64 the probe run itself exhausts the resolution at its first
+    # watchdog check, so there is no ledger to fit c_s on
+    out = tmp_path / "t"
+    rc = main(["t0probe", "--out", str(out), "--kind", "sech2",
+               "--amplitude", "0.5", "--N", "64"])
+    assert rc == 1
+    rep = json.loads((out / "t0_report.json").read_text())
+    assert rep["passed"] is False
+    assert rep["status"] == "resolution-exhausted"
+    assert rep["fitted_cs"] is None and rep["T0_fitted"] is None
+    ledger = (out / "ledger.csv").read_text().splitlines()
+    assert len(ledger) == 1 + rep["ledger_rows"]
+    assert "size_bound = fail" in manifest_lines(out)
+
+
+def test_csv_cells_have_exact_bytes(tmp_path):
+    # numpy 2 reprs a scalar as np.float64(...); a cell never does
+    cells = ["s4-r2", 7, -3, 0.1, np.float64(0.1), 1e-300, float("nan"),
+             np.float64(np.inf), -np.inf, -0.0, np.float64(-0.0)]
+    assert [_cell(v) for v in cells] == [
+        "s4-r2", "7", "-3", "0.1", "0.1", "1e-300", "nan", "inf", "-inf", "-0.0", "-0.0"]
+    path = tmp_path / "t.csv"
+    _write_csv(path, "a,b", [(0, np.float64(1.5)), ("x", -0.0)])
+    assert path.read_bytes() == b"a,b\n0,1.5\nx,-0.0\n"
+
+
+def test_unusable_out_exits_two_with_one_line(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    argv = ["--N", "128", "--t_end", "0.1"]
+    assert main(["solve", "--out", str(taken), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("chslab: ") and err.count("\n") == 1
+    # a manifest path that cannot be written fails the same way
+    blocked = tmp_path / "blocked"
+    (blocked / "manifest.txt").mkdir(parents=True)
+    assert main(["solve", "--out", str(blocked), *argv]) == 2
+    assert capsys.readouterr().err.startswith("chslab: ")
+
+
+def test_sweep_execute_returns_two_for_an_unusable_out(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    over = {"N": "128", "t_end": "0.1"}
+    cfgs = [parse_config("", "solve", str(out), over) for out in (tmp_path / "ok", taken)]
+    assert sweep_execute(cfgs, parallelism=1) == 2
+    assert (tmp_path / "ok" / "manifest.txt").exists()
+    assert capsys.readouterr().err.startswith("chslab: ")
 
 
 def test_holder_single_case_via_cli(tmp_path):

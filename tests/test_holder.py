@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from chslab.cli import _write_holder_reports
 from chslab.fields import gaussian_bump, random_field, sech2_bump
 from chslab.holder import (
     HolderReport,
@@ -13,9 +14,6 @@ from chslab.holder import (
     holder_exponent,
     make_family,
     run_holder,
-    save_curves_csv,
-    save_reports_csv,
-    save_reports_json,
     sweep,
 )
 from chslab.solver import SystemParams
@@ -192,20 +190,19 @@ def test_sweep_turns_case_errors_into_rows(grid):
 
 def test_report_files_round_trip(tmp_path, grid):
     reports = sweep([(4.0, 2.0)], grid, params(), T=0.3)
-    csv_path = tmp_path / "reports.csv"
-    save_reports_csv(reports, csv_path)
+    assert _write_holder_reports(reports, tmp_path) == [
+        "holder_reports.csv", "holder_reports.json", "curves_s4-r2.csv"]
+    csv_path = tmp_path / "holder_reports.csv"
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "case,s,r,beta_theory,slope,residual,verdict"
     assert len(lines) == 2
     assert lines[1].startswith("s4-r2,")
 
-    json_path = tmp_path / "reports.json"
-    save_reports_json(reports, json_path)
+    json_path = tmp_path / "holder_reports.json"
     data = json.loads(json_path.read_text())
     assert data[0]["verdict"] == "pass"
 
-    curves = tmp_path / "curve.csv"
-    save_curves_csv(reports[0], curves)
+    curves = tmp_path / "curves_s4-r2.csv"
     rows = curves.read_text().splitlines()
     assert rows[0] == "delta,distance"
     assert len(rows) == 1 + len(reports[0].deltas)

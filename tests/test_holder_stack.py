@@ -14,16 +14,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chslab import holder
-from chslab.cli import execute
+from chslab.cli import _write_holder_reports, execute
 from chslab.config import parse_config
 from chslab.fields import cosine_mode, gaussian_bump, random_field
 from chslab.holder import (
     PerturbationFamily,
     make_family,
     run_holder,
-    save_curves_csv,
-    save_reports_csv,
-    save_reports_json,
     sweep,
 )
 from chslab.solver import (
@@ -262,10 +259,7 @@ def test_parallel_sweep_writes_the_serial_bytes(tmp_path):
                         direction_kind="random-decay", seed=5, workers=workers)
         out = tmp_path / f"w{workers}"
         out.mkdir()
-        save_reports_csv(reports, out / "reports.csv")
-        save_reports_json(reports, out / "reports.json")
-        for i, rep in enumerate(reports):
-            save_curves_csv(rep, out / f"curve_{i}.csv")
+        _write_holder_reports(reports, out)
         outputs[workers] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
     assert len(outputs[1]) == 2 + len(cases)
     assert outputs[1] == outputs[2]

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from chslab.cli import _probe_json, _write_csv, _write_json
 from chslab.fields import random_field
 from chslab.inequalities import (
     DEFAULT_EPS_LADDER,
@@ -163,14 +164,16 @@ def test_mollifier_probe_reports_ladder(circle256):
 def test_report_json_round_trip(tmp_path, circle256):
     rep = probe_algebra(small_cfg(circle256, r=1.5))
     path = tmp_path / "rep.json"
-    rep.save_json(path)
+    _write_json(path, _probe_json(rep))
     back = json.loads(path.read_text())
-    assert back == json.loads(json.dumps(rep.to_json_dict()))
+    assert back == json.loads(json.dumps(_probe_json(rep)))
+    assert back["constant"] == rep.constant and back["grid"]["n"] == 256
     csv_path = tmp_path / "rep.csv"
-    rep.save_ratios_csv(csv_path)
+    _write_csv(csv_path, "index,ratio", enumerate(rep.ratios))
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "index,ratio"
     assert len(lines) == 1 + len(rep.ratios)
+    assert [float(l.split(",")[1]) for l in lines[1:]] == list(rep.ratios)
 
 
 # ------------------------------------------------------- frequency sweep

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from chslab import solver
+from chslab.cli import _write_ledger
 from chslab.fields import cosine_mode, gaussian_bump, random_field
 from chslab.solver import (
     BLOWUP,
@@ -28,7 +29,6 @@ from chslab.solver import (
     fit_min_cs,
     load_snapshot,
     rhs,
-    save_ledger_csv,
     save_snapshot,
     size_bound_check,
     solve,
@@ -508,7 +508,7 @@ def test_snapshot_rejects_a_non_finite_length(tmp_path, line):
 def test_ledger_csv_round_trips_exactly(tmp_path, line):
     traj = solve(bump_state(line), default_params(), 4.0, 0.3)
     path = tmp_path / "ledger.csv"
-    save_ledger_csv(traj, path)
+    _write_ledger(traj, tmp_path)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,norm_u_Hs,norm_rho_Hs-2,y"
     assert len(lines) == 1 + len(traj.times)
