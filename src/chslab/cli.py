@@ -326,14 +326,8 @@ def _run_kernel(cfg: RunConfig):
                   "reason": "kernel integral diverges for j <= 1/2"}
         _write_json(os.path.join(cfg.out, "kernel_report.json"), report)
         return False, {"divergent": True}, ["kernel_report.json"]
-    try:
-        etas = np.concatenate([[0.0],
-                               np.geomspace(0.1, cfg.eta_max, cfg.eta_points - 1)])
-        scan = ineq.kernel_bound_scan(r, j, k, etas=etas)
-    except ValueError as exc:
-        report = {"r": r, "j": j, "k": k, "rejected": True, "reason": str(exc)}
-        _write_json(os.path.join(cfg.out, "kernel_report.json"), report)
-        return False, {"rejected": True}, ["kernel_report.json"]
+    etas = np.concatenate([[0.0], np.geomspace(0.1, cfg.eta_max, cfg.eta_points - 1)])
+    scan = ineq.kernel_bound_scan(r, j, k, etas=etas)
     _write_csv(os.path.join(cfg.out, "kernel_scan.csv"), "eta,integral,ratio",
                zip(scan.etas, scan.integrals, scan.ratios))
     report = {

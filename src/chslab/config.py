@@ -205,6 +205,11 @@ def _cross_checks(cfg) -> list:
                 check_negative_hypotheses(cfg.r, cfg.j, cfg.k)
             except ValueError as exc:
                 errors.append(f"product-negative probe invalid: {exc}")
+    if cfg.command == "kernel" and cfg.j > 0.5:  # j <= 1/2 is reported as divergent
+        try:
+            check_negative_hypotheses(cfg.r, cfg.j, cfg.k)
+        except ValueError as exc:
+            errors.append(f"kernel scan invalid: {exc}")
     if cfg.command == "t0probe" and not cfg.s > 2.0:
         errors.append("s must exceed 2 so the ledger norms make sense")
     return errors

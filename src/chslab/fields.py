@@ -3,9 +3,18 @@
 Localized bumps for solver runs (widths chosen so the default shapes
 decay below 1e-10 well before the periodic seam) and seeded random
 fields with prescribed Sobolev regularity for the inequality ensembles.
+
+A draw is a pure function of its seed: the first N standard normals of
+numpy's default generator, PCG64 seeded with that seed.  Seeding through
+SeedSequence costs more than drawing a row, and the ensembles reuse their
+seeds across probes, so the freshly seeded PCG64 state of recent seeds is
+cached (a few hundred bytes each, whatever N) and each row reseeds one
+local generator from it.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -53,20 +62,37 @@ def cosine_mode(grid: Grid, k: int, amplitude: float = 1.0) -> Field:
     return Field.from_values(grid, amplitude * np.cos(2.0 * np.pi * k * grid.x / grid.length))
 
 
-def _noise(n: int, seed: int) -> np.ndarray:
-    """Half spectrum g_0..g_{N/2} of unit-variance complex Gaussians, one seed.
+# distinct seeds whose seeded PCG64 state is kept; the default ineq run
+# draws from 400
+_SEED_STATES = 1024
 
-    g_0 and the Nyquist g_{N/2} are real, so the Hermitian extension is
-    the spectrum of a real field.
+
+@functools.lru_cache(maxsize=_SEED_STATES)
+def _seeded_state(seed: int) -> dict:
+    """State of PCG64(seed) before its first draw (as default_rng(seed))."""
+    return np.random.PCG64(seed).state
+
+
+def _noise(n: int, seeds) -> np.ndarray:
+    """Half spectra g_0..g_{N/2} of unit-variance complex Gaussians, one row per seed.
+
+    Row i is built from the first N standard normals x of default_rng(seeds[i]):
+    g_0 = x_0, g_k = (x_k + i x_{k+N/2-1}) / sqrt(2) for 0 < k < N/2 and
+    g_{N/2} = x_{N-1}.  g_0 and the Nyquist g_{N/2} are real, so the
+    Hermitian extension is the spectrum of a real field.  The generator is
+    local to the call and reseeded per row from the cached seeded state.
     """
-    rng = np.random.default_rng(seed)
+    bits = np.random.PCG64(0)  # reseeded before every row
+    gen = np.random.Generator(bits)
+    x = np.empty((len(seeds), n))
+    for row, seed in zip(x, seeds):
+        bits.state = _seeded_state(int(seed))
+        gen.standard_normal(out=row)
     half = n // 2
-    g = np.empty(half + 1, dtype=complex)
-    g[0] = rng.standard_normal()
-    re = rng.standard_normal(half - 1)
-    im = rng.standard_normal(half - 1)
-    g[1:half] = (re + 1j * im) / np.sqrt(2.0)
-    g[half] = rng.standard_normal()
+    g = np.empty((len(seeds), half + 1), dtype=complex)
+    g[:, 0] = x[:, 0]
+    g[:, 1:half] = (x[:, 1:half] + 1j * x[:, half:n - 1]) / np.sqrt(2.0)
+    g[:, half] = x[:, n - 1]
     return g
 
 
@@ -80,8 +106,7 @@ def random_halves(grid: Grid, smoothness: float, seeds, gamma: float = 0.6,
     if not gamma > 0.5:
         raise ValueError(f"decay exponent gamma must exceed 1/2, got {gamma}")
     weights = (1.0 + grid.xi[: grid.n // 2 + 1] ** 2) ** (-(smoothness + gamma) / 2.0)
-    noise = np.array([_noise(grid.n, int(seed)) for seed in seeds])
-    return amplitude * weights * noise
+    return amplitude * weights * _noise(grid.n, seeds)
 
 
 def random_field(grid: Grid, smoothness: float, gamma: float = 0.6,

@@ -7,11 +7,18 @@ transform jhat is real, even, equals 1 at the origin and satisfies
 jhat(eps xi_k); tables of those samples are cached per (grid, eps).
 
 jhat(w) = 2 int_0^1 exp(1/(x^2-1)) cos(w x) dx comes from the trapezoid
-rule on m uniform nodes, one matrix-vector product per table, divided by
-the w = 0 entry of that product so the zero mode is kept exactly.  The
-bump is flat at +-1, so the rule's error is jhat aliased from 2 pi m - w,
-which decays like exp(-sqrt(2 pi m - w)) (Trefethen & Weideman, SIAM Rev.
-56, 2014); m is the smallest count with 2 pi m - max w >= 1600, and >= 256.
+rule on m uniform nodes, divided by the w = 0 entry of the rule so the zero
+mode is kept exactly.  The bump is flat at +-1, so the rule's error is jhat
+aliased from 2 pi m - w, which decays like exp(-sqrt(2 pi m - w))
+(Trefethen & Weideman, SIAM Rev. 56, 2014); m is the smallest count with
+2 pi m - max w >= 1600, and >= 256.
+
+The rule is evaluated by angle addition rather than as a dense cosine
+matrix: with node j = a b + c (b about sqrt(m), 0 <= c < b),
+cos(w j/m) = cos(w a b/m) cos(w c/m) - sin(w a b/m) sin(w c/m), so each
+frequency needs about 4 sqrt(m) cosines and sines and two small matrix
+products instead of m cosines, and the work arrays hold O(sqrt(m))
+entries per frequency.
 """
 
 from __future__ import annotations
@@ -36,10 +43,16 @@ def bump_transform_raw(w) -> np.ndarray:
     """Unnormalised cosine transform of the bump at each frequency in w (1-D)."""
     w = np.asarray(w, dtype=float)
     m = _trapezoid_nodes(float(np.abs(w).max()))
+    b = math.isqrt(m - 1) + 1  # ceil(sqrt(m))
     x = np.arange(m) / m
-    weights = np.exp(1.0 / (x * x - 1.0)) * (2.0 / m)
+    weights = np.zeros(-(-m // b) * b)  # zero-padded to whole rows of b nodes
+    weights[:m] = np.exp(1.0 / (x * x - 1.0)) * (2.0 / m)
     weights[0] *= 0.5
-    return np.cos(np.outer(w, x)) @ weights
+    weights = weights.reshape(-1, b)  # row a: nodes a b .. a b + b - 1
+    fine = np.outer(w, np.arange(b) / m)
+    coarse = np.outer(w, np.arange(len(weights)) * (b / m))
+    return (np.einsum("ka,ka->k", np.cos(fine) @ weights.T, np.cos(coarse))
+            - np.einsum("ka,ka->k", np.sin(fine) @ weights.T, np.sin(coarse)))
 
 
 @dataclass(frozen=True)

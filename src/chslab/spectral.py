@@ -277,14 +277,13 @@ def _pad_half(c: np.ndarray, n: int) -> np.ndarray:
 
 
 def half_values(c: np.ndarray) -> np.ndarray:
-    """Grid values of each row, one batched irfft."""
-    n = 2 * (c.shape[-1] - 1)
-    return np.fft.irfft(c * n, n=n, axis=-1)
+    """Grid values of each row, one batched unscaled irfft."""
+    return np.fft.irfft(c, n=2 * (c.shape[-1] - 1), axis=-1, norm="forward")
 
 
 def _half_coefficients(values: np.ndarray) -> np.ndarray:
-    """Half spectra of each row of grid values, one batched rfft."""
-    return np.fft.rfft(values, axis=-1) / values.shape[-1]
+    """Half spectra of each row of grid values, one batched rfft scaled by 1/N."""
+    return np.fft.rfft(values, axis=-1, norm="forward")
 
 
 def commutator_inputs(f: np.ndarray, g: np.ndarray):

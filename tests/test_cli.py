@@ -89,6 +89,7 @@ def test_bad_config_exits_two_and_names_every_problem(tmp_path, capsys):
     (["solve", "--width", "-1"], "width"),
     (["ineq", "--amplitude", "0"], "amplitude"),
     (["ineq", "--probe", "product-negative"], "product-negative"),
+    (["kernel", "--r", "0.5", "--k", "2"], "kernel"),
 ])
 def test_bad_values_are_config_errors_not_failed_runs(tmp_path, capsys, argv, key):
     out = tmp_path / "x"

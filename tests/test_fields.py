@@ -1,8 +1,11 @@
 """Initial data constructors: determinism, decay, and calibrated size."""
 
+import threading
+
 import numpy as np
 import pytest
 
+from chslab import fields
 from chslab.fields import (
     INITIAL_KINDS,
     cosine_mode,
@@ -82,7 +85,13 @@ def draw_oracle(grid, smoothness, gamma, amplitude, seed):
     return amplitude * (1.0 + grid.xi**2) ** (-(smoothness + gamma) / 2.0) * g
 
 
-@pytest.mark.parametrize("n", [8, 256])
+def oracle_halves(grid, smoothness, seeds, gamma=0.6, amplitude=1.0):
+    """Half spectra of the oracle draws, one row per seed."""
+    return np.array([draw_oracle(grid, smoothness, gamma, amplitude, seed)[: grid.n // 2 + 1]
+                     for seed in seeds])
+
+
+@pytest.mark.parametrize("n", [2**p for p in range(3, 13)])  # N = 8 .. 4096
 def test_stacked_draws_are_bit_identical_to_single_fields(n):
     grid = Grid(n, 5.0)
     seeds = np.arange(3, 23, 2)
@@ -91,6 +100,49 @@ def test_stacked_draws_are_bit_identical_to_single_fields(n):
         single = random_field(grid, 2.5, 0.7, 1.3, int(seed)).coefficients
         assert single.tobytes() == draw_oracle(grid, 2.5, 0.7, 1.3, seed).tobytes()
         assert row.tobytes() == single[: n // 2 + 1].tobytes()
+
+
+def test_huge_and_repeated_seeds_draw_as_alone():
+    grid = Grid(64, 3.0)
+    seeds = [2**64, 5, 2**70 + 3, 5, 2**64, 2**64 - 1]
+    stack = random_halves(grid, 2.0, seeds)
+    assert stack.tobytes() == oracle_halves(grid, 2.0, seeds).tobytes()
+    assert np.array_equal(stack[1], stack[3]) and np.array_equal(stack[0], stack[4])
+    assert not np.array_equal(stack[0], stack[5])
+
+
+def test_draws_survive_eviction_from_the_seed_cache():
+    grid = Grid(8, 1.0)
+    bound = fields._SEED_STATES
+    seeds = list(range(10**6, 10**6 + bound + 40))
+    first = random_halves(grid, 0.0, seeds)
+    info = fields._seeded_state.cache_info()
+    assert info.currsize == bound == info.maxsize
+    again = random_halves(grid, 0.0, seeds[:50])  # evicted by the later seeds
+    assert first.tobytes() == oracle_halves(grid, 0.0, seeds).tobytes()
+    assert again.tobytes() == first[:50].tobytes()
+
+
+def test_concurrent_draws_equal_the_serial_draws():
+    grid = Grid(256, 5.0)
+    # multiples of 15 are drawn by both threads; together they overflow the cache
+    jobs = [list(range(0, 2400, 3)), list(range(0, 2400, 5))]
+    serial = [random_halves(grid, 1.0, seeds) for seeds in jobs]
+    got = [[], []]
+    start = threading.Barrier(2)
+
+    def draw(t):
+        start.wait()
+        for block in range(0, len(jobs[t]), 16):
+            got[t].append(random_halves(grid, 1.0, jobs[t][block:block + 16]))
+
+    threads = [threading.Thread(target=draw, args=(t,)) for t in (0, 1)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join()
+    for t in (0, 1):
+        assert np.concatenate(got[t]).tobytes() == serial[t].tobytes()
 
 
 def test_random_field_zero_amplitude_is_zero(grid):

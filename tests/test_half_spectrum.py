@@ -15,7 +15,7 @@ import pytest
 
 import chslab
 from chslab.fields import cosine_mode, gaussian_bump, random_field, sech2_bump
-from chslab.spectral import Field, Grid, pad_to, sobolev_norm
+from chslab.spectral import Field, Grid, _half_coefficients, half_values, pad_to, sobolev_norm
 from full_spectrum import (
     full_from_values,
     full_pad,
@@ -53,6 +53,19 @@ def test_transforms_and_norms_match_the_full_spectrum(n):
             for s in (-2.0, 0.0, 1.5, 4.0, 6.0):
                 norm = full_sobolev_norm(grid, f.coefficients, s)
                 assert abs(sobolev_norm(f, s) - norm) <= 1e-15 * norm
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_unscaled_transforms_equal_the_explicit_scaling_bit_for_bit(n):
+    # N is a power of two, so scaling by N or 1/N is exact wherever it is applied
+    rng = np.random.default_rng(n)
+    vals = rng.standard_normal((5, n)) * np.logspace(-8, 8, 5)[:, None]
+    half = rng.standard_normal((5, n // 2 + 1)) + 1j * rng.standard_normal((5, n // 2 + 1))
+    half *= np.logspace(-8, 8, 5)[:, None]
+    assert half_values(half).tobytes() == np.fft.irfft(half * n, n=n, axis=-1).tobytes()
+    assert (_half_coefficients(vals).tobytes()
+            == (np.fft.rfft(vals, axis=-1) / n).tobytes())
+    assert half_values(half[2]).tobytes() == np.fft.irfft(half[2] * n, n=n).tobytes()
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -2,12 +2,14 @@
 
 The multiplier tables come from a trapezoid rule; scalar adaptive `quad`
 of the same cosine transform, the method it replaced, is kept here as
-the oracle.
+the oracle.  The rule is evaluated by angle addition; its dense cosine
+matrix form is the second oracle.
 """
 
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +40,16 @@ def quad_transform(w: float) -> float:
         epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200,
     )
     return 2.0 * val
+
+
+def dense_transform(w):
+    """Oracle: the trapezoid rule as one dense cosine matrix times the weights."""
+    w = np.asarray(w, dtype=float)
+    m = mollifier._trapezoid_nodes(float(np.abs(w).max()))
+    x = np.arange(m) / m
+    weights = np.exp(1.0 / (x * x - 1.0)) * (2.0 / m)
+    weights[0] *= 0.5
+    return np.cos(np.outer(w, x)) @ weights
 
 
 def oracle_table(grid, eps):
@@ -90,6 +102,42 @@ def test_default_ladder_tables_match_quad(n):
     for eps in DEFAULT_EPS_LADDER:
         table = build_mollifier(grid, eps).multiplier
         assert np.abs(table - oracle_table(grid, eps)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1024, 2048])
+def test_angle_addition_matches_the_dense_rule_on_the_default_ladder(n):
+    grid = Grid(n, 2.0 * np.pi)
+    for eps in DEFAULT_EPS_LADDER:
+        w = np.unique(np.abs(eps * grid.xi))
+        want = dense_transform(w)
+        assert np.abs(bump_transform_raw(w) - want).max() <= 1e-13 * want[0]
+
+
+@pytest.mark.parametrize("w", [
+    [0.0],
+    [2.5],
+    [-7.0, 7.0, 0.0, 1e-9],
+    np.random.default_rng(0).uniform(-3000.0, 3000.0, 257),
+    np.linspace(0.0, 40.0, 1001)[::-1],
+])
+def test_angle_addition_matches_the_dense_rule_on_any_frequencies(w):
+    scale = dense_transform([0.0])[0]
+    got = bump_transform_raw(np.array(w))
+    assert got.shape == (len(w),)
+    assert np.abs(got - dense_transform(w)).max() <= 1e-13 * scale
+
+
+def test_table_build_needs_no_dense_cosine_matrix(monkeypatch):
+    # the dense rule peaks at about 7 MB on this table
+    monkeypatch.setattr(mollifier, "_cache", {})
+    grid = Grid(2048, 2.0 * np.pi)
+    tracemalloc.start()
+    try:
+        build_mollifier(grid, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_node_rule_scales_to_high_frequency():
