@@ -1,5 +1,11 @@
 """Time integration of the two-component system and of its difference form.
 
+In local form (the two-component higher-order Camassa-Holm system of
+arXiv 1805.06290), with m = (1 - d^2/dx^2)^2 u,
+
+    m_t + u m_x + b u_x m + kappa rho rho_x = alpha u_x,
+    rho_t + u rho_x + (b - 1) u_x rho = 0,        b != 1.
+
 The evolution is the nonlocal formulation: the fourth-order inertia
 operator is inverted, leaving a transport term plus the smoothing
 multiplier d/dx (1 - d^2/dx^2)^{-2} applied to a quadratic bracket.
@@ -16,6 +22,14 @@ brings three rows back.  `rhs` is B(U, U) and `diff_rhs` is B(w, U) +
 B(V, w), plus the linear alpha term; one RK4 stage formula steps both.
 `solve` is the one-row call of `solve_stack`, which builds State objects
 only for the states it keeps; `diff_solve` steps w = U - V as one row.
+
+Each run allocates one workspace, sized for its starting stack, and every
+RK4 stage, transform and bilinear row of the run writes into it; rows
+that abort leave the run on its leading slices.  The workspace belongs to
+the run, never to the shared operator table, so concurrent runs on one
+(grid, params) do not touch each other's buffers.  A stack is never
+updated in place: each step returns a fresh one, so stored states and
+what `observe` saw stay as they were.
 
 Status/ledger conventions: a trajectory records (t, ||u||_{H^s},
 ||rho||_{H^{s-2}}, y = sum) every step.  Integration stops early either
@@ -175,43 +189,96 @@ class _Operators:
         for table in (self.analysis, self.synthesis, self.linear):
             table.flags.writeable = False
 
-    def values(self, stack: np.ndarray) -> np.ndarray:
-        """Value stacks of (u, rho) rows (..., 2, N/2+1): (..., 6, N), one irfft."""
-        spec = np.empty(stack.shape[:-2] + (6, self.half), dtype=complex)
-        np.multiply(self.analysis[:4], stack[..., :1, :], out=spec[..., :4, :])
-        np.multiply(self.analysis[4:], stack[..., 1:, :], out=spec[..., 4:, :])
-        return np.fft.irfft(spec, n=self.grid.n, axis=-1)
+    def values(self, stack: np.ndarray, work: _Workspace) -> np.ndarray:
+        """Value rows of a (P, 2, N/2+1) stack: work.vals[:P], shape (P, 6, N), one irfft."""
+        p = len(stack)
+        spec = work.spec[:p]
+        np.multiply(self.analysis[:4], stack[:, :1], out=spec[:, :4])
+        np.multiply(self.analysis[4:], stack[:, 1:], out=spec[:, 4:])
+        return np.fft.irfft(spec, n=self.grid.n, axis=-1, out=work.vals[:p])
 
-    def bilinear(self, a: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """B(a, c): the rows (bracket, u-transport, rho tendency).
+    def bilinear(self, a: np.ndarray, c: np.ndarray, out: np.ndarray, tmp: np.ndarray):
+        """B(a, c) into out (P, 3, N): the rows (bracket, u-transport, rho tendency).
 
         B(U, U) is the quadratic part of the right-hand side at U, so
-        B(U, U) - B(V, V) = B(U - V, U) + B(V, U - V) exactly.
+        B(U, U) - B(V, V) = B(U - V, U) + B(V, U - V) exactly.  Either
+        argument may be one (6, N) value stack broadcast over the rows;
+        tmp is a (P, N) scratch row.  The operations run in the order of
+        the expression
+
+            bracket = (b/2) u c0 + (3 - b) ux c1 - ((b + 5)/2) uxx c2
+                      + (b - 5) ux c3 + (kappa/2) rho c4,
+            transport = u c1,   rho tendency = -(u c5 + (b - 1) ux c4).
         """
         b, kap = self.params.b, self.params.kappa
-        u, ux, uxx, _, rho, _ = np.moveaxis(a, -2, 0)
-        c = np.moveaxis(c, -2, 0)
-        bracket = ((0.5 * b) * u * c[0] + (3.0 - b) * ux * c[1]
-                   - (0.5 * (b + 5.0)) * uxx * c[2] + (b - 5.0) * ux * c[3]
-                   + (0.5 * kap) * rho * c[4])
-        return np.stack([bracket, u * c[1], -(u * c[5] + (b - 1.0) * ux * c[4])], axis=-2)
+        u, ux, uxx, _, rho, _ = a.swapaxes(0, -2)
+        c = c.swapaxes(0, -2)
+        bracket, transport, drho = out.swapaxes(0, -2)
+        np.multiply(0.5 * b, u, out=bracket)
+        bracket *= c[0]
+        for coef, row, term, combine in ((3.0 - b, ux, c[1], np.add),
+                                         (0.5 * (b + 5.0), uxx, c[2], np.subtract),
+                                         (b - 5.0, ux, c[3], np.add),
+                                         (0.5 * kap, rho, c[4], np.add)):
+            np.multiply(coef, row, out=tmp)
+            tmp *= term
+            combine(bracket, tmp, out=bracket)
+        np.multiply(u, c[1], out=transport)
+        np.multiply(b - 1.0, ux, out=tmp)
+        tmp *= c[4]
+        np.multiply(u, c[5], out=drho)
+        drho += tmp
+        np.negative(drho, out=drho)
 
-    def tendencies(self, rows: np.ndarray, stack: np.ndarray) -> np.ndarray:
-        """(du, drho) rows from the bilinear rows plus the alpha term in u."""
-        out = np.fft.rfft(rows, axis=-1)
-        out *= self.synthesis
-        du = out[..., 0, :] + out[..., 1, :] + self.linear * stack[..., 0, :]
-        return np.stack([du, out[..., 2, :]], axis=-2)
+    def tendencies(self, rows: np.ndarray, stack: np.ndarray, work: _Workspace,
+                   out: np.ndarray) -> np.ndarray:
+        """(du, drho) rows into out from the bilinear rows plus the alpha term in u."""
+        spec = np.fft.rfft(rows, axis=-1, out=work.tend[:len(stack)])
+        spec *= self.synthesis
+        # the alpha term waits in the rho row until du = (bracket + transport) + alpha term
+        np.multiply(self.linear, stack[:, 0], out=out[:, 1])
+        np.add(spec[:, 0], spec[:, 1], out=out[:, 0])
+        out[:, 0] += out[:, 1]
+        out[:, 1] = spec[:, 2]
+        return out
 
-    def rhs(self, stack: np.ndarray) -> np.ndarray:
-        """B(U, U) plus the alpha term for every row of a (P, 2, N/2+1) stack."""
-        vals = self.values(stack)
-        return self.tendencies(self.bilinear(vals, vals), stack)
+    def rhs(self, stack: np.ndarray, work: _Workspace, out: np.ndarray) -> np.ndarray:
+        """B(U, U) plus the alpha term for every row of a (P, 2, N/2+1) stack, into out."""
+        p = len(stack)
+        vals = self.values(stack, work)
+        self.bilinear(vals, vals, work.prod[:p], work.tmp[:p])
+        return self.tendencies(work.prod[:p], stack, work, out)
 
-    def diff_rhs(self, stack: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """B(w, U) + B(V, w) plus the alpha term for rows w, from U's and V's values."""
-        vals = self.values(stack)
-        return self.tendencies(self.bilinear(vals, us) + self.bilinear(vs, vals), stack)
+    def diff_rhs(self, stack: np.ndarray, us: np.ndarray, vs: np.ndarray,
+                 work: _Workspace, out: np.ndarray) -> np.ndarray:
+        """B(w, U) + B(V, w) plus the alpha term for rows w, from U's and V's values, into out."""
+        p = len(stack)
+        vals = self.values(stack, work)
+        prod, more, tmp = work.prod[:p], work.more[:p], work.tmp[:p]
+        self.bilinear(vals, us, prod, tmp)
+        self.bilinear(vs, vals, more, tmp)
+        prod += more
+        return self.tendencies(prod, stack, work, out)
+
+
+class _Workspace:
+    """Every buffer of one run's RK4 steps, for stacks of up to `rows` rows.
+
+    A run allocates one and passes it down; it is never shared between
+    calls or threads.  A stack with fewer rows uses the leading slices.
+    """
+
+    def __init__(self, n: int, rows: int):
+        half = n // 2 + 1
+        self.spec = np.empty((rows, 6, half), dtype=complex)  # value spectra
+        self.vals = np.empty((rows, 6, n))  # irfft value rows
+        self.prod = np.empty((rows, 3, n))  # B(a, c) rows
+        self.more = np.empty((rows, 3, n))  # B(V, w) rows, difference system only
+        self.tmp = np.empty((rows, n))
+        # the rfft of the B rows overlays the value spectra, which the irfft consumed
+        self.tend = self.spec.reshape(-1)[:rows * 3 * half].reshape(rows, 3, half)
+        self.k = np.empty((rows, 2, half), dtype=complex)  # RK4 stage slope
+        self.x = np.empty((rows, 2, half), dtype=complex)  # RK4 stage state
 
 
 @functools.lru_cache(maxsize=16)
@@ -219,17 +286,34 @@ def _operators(grid: Grid, params: SystemParams) -> _Operators:
     return _Operators(grid, params)
 
 
-def _rk4(tendency, stack: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+def _rk4(tendency, stack: np.ndarray, dt: float,
+         work: _Workspace) -> tuple[np.ndarray, np.ndarray]:
     """One RK4 step of each row, and the mask of rows with a non-finite stage.
 
-    `tendency(x, c)` is the right-hand side at x, c = 0, 1/2 or 1 dt into the step.
+    `tendency(x, c, out)` writes the right-hand side at x, c = 0, 1/2 or 1
+    dt into the step, to out.  The stages live in `work`; the new stack is
+    a fresh array that first holds the slope sum, so states kept from
+    earlier steps are never overwritten.
     """
-    k1 = tendency(stack, 0.0)
-    k2 = tendency(x2 := stack + (0.5 * dt) * k1, 0.5)
-    k3 = tendency(x3 := stack + (0.5 * dt) * k2, 0.5)
-    k4 = tendency(x4 := stack + dt * k3, 1.0)
-    finite = np.isfinite([stack, x2, x3, x4]).all(axis=(0, 2, 3))
-    return stack + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), ~finite
+    p = len(stack)
+    k, x = work.k[:p], work.x[:p]
+    new = np.empty_like(stack)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    tendency(stack, 0.0, new)
+    # new sums k1 + 2 k2 + 2 k3 + k4 in that order, each k joining once its
+    # successor's stage state is formed
+    for i, (c, h) in enumerate(((0.5, 0.5 * dt), (0.5, 0.5 * dt), (1.0, dt))):
+        np.multiply(h, k if i else new, out=x)
+        x += stack
+        finite &= np.isfinite(x).all(axis=(1, 2))
+        if i:
+            k *= 2.0
+            new += k
+        tendency(x, c, k)
+    new += k
+    new *= dt / 6.0
+    new += stack
+    return new, ~finite
 
 
 def rhs(state: State, params: SystemParams) -> tuple[Field, Field]:
@@ -239,7 +323,9 @@ def rhs(state: State, params: SystemParams) -> tuple[Field, Field]:
     products are dealiased by the 2/3 rule.
     """
     _check_finite(state)
-    du, drho = _operators(state.grid, params).rhs(np.array([[state.u.half, state.rho.half]]))[0]
+    stack = np.array([[state.u.half, state.rho.half]])
+    ops = _operators(state.grid, params)
+    (du, drho), = ops.rhs(stack, _Workspace(state.grid.n, 1), np.empty_like(stack))
     return Field(state.grid, du), Field(state.grid, drho)
 
 
@@ -247,14 +333,16 @@ def step_rk4(state, params: SystemParams, dt: float):
     """One classical Runge-Kutta step of the full system.
 
     `state` is a State, or the (grid, stack) pair that `solve_stack` steps,
-    which comes back with the mask of the rows whose RK stage went non-finite.
+    which comes back with the mask of the rows whose RK stage went
+    non-finite; `solve_stack` adds its run's `_Workspace` as a third entry.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     one = isinstance(state, State)
-    grid, stack = (state.grid, np.array([[state.u.half, state.rho.half]])) if one else state
+    grid, stack, *work = (state.grid, np.array([[state.u.half, state.rho.half]])) if one else state
+    work = work[0] if work else _Workspace(grid.n, len(stack))
     ops = _operators(grid, params)
-    new, bad = _rk4(lambda x, _: ops.rhs(x), stack, dt)
+    new, bad = _rk4(lambda x, _, out: ops.rhs(x, work, out), stack, dt, work)
     if not one:
         return new, bad
     if bad[0]:
@@ -328,6 +416,7 @@ def solve_stack(initials, params: SystemParams, s: float, t_end: float,
 
     stack = np.where(half_dealias_mask(grid),
                      [[st.u.half, st.rho.half] for st in initials], 0.0)
+    work = _Workspace(grid.n, len(stack))
     rows = np.arange(len(stack))
     status = np.full(len(rows), COMPLETED, dtype=object)
     ledger, stored, last = [[] for _ in rows], [[] for _ in rows], [None] * len(rows)
@@ -375,7 +464,7 @@ def solve_stack(initials, params: SystemParams, s: float, t_end: float,
         # land on t_end exactly rather than accumulating roundoff
         if nsteps - (step - start) == 1:
             dt = t_end - t
-        stack, bad = step_rk4((grid, stack), params, dt)
+        stack, bad = step_rk4((grid, stack, work), params, dt)
         status[rows[bad]] = BLOWUP  # a non-finite stage never reaches the ledger
         drop_aborted()
         t += dt
@@ -491,8 +580,10 @@ def diff_rhs(diff: tuple[Field, Field], u: Field, v: Field, rho: Field,
     if not (w.grid == eta.grid == u.grid == v.grid == rho.grid == theta.grid):
         raise ValueError("difference state and drivers must share one grid")
     ops = _operators(w.grid, params)
-    us, vs = ops.values(np.array([[u.half, rho.half], [v.half, theta.half]]))
-    (dw, deta), = ops.diff_rhs(np.array([[w.half, eta.half]]), us, vs)
+    us, vs = ops.values(np.array([[u.half, rho.half], [v.half, theta.half]]),
+                        _Workspace(w.grid.n, 2))
+    stack = np.array([[w.half, eta.half]])
+    (dw, deta), = ops.diff_rhs(stack, us, vs, _Workspace(w.grid.n, 1), np.empty_like(stack))
     return Field(w.grid, dw), Field(w.grid, deta)
 
 
@@ -520,10 +611,17 @@ def diff_solve(traj_u: Trajectory, traj_v: Trajectory, params: SystemParams,
     ops = _operators(traj_u.grid, params)
     uv = np.array([[[a.u.half, a.rho.half], [b.u.half, b.rho.half]]
                    for a, b in zip(traj_u.states, traj_v.states)])
+    # the drivers' (U, V) pairs at the step's start, midpoint and end
+    work, drive = _Workspace(ops.grid.n, 1), _Workspace(ops.grid.n, 6)
+    pairs = drive.x.reshape(3, 2, 2, -1)
     w, defect = uv[:1, 0] - uv[:1, 1], 0.0
     for i, (a, b) in enumerate(itertools.pairwise(traj_u.states)):
-        drivers = ops.values(np.array([uv[i], 0.5 * (uv[i] + uv[i + 1]), uv[i + 1]]))
-        w, bad = _rk4(lambda x, c: ops.diff_rhs(x, *drivers[int(2 * c)]), w, b.t - a.t)
+        pairs[0], pairs[2] = uv[i], uv[i + 1]
+        np.add(uv[i], uv[i + 1], out=pairs[1])
+        pairs[1] *= 0.5
+        drivers = ops.values(drive.x, drive).reshape(3, 2, 6, -1)
+        w, bad = _rk4(lambda x, c, out: ops.diff_rhs(x, *drivers[int(2 * c)], work, out),
+                      w, b.t - a.t, work)
         # a difference is non-finite when either side is: this sees w and u - v
         gap = w[0] - (uv[i + 1, 0] - uv[i + 1, 1])
         if bad[0] or not np.isfinite(gap).all():

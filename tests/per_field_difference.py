@@ -10,12 +10,12 @@ The stacked `solver.diff_solve` must reproduce that defect bit for bit.
 
 import numpy as np
 
-from chslab.solver import _operators
+from allocating_rk4 import AllocatingOperators
 from chslab.spectral import Field, sobolev_norm
 
 
 def oracle_diff_rhs(w, eta, u, v, rho, theta, params):
-    ops = _operators(w.grid, params)
+    ops = AllocatingOperators(w.grid, params)
     pairs = np.array([[w.half, eta.half], [u.half, rho.half], [v.half, theta.half]])
     dw, us, vs = ops.values(pairs)
     dwt, deta = ops.tendencies(ops.bilinear(dw, us) + ops.bilinear(vs, dw), pairs[0])

@@ -14,7 +14,7 @@ import pytest
 
 from chslab import solver
 from chslab.cli import _write_ledger
-from chslab.fields import cosine_mode, gaussian_bump, random_field
+from chslab.fields import cosine_mode, gaussian_bump, initial_pair, random_field
 from chslab.solver import (
     BLOWUP,
     COMPLETED,
@@ -112,6 +112,23 @@ def test_mean_of_rho_is_conserved_for_transport_slope(line):
     m0 = traj.initial.rho.coefficients[0].real
     m1 = traj.final.rho.coefficients[0].real
     assert m1 == pytest.approx(m0, abs=1e-13)
+
+
+def test_energy_drift_at_b_two_is_the_rk4_error_alone(line):
+    # at b = 2 the local form conserves H = ||(1 - d^2) u||^2 + kappa ||rho||^2
+    # for every alpha, and so does its 2/3 Galerkin truncation; the s = 2
+    # ledger holds both norms.  A drift shrinking like dt^4 is the RK4
+    # error; a wrong bracket coefficient drifts by the same amount at
+    # every dt.  Written from the local form, not from the bracket.
+    p = default_params(alpha=0.3)
+    u, rho = initial_pair(line, "gaussian", 1.0, 0.3, 0)
+    drifts = []
+    for dt in (0.02, 0.01, 0.005):
+        traj = solve(State(u, rho, 0.0), p, 2.0, 2.0, dt_policy=dt, store_stride=0)
+        energy = traj.norm_u ** 2 + p.kappa * traj.norm_rho ** 2
+        drifts.append(np.abs(energy - energy[0]).max() / energy[0])
+    orders = np.log2(np.array(drifts[:-1]) / drifts[1:])
+    assert np.all(np.abs(orders - 4.0) <= 0.5), (drifts, orders)
 
 
 def test_solution_values_stay_real(line):
