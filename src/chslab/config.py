@@ -107,7 +107,7 @@ _KEYS = {
     "s1": ("s1", _real, _ANY),
     "s2": ("s2", _real, _ANY),
     "t_end": ("t_end", _real, _POSITIVE),
-    "T": ("horizon", _real, (lambda v: v > 0, "T must be positive when given")),
+    "T": ("horizon", _real, _POSITIVE),
     "cfl": ("cfl", _real, _POSITIVE),
     "seam": ("seam", str, _one_of(("warn", "error", "ignore"))),
     # holder experiment

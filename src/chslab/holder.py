@@ -14,25 +14,13 @@ above beta is consistent; verdicts only check slope >= beta - 0.1.
 from __future__ import annotations
 
 import itertools
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import cosine_mode, initial_pair, random_field
-from .solver import (
-    COMPLETED,
-    MIN_FITTED_CS,
-    State,
-    SystemParams,
-    existence_time,
-    fit_min_cs,
-    solve,
-    solve_stack,
-    t0_lower_bound,
-    y_norms,
-)
+from .solver import COMPLETED, State, SystemParams, solve_stack, y_norms
 from .spectral import Field, Grid, sobolev_norm, sup_norm
 
 __all__ = [
@@ -211,26 +199,8 @@ class HolderReport:
     dt: float
 
 
-def default_horizon(family: PerturbationFamily, params: SystemParams,
-                    s: float, cfl: float = 0.3) -> float:
-    """Existence-time bound evaluated at the fitted constant.
-
-    A probe run over the bound at the configured c_s supplies the fit;
-    tiny fitted constants are floored at MIN_FITTED_CS, otherwise the
-    window grows without bound as the fit approaches zero.
-    """
-    base = family.member(0.0)
-    t_probe = t0_lower_bound(base, s, params)
-    if not math.isfinite(t_probe):
-        return 1.0
-    traj = solve(base, params, s, t_probe, seam_policy="ignore", cfl=cfl)
-    if traj.status != COMPLETED or len(traj.times) < 10:
-        return t_probe
-    return existence_time(traj.y[0], max(fit_min_cs(traj), MIN_FITTED_CS))
-
-
 def run_holder(family: PerturbationFamily, params: SystemParams, s: float,
-               r: float, T: float | None = None, cfl: float = 0.3,
+               r: float, T: float, cfl: float = 0.3,
                seam_policy: str = "ignore") -> HolderReport:
     """Solve the family, measure distances, regress, and judge the slope."""
     holder_exponent(s, r, rho_trivial=family.rho_trivial)  # a bad (s, r) raises
@@ -245,7 +215,7 @@ def _case(s: float, r: float, rho_trivial: bool):
 
 
 def _run_cases(family: PerturbationFamily, params: SystemParams, s: float,
-               rs, T: float | None = None, cfl: float = 0.3,
+               rs, T: float, cfl: float = 0.3,
                seam_policy: str = "ignore") -> list:
     """One report per r (an error row if holder_exponent rejects it).
 
@@ -258,8 +228,6 @@ def _run_cases(family: PerturbationFamily, params: SystemParams, s: float,
     valid = [c for c in cases if isinstance(c, HolderCase)]
     if not valid:
         return cases
-    if T is None:
-        T = default_horizon(family, params, s, cfl)
     members = [family.member(0.0)] + [family.member(float(d)) for d in family.deltas]
     dt = cfl * family.grid.dx / max(1.0, sup_norm(members[0].u), sup_norm(members[1].u))
 
@@ -315,11 +283,10 @@ def _sweep_group(payload) -> list:
         return [_error_report(s, r, exc) for r in rs]
 
 
-def sweep(cases, grid: Grid, params: SystemParams, h: float = 2.0,
+def sweep(cases, grid: Grid, params: SystemParams, T: float, h: float = 2.0,
           base_kind: str = "gaussian-bump", direction_kind: str = "high-mode",
-          deltas=None, seed: int = 0, T: float | None = None,
-          base_amplitude: float = 0.5, rho_trivial: bool = False,
-          cfl: float = 0.3, workers: int = 1):
+          deltas=None, seed: int = 0, base_amplitude: float = 0.5,
+          rho_trivial: bool = False, cfl: float = 0.3, workers: int = 1):
     """One report per (s, r) case, in input order.
 
     Cases that share s share a family, built and stepped once for all of

@@ -60,7 +60,7 @@ __all__ = [
     "SystemParams", "State", "Trajectory", "DifferenceTrajectory", "SizeBoundReport",
     "SeamWarning", "NonFiniteStateError", "COMPLETED", "BLOWUP", "RESOLUTION_EXHAUSTED",
     "rhs", "step_rk4", "solve", "solve_stack", "existence_time", "t0_lower_bound",
-    "size_bound_check", "MIN_FITTED_CS", "fit_min_cs", "diff_rhs", "diff_solve",
+    "size_bound_check", "MIN_FITTED_CS", "fit_min_cs", "diff_solve",
     "y_norms", "save_snapshot", "load_snapshot",
 ]
 
@@ -518,7 +518,10 @@ def size_bound_check(traj: Trajectory, initial_y: float, params: SystemParams,
     """Check y(t) <= 2 exp(c_s T0) y(0) on the ledger window [0, T0].
 
     Note exp(c_s T0) = sqrt(1 + 1/y0), so the bound value itself does
-    not depend on c_s; only the length of the checked window does.
+    not depend on c_s; only the length of the checked window does.  An
+    aborted trajectory (status != COMPLETED) certifies nothing: it fails
+    with the ratio over its whole ledger, t0 = nan and no first
+    violation.
     """
     if s != traj.s:
         raise ValueError(f"norm index {s} differs from the ledger's {traj.s}")
@@ -530,10 +533,12 @@ def size_bound_check(traj: Trajectory, initial_y: float, params: SystemParams,
         return SizeBoundReport(ok, 0.0 if ok else math.inf, 0.0, math.inf,
                                None if ok else float(traj.times[np.argmax(traj.y > 1e-14)]))
     t0 = existence_time(initial_y, params.c_s)
+    bound = 2.0 * math.exp(params.c_s * t0) * initial_y
+    if traj.status != COMPLETED:
+        return SizeBoundReport(False, float(traj.y.max()) / bound, bound, math.nan, None)
     horizon = traj.times[-1] - traj.times[0]
     if horizon < t0 * (1.0 - 1e-12):
         raise ValueError(f"trajectory covers {horizon:.6g} but T0 = {t0:.6g}")
-    bound = 2.0 * math.exp(params.c_s * t0) * initial_y
     rel = traj.times - traj.times[0]
     mask = rel <= t0 * (1.0 + 1e-12)
     ratios = traj.y[mask] / bound
@@ -566,25 +571,6 @@ def fit_min_cs(traj: Trajectory) -> float:
         return 0.0
     best = float(np.max(ydot[live] / (yc[live] ** 2 + yc[live])))
     return max(best, 0.0)
-
-
-def diff_rhs(diff: tuple[Field, Field], u: Field, v: Field, rho: Field,
-             theta: Field, params: SystemParams) -> tuple[Field, Field]:
-    """Right-hand side of the difference system at diff = (w, eta).
-
-    With U = (u, rho) and V = (v, theta) this is B(w, U) + B(V, w) plus
-    the alpha term, linear in w; for w = U - V it equals rhs(U) - rhs(V),
-    the identity that diff_solve cross-checks.
-    """
-    w, eta = diff
-    if not (w.grid == eta.grid == u.grid == v.grid == rho.grid == theta.grid):
-        raise ValueError("difference state and drivers must share one grid")
-    ops = _operators(w.grid, params)
-    us, vs = ops.values(np.array([[u.half, rho.half], [v.half, theta.half]]),
-                        _Workspace(w.grid.n, 2))
-    stack = np.array([[w.half, eta.half]])
-    (dw, deta), = ops.diff_rhs(stack, us, vs, _Workspace(w.grid.n, 1), np.empty_like(stack))
-    return Field(w.grid, dw), Field(w.grid, deta)
 
 
 def diff_solve(traj_u: Trajectory, traj_v: Trajectory, params: SystemParams,

@@ -14,7 +14,6 @@ import numpy as np
 from chslab.holder import (
     HolderReport,
     _error_report,
-    default_horizon,
     holder_exponent,
     make_family,
 )
@@ -30,11 +29,9 @@ def oracle_distance(traj_a, traj_b, r: float) -> float:
     return best
 
 
-def oracle_run_holder(family, params, s, r, T=None, cfl=0.3,
+def oracle_run_holder(family, params, s, r, T, cfl=0.3,
                       seam_policy="ignore") -> HolderReport:
     case = holder_exponent(s, r, rho_trivial=family.rho_trivial)
-    if T is None:
-        T = default_horizon(family, params, s, cfl)
 
     worst_sup = max(sup_norm(family.member(0.0).u),
                     sup_norm(family.member(float(family.deltas[0])).u))
@@ -72,7 +69,7 @@ def oracle_run_holder(family, params, s, r, T=None, cfl=0.3,
                         statuses, T, dt)
 
 
-def oracle_sweep(cases, grid, params, T=None, cfl=0.3, **family_args):
+def oracle_sweep(cases, grid, params, T, cfl=0.3, **family_args):
     """One family build and one oracle run per case, errors as rows."""
     reports = []
     for s, r in cases:

@@ -210,6 +210,7 @@ def test_t0probe_reports_unresolved_window_as_failure(tmp_path):
     assert rep["passed"] is False
     assert rep["status"] == "resolution-exhausted"
     assert rep["first_violation"] is None
+    assert rep["T0_fitted"] is None
     assert any(l == "status = resolution-exhausted" for l in manifest_lines(out))
 
 
@@ -226,6 +227,22 @@ def test_t0probe_aborted_probe_run_is_a_failed_verdict(tmp_path):
     assert rep["fitted_cs"] is None and rep["T0_fitted"] is None
     ledger = (out / "ledger.csv").read_text().splitlines()
     assert len(ledger) == 1 + rep["ledger_rows"]
+    assert "size_bound = fail" in manifest_lines(out)
+
+
+def test_t0probe_aborted_refit_run_is_a_failed_verdict(tmp_path):
+    # at N = 128 the probe run completes but the run over the fitted
+    # window aborts after a few steps, too few to fit c_s on again
+    out = tmp_path / "t"
+    rc = main(["t0probe", "--out", str(out), "--kind", "sech2",
+               "--amplitude", "0.5", "--N", "128"])
+    assert rc == 1
+    rep = json.loads((out / "t0_report.json").read_text())
+    assert rep["passed"] is False
+    assert rep["status"] == "resolution-exhausted"
+    assert rep["ledger_rows"] < 10
+    # the floored fit of the probe run set the failed window
+    assert rep["fitted_cs"] == 0.05 and rep["T0_fitted"] is None
     assert "size_bound = fail" in manifest_lines(out)
 
 

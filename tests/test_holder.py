@@ -10,7 +10,6 @@ from chslab.cli import _write_holder_reports
 from chslab.fields import gaussian_bump, random_field, sech2_bump
 from chslab.holder import (
     HolderReport,
-    default_horizon,
     holder_exponent,
     make_family,
     run_holder,
@@ -163,12 +162,6 @@ def test_degenerate_ladder_is_flagged(grid):
     rep = run_holder(fam, params(), 4.0, 2.0, T=0.2)
     assert rep.verdict.startswith("degenerate")
     assert math.isnan(rep.slope)
-
-
-def test_default_horizon_is_positive_and_modest(grid):
-    fam = make_family(grid, 4.0, 2.0)
-    T = default_horizon(fam, params(), 4.0)
-    assert 0.0 < T < 100.0
 
 
 # ----------------------------------------------------------------- sweep

@@ -182,7 +182,7 @@ def test_planted_family_statuses_match_their_own_solves():
 
 SWEEP_SETUPS = [
     # N, direction, rho_trivial, T, deltas, cases
-    (64, "high-mode", False, None, None,
+    (64, "high-mode", False, 0.2, None,
      [(4.0, 1.0), (4.0, 3.5), (3.75, 1.0), (4.0, 2.0)]),
     (256, "random-decay", True, 0.3, None,
      [(4.0, 0.5), (4.5, 0.3), (4.0, 2.0), (3.4, 1.0)]),

@@ -24,7 +24,6 @@ from chslab.solver import (
     State,
     SystemParams,
     Trajectory,
-    diff_rhs,
     diff_solve,
     fit_min_cs,
     load_snapshot,
@@ -330,11 +329,11 @@ def test_window_is_unbounded_for_zero_data(line):
     assert math.isinf(t0_lower_bound(z, 4.0, default_params()))
 
 
-def _ledger(times, y, s=4.0, params=None):
+def _ledger(times, y, s=4.0, params=None, status=COMPLETED):
     times = np.asarray(times, dtype=float)
     y = np.asarray(y, dtype=float)
     return Trajectory(states=(), times=times, norm_u=y, norm_rho=np.zeros_like(y),
-                      y=y, status=COMPLETED, s=s, params=params or default_params())
+                      y=y, status=status, s=s, params=params or default_params())
 
 
 def test_size_bound_passes_below_the_envelope():
@@ -371,6 +370,20 @@ def test_size_bound_checks_norm_index():
     with pytest.raises(ValueError):
         size_bound_check(_ledger(t, np.ones_like(t), s=4.0), 1.0,
                          default_params(), 3.5)
+
+
+def test_size_bound_fails_an_aborted_ledger():
+    # an abort certifies nothing, even with every ledger point under the
+    # bound; the ratio covers the whole ledger, past any window
+    y0 = 1.0
+    t = np.linspace(0.0, 0.01, 3)  # far short of the window ln(2)/2
+    traj = _ledger(t, [1.0, 1.5, 2.0], status=RESOLUTION_EXHAUSTED)
+    rep = size_bound_check(traj, y0, default_params(), 4.0)
+    assert not rep.passed
+    assert math.isnan(rep.t0)
+    assert rep.first_violation is None
+    assert rep.bound == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-14)
+    assert rep.max_ratio == 2.0 / rep.bound
 
 
 def test_size_bound_zero_datum_degenerates():
@@ -413,7 +426,14 @@ def test_difference_rhs_matches_direct_subtraction(line):
     v = dealias_truncate(gaussian_bump(line, 0.3, width=line.length / 12.0))
     rho = dealias_truncate(gaussian_bump(line, 0.2, width=line.length / 20.0))
     theta = dealias_truncate(gaussian_bump(line, 0.1, width=line.length / 24.0))
-    dw, deta = diff_rhs((u - v, rho - theta), u, v, rho, theta, p)
+    # the stacked kernel diff_solve steps: B(w, U) + B(V, w) at w = U - V
+    ops = solver._operators(line, p)
+    us, vs = ops.values(np.array([[u.half, rho.half], [v.half, theta.half]]),
+                        solver._Workspace(line.n, 2))
+    stack = np.array([[(u - v).half, (rho - theta).half]])
+    (dw, deta), = ops.diff_rhs(stack, us, vs, solver._Workspace(line.n, 1),
+                               np.empty_like(stack))
+    dw, deta = Field(line, dw), Field(line, deta)
     ru, rrho = rhs(State(u, rho, 0.0), p)
     rv, rtheta = rhs(State(v, theta, 0.0), p)
     scale = max(1.0, sup_norm(dw))
