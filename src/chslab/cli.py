@@ -19,7 +19,6 @@ import os
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -131,9 +130,12 @@ def _worker_cap(requested: int) -> int:
     """CHSLAB_THREADS caps worker counts; unset means honor the request."""
     env = os.environ.get("CHSLAB_THREADS", "").strip()
     if env:
-        cap = int(env)
+        try:
+            cap = int(env)
+        except ValueError:
+            cap = 0  # not an integer: rejected below with the same message
         if cap < 1:
-            raise ValueError(f"CHSLAB_THREADS must be positive, got {cap}")
+            raise ValueError(f"CHSLAB_THREADS must be a positive integer, got {env!r}")
         return max(1, min(requested, cap))
     return max(1, requested)
 
@@ -366,6 +368,7 @@ def sweep_execute(configs, parallelism: int = 1, aggregate_path=None) -> int:
     """
     workers = _worker_cap(parallelism)
     if workers > 1 and len(configs) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool is built
         with ProcessPoolExecutor(max_workers=min(workers, len(configs))) as pool:
             futures = [pool.submit(execute, cfg) for cfg in configs]
             codes = [f.result() for f in futures]
@@ -400,19 +403,23 @@ def _parse_overrides(tokens) -> dict:
     return out
 
 
+# Built once, at import: its gettext lookups load the locale module, which
+# is start-up work for every command, not part of a run.  No abbreviations:
+# "--h" is the Holder key h, not a prefix of --help.
+_PARSER = argparse.ArgumentParser(
+    prog="chslab", allow_abbrev=False,
+    description="Spectral laboratory for a higher-order two-component "
+                "shallow water system.",
+    epilog="Any extra --key value pairs override config file entries.")
+_PARSER.add_argument("command", choices=COMMANDS)
+_PARSER.add_argument("--config", metavar="FILE", default=None,
+                     help="flat key = value configuration file")
+_PARSER.add_argument("--out", metavar="DIR", required=True,
+                     help="artifact directory (created if missing)")
+
+
 def main(argv=None) -> int:
-    # no abbreviations: "--h" is the Holder key h, not a prefix of --help
-    ap = argparse.ArgumentParser(
-        prog="chslab", allow_abbrev=False,
-        description="Spectral laboratory for a higher-order two-component "
-                    "shallow water system.",
-        epilog="Any extra --key value pairs override config file entries.")
-    ap.add_argument("command", choices=COMMANDS)
-    ap.add_argument("--config", metavar="FILE", default=None,
-                    help="flat key = value configuration file")
-    ap.add_argument("--out", metavar="DIR", required=True,
-                    help="artifact directory (created if missing)")
-    args, extra = ap.parse_known_args(argv)
+    args, extra = _PARSER.parse_known_args(argv)
 
     try:
         overrides = _parse_overrides(extra)
@@ -433,6 +440,11 @@ def main(argv=None) -> int:
         cfg = parse_config(text, args.command, args.out, overrides)
     except ConfigError as exc:
         print(exc.report(), file=sys.stderr)
+        return 2
+    try:  # every command takes parallelism, so a bad cap stops any run before it writes
+        _worker_cap(cfg.parallelism)
+    except ValueError as exc:
+        print(f"chslab: {exc}", file=sys.stderr)
         return 2
     return execute(cfg)
 

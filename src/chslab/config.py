@@ -13,7 +13,6 @@ command takes; rules that tie several keys together live in _cross_checks.
 
 from __future__ import annotations
 
-import configparser
 import math
 from dataclasses import field, make_dataclass
 
@@ -229,16 +228,17 @@ def parse_config(text: str, command: str, out: str,
     allowed = set(command_keys(command))
 
     raw: dict = {}
-    stripped = text.lstrip()
-    body = text if stripped.startswith("[") else f"[{_IMPLICIT_SECTION}]\n{text}"
-    parser = configparser.ConfigParser(interpolation=None, strict=False)
-    parser.optionxform = str  # keys are case-sensitive (N, L, T)
-    try:
-        parser.read_string(body)
-    except configparser.Error as exc:
-        raise ConfigError([f"cannot parse config text: {exc}"]) from None
-    for section in parser.sections():
-        raw.update(parser.items(section))
+    if text.strip():  # blank text has nothing to parse, so the INI parser stays unloaded
+        import configparser
+        body = text if text.lstrip().startswith("[") else f"[{_IMPLICIT_SECTION}]\n{text}"
+        parser = configparser.ConfigParser(interpolation=None, strict=False)
+        parser.optionxform = str  # keys are case-sensitive (N, L, T)
+        try:
+            parser.read_string(body)
+        except configparser.Error as exc:
+            raise ConfigError([f"cannot parse config text: {exc}"]) from None
+        for section in parser.sections():
+            raw.update(parser.items(section))
 
     if overrides:
         raw.update({str(k): str(v) for k, v in overrides.items()})

@@ -14,7 +14,6 @@ above beta is consistent; verdicts only check slope >= beta - 0.1.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -305,6 +304,7 @@ def sweep(cases, grid: Grid, params: SystemParams, T: float, h: float = 2.0,
     payloads = [(s, [float(cases[i][1]) for i in idx], params, T, cfl, family_args)
                 for s, idx in groups.items()]
     if workers > 1 and len(payloads) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool is built
         with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
             results = list(pool.map(_sweep_group, payloads))
     else:

@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -24,3 +26,17 @@ def circle_fine():
 def line():
     """Long domain matching the default solver setup."""
     return Grid(256, 64.0)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """max_workers of every process pool built while the test runs."""
+    built = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            built.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    return built

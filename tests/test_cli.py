@@ -304,7 +304,7 @@ def test_sweep_execute_aggregates_in_order(tmp_path):
     assert [l.split(",")[0] for l in lines[1:]] == ["0", "1", "2"]
 
 
-def test_sweep_execute_parallel_matches_serial(tmp_path):
+def test_sweep_execute_parallel_matches_serial(tmp_path, pools):
     def build(tag):
         return [
             parse_config("", "solve", str(tmp_path / f"{tag}{i}"),
@@ -313,7 +313,9 @@ def test_sweep_execute_parallel_matches_serial(tmp_path):
         ]
 
     assert sweep_execute(build("serial"), parallelism=1) == 0
+    assert pools == []
     assert sweep_execute(build("par"), parallelism=2) == 0
+    assert pools == [2]
     for i in range(2):
         assert (artifact_bytes(tmp_path / f"serial{i}")
                 == artifact_bytes(tmp_path / f"par{i}"))
@@ -327,9 +329,22 @@ def test_worker_cap_respects_environment(monkeypatch):
     assert _worker_cap(2) == 2
     monkeypatch.delenv("CHSLAB_THREADS")
     assert _worker_cap(8) == 8
-    monkeypatch.setenv("CHSLAB_THREADS", "0")
-    with pytest.raises(ValueError):
-        _worker_cap(4)
+    for bad in ("0", "abc"):
+        monkeypatch.setenv("CHSLAB_THREADS", bad)
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            _worker_cap(4)
+
+
+@pytest.mark.parametrize("command", ["holder", "solve"])
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_thread_cap_exits_two_before_writing(tmp_path, capsys, monkeypatch, command,
+                                                 value):
+    monkeypatch.setenv("CHSLAB_THREADS", value)
+    out = tmp_path / "run"
+    assert main([command, "--out", str(out), "--N", "64"]) == 2
+    assert capsys.readouterr().err == (
+        f"chslab: CHSLAB_THREADS must be a positive integer, got {value!r}\n")
+    assert not out.exists()
 
 
 def test_execute_turns_runtime_failures_into_exit_two(tmp_path, capsys):

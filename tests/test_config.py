@@ -29,6 +29,11 @@ def test_defaults_without_any_input():
     assert cfg.out == "/tmp/out"
 
 
+@pytest.mark.parametrize("text", [" ", "\n\n", " \t\n  \r\n"])
+def test_blank_text_is_no_config(text):
+    assert parse_config(text, "holder", "/tmp/out") == parse_config("", "holder", "/tmp/out")
+
+
 def test_file_keys_are_applied():
     text = "N = 128\nb = 2.5\nt_end = 0.75\n"
     cfg = parse_config(text, "solve", "/tmp/out")

@@ -250,7 +250,7 @@ def test_programming_errors_propagate_out_of_the_sweep(line, monkeypatch, tmp_pa
     assert "not a rejected case" in capsys.readouterr().err
 
 
-def test_parallel_sweep_writes_the_serial_bytes(tmp_path):
+def test_parallel_sweep_writes_the_serial_bytes(tmp_path, pools):
     grid = Grid(128, 64.0)
     cases = [(4.0, 2.0), (3.75, 1.0), (4.0, 3.5), (4.0, 2.0), (3.4, 1.0)]
     outputs = {}
@@ -261,6 +261,7 @@ def test_parallel_sweep_writes_the_serial_bytes(tmp_path):
         out.mkdir()
         _write_holder_reports(reports, out)
         outputs[workers] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert pools == [2]  # three s-groups on two workers; the serial run built none
     assert len(outputs[1]) == 2 + len(cases)
     assert outputs[1] == outputs[2]
 

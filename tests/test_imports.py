@@ -2,11 +2,15 @@
 
 A removal that leaves its import behind fails here: each name that a
 module-level import binds in chslab/*.py must be read somewhere in that
-module or be listed in its __all__.
+module or be listed in its __all__.  A serial run with no config text
+loads neither the process pool nor the INI parser.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import chslab
 
@@ -44,3 +48,18 @@ def test_guard_sees_unused_imports():
            "__all__ = ['Grid']\nprint(np.zeros(1), tau)\n\n"
            "def f():\n    import sys\n    tau = 1\n")
     assert _unused_imports(ast.parse(src)) == [(2, "os"), (4, "osp"), (5, "pi")]
+
+
+def test_serial_run_loads_neither_the_process_pool_nor_the_ini_parser(tmp_path):
+    # the fixed cost of every CLI process: a run with one worker and no
+    # --config text has no use for either module
+    code = ("import sys\nfrom chslab.cli import main\n"
+            "code = main(['solve', '--N', '64', '--t_end', '0.05', '--out', sys.argv[1]])\n"
+            "print(code, *[m for m in ('concurrent.futures', 'multiprocessing', 'configparser')"
+            " if m in sys.modules])\n")
+    src = pathlib.Path(chslab.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "run")], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0"]
