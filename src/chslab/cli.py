@@ -12,6 +12,7 @@ ran but the verdict failed, 2 means the run itself could not proceed.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import math
@@ -416,6 +417,13 @@ _PARSER.add_argument("--config", metavar="FILE", default=None,
                      help="flat key = value configuration file")
 _PARSER.add_argument("--out", metavar="DIR", required=True,
                      help="artifact directory (created if missing)")
+
+# The import heap (numpy, the standard library, this package) lives until
+# the process exits.  Moving it into the permanent generation spares every
+# collection, the one at interpreter shutdown above all, from walking and
+# tearing down its cycles; objects made after this point are collected as
+# usual.
+gc.freeze()
 
 
 def main(argv=None) -> int:

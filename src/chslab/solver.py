@@ -648,6 +648,8 @@ def load_snapshot(path) -> State:
             raise ValueError("truncated snapshot body" if left < size
                              else "trailing bytes after snapshot body")
         body = np.frombuffer(fh.read(size), dtype="<f8")
+    if not np.isfinite(body).all():
+        raise NonFiniteStateError("non-finite values in snapshot body")
     grid = Grid(n, length)
     return State(Field.from_values(grid, body[:n].copy()),
                  Field.from_values(grid, body[n:].copy()), t)

@@ -3,7 +3,9 @@
 A removal that leaves its import behind fails here: each name that a
 module-level import binds in chslab/*.py must be read somewhere in that
 module or be listed in its __all__.  A serial run with no config text
-loads neither the process pool nor the INI parser.
+loads neither the process pool nor the INI parser.  The collector is the
+front end's business alone: `cli` freezes the import heap, and no other
+module imports gc, so importing a library module never changes its state.
 """
 
 import ast
@@ -50,6 +52,68 @@ def test_guard_sees_unused_imports():
     assert _unused_imports(ast.parse(src)) == [(2, "os"), (4, "osp"), (5, "pi")]
 
 
+def _gc_uses(tree):
+    """Lines that import gc, load it through importlib or call one of its functions."""
+    hits = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(a.name == "gc" for a in node.names):
+            hits.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+            hits.add(node.lineno)
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            loads_gc = name in ("__import__", "import_module") and any(
+                isinstance(arg, ast.Constant) and arg.value == "gc" for arg in node.args)
+            if loads_gc or getattr(getattr(node.func, "value", None), "id", None) == "gc":
+                hits.add(node.lineno)
+    return sorted(hits)
+
+
+def test_only_cli_touches_the_collector():
+    found = []
+    for path in sorted(pathlib.Path(chslab.__file__).parent.glob("*.py")):
+        if path.name != "cli.py":
+            found += [(path.name, line) for line in _gc_uses(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_gc_guard_sees_collector_use():
+    src = ("import os, gc\nfrom gc import freeze\nimport importlib\n\n"
+           "def f():\n    gc.collect()\n    __import__('gc').disable()\n"
+           "    importlib.import_module('gc')\n    os.getpid()\n    garbage = 'gc'\n"
+           "    return freeze, garbage\n")
+    assert _gc_uses(ast.parse(src)) == [1, 2, 6, 7, 8]
+
+
+def _fresh_python(code, *args):
+    """Run code in a fresh interpreter that imports chslab from this tree."""
+    src = pathlib.Path(chslab.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cli_import_freezes_its_heap_and_leaves_the_collector_working(tmp_path):
+    # the frozen import heap is skipped by every collection, the one at
+    # interpreter shutdown included; what a run makes later is still collected
+    code = ("import gc, sys, weakref\nimport chslab.cli\n"
+            "frozen = gc.get_freeze_count()\n"
+            "class Node:\n    pass\n"
+            "a, b = Node(), Node()\na.other, b.other = b, a\nreclaimed = []\n"
+            "weakref.finalize(a, reclaimed.append, 'a')\ndel a, b\ngc.collect()\n"
+            "code = chslab.cli.main(['solve', '--N', '64', '--t_end', '0.05',"
+            " '--out', sys.argv[1]])\n"
+            "print(gc.isenabled(), frozen > 0, reclaimed, code)\n")
+    out = tmp_path / "run"
+    done = _fresh_python(code, out)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True", "True", "['a']", "0"]
+    lines = (out / "manifest.txt").read_text().splitlines()
+    assert lines[0] == "chslab manifest" and lines[-1].startswith("wall_time_s = ")
+    assert [line.split()[1] for line in lines if line.startswith("artifact ")] == [
+        "ledger.csv", "state_final.chs2"]
+
+
 def test_serial_run_loads_neither_the_process_pool_nor_the_ini_parser(tmp_path):
     # the fixed cost of every CLI process: a run with one worker and no
     # --config text has no use for either module
@@ -57,9 +121,6 @@ def test_serial_run_loads_neither_the_process_pool_nor_the_ini_parser(tmp_path):
             "code = main(['solve', '--N', '64', '--t_end', '0.05', '--out', sys.argv[1]])\n"
             "print(code, *[m for m in ('concurrent.futures', 'multiprocessing', 'configparser')"
             " if m in sys.modules])\n")
-    src = pathlib.Path(chslab.__file__).parent.parent
-    env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "run")], env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = _fresh_python(code, tmp_path / "run")
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["0"]

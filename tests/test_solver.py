@@ -542,6 +542,22 @@ def test_snapshot_rejects_a_non_finite_length(tmp_path, line):
         load_snapshot(path)
 
 
+def test_snapshot_rejects_a_non_finite_body(tmp_path):
+    # no valid writer emits one: the CLI saves the final state of a run,
+    # and a non-finite stage never reaches it
+    st = bump_state(Grid(8, 2.0 * np.pi))
+    path = tmp_path / "state.chs2"
+    save_snapshot(st, path)
+    data = bytearray(path.read_bytes())
+    head = struct.calcsize("<4sIIdd")
+    for index, bad in ((3, math.nan), (8 + 5, math.inf)):  # a u value, then a rho value
+        planted = data.copy()
+        planted[head + 8 * index:head + 8 * index + 8] = struct.pack("<d", bad)
+        path.write_bytes(bytes(planted))
+        with pytest.raises(NonFiniteStateError, match="snapshot body"):
+            load_snapshot(path)
+
+
 def test_ledger_csv_round_trips_exactly(tmp_path, line):
     traj = solve(bump_state(line), default_params(), 4.0, 0.3)
     path = tmp_path / "ledger.csv"
