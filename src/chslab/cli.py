@@ -271,21 +271,21 @@ def _run_t0probe(cfg: RunConfig):
         # zero data: no finite window, just confirm the solution stays zero
         traj = solver.solve(state, params, cfg.s, 1.0, cfl=cfg.cfl,
                             store_stride=0)
-        check = solver.size_bound_check(traj, 0.0, params, cfg.s)
+        check = solver.size_bound_check(traj, params)
         fitted = 0.0
     else:
         traj = run(t0_config)
-        y0, fitted = float(traj.y[0]), None
+        fitted = None
         if traj.status == solver.COMPLETED:
             fitted = max(solver.fit_min_cs(traj), solver.MIN_FITTED_CS)
-            traj = run(solver.existence_time(y0, fitted))
+            traj = run(solver.existence_time(float(traj.y[0]), fitted))
             if traj.status == solver.COMPLETED:
                 # refitting on the longer ledger can only raise the constant,
                 # so the window of the refitted T0 stays inside what just ran
                 fitted = max(solver.fit_min_cs(traj), fitted)
         # an aborted run is judged at the constant that set its window
         check = solver.size_bound_check(
-            traj, y0, params if fitted is None else replace(params, c_s=fitted), cfg.s)
+            traj, params if fitted is None else replace(params, c_s=fitted))
 
     _write_ledger(traj, cfg.out)
     report = {
@@ -360,12 +360,12 @@ def execute(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def sweep_execute(configs, parallelism: int = 1, aggregate_path=None) -> int:
+def sweep_execute(configs, parallelism: int = 1) -> int:
     """Run several configs, serially or across processes.
 
-    Aggregation is by input order, and each worker rebuilds its run from
-    the RunConfig alone, so artifacts are byte-identical whatever the
-    parallelism.  Returns the worst exit code.
+    Each worker rebuilds its run from the RunConfig alone, so artifacts
+    are byte-identical whatever the parallelism.  Returns the worst exit
+    code.
     """
     workers = _worker_cap(parallelism)
     if workers > 1 and len(configs) > 1:
@@ -375,10 +375,6 @@ def sweep_execute(configs, parallelism: int = 1, aggregate_path=None) -> int:
             codes = [f.result() for f in futures]
     else:
         codes = [execute(cfg) for cfg in configs]
-    if aggregate_path:
-        _write_csv(aggregate_path, "index,command,out,exit_code",
-                   [(i, cfg.command, cfg.out, code) for i, (cfg, code)
-                    in enumerate(zip(configs, codes))])
     return max(codes, default=0)
 
 

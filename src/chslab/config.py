@@ -18,7 +18,8 @@ from dataclasses import field, make_dataclass
 
 from .fields import INITIAL_KINDS
 from .holder import BASE_KINDS, DIRECTION_KINDS, holder_exponent
-from .inequalities import check_negative_hypotheses
+from .inequalities import DEFAULT_EPS_LADDER, check_indices, check_negative_hypotheses
+from .mollifier import check_scale
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "COMMANDS", "command_keys"]
 
@@ -195,15 +196,22 @@ def _cross_checks(cfg) -> list:
             except ValueError as exc:
                 errors.append(f"case {s:g}:{r:g} invalid: {exc}")
     if cfg.command == "ineq":
-        if not cfg.s1 < cfg.s2:
-            errors.append(f"need s1 < s2, got {cfg.s1}, {cfg.s2}")
         if not cfg.amplitude > 0:
             errors.append(f"amplitude must be positive for ineq, got {cfg.amplitude}")
-        if cfg.probe == "product-negative":
+        # "all" runs the product-negative probe on fixed, valid (r, j, k) triples
+        selected = ([p for p in _PROBES if p not in ("all", "product-negative")]
+                    if cfg.probe == "all" else [cfg.probe])
+        for name in selected:
             try:
-                check_negative_hypotheses(cfg.r, cfg.j, cfg.k)
+                if name == "mollifier":
+                    for eps in DEFAULT_EPS_LADDER:
+                        check_scale(eps, cfg.length)
+                elif name == "product-negative":
+                    check_negative_hypotheses(cfg.r, cfg.j, cfg.k)
+                else:
+                    check_indices(name, cfg)
             except ValueError as exc:
-                errors.append(f"product-negative probe invalid: {exc}")
+                errors.append(f"{name} probe invalid: {exc}")
     if cfg.command == "kernel" and cfg.j > 0.5:  # j <= 1/2 is reported as divergent
         try:
             check_negative_hypotheses(cfg.r, cfg.j, cfg.k)

@@ -198,12 +198,11 @@ class HolderReport:
     dt: float
 
 
-def run_holder(family: PerturbationFamily, params: SystemParams, s: float,
-               r: float, T: float, cfl: float = 0.3,
-               seam_policy: str = "ignore") -> HolderReport:
-    """Solve the family, measure distances, regress, and judge the slope."""
-    holder_exponent(s, r, rho_trivial=family.rho_trivial)  # a bad (s, r) raises
-    return _run_cases(family, params, s, [r], T, cfl, seam_policy)[0]
+def run_holder(family: PerturbationFamily, params: SystemParams,
+               r: float, T: float, cfl: float = 0.3) -> HolderReport:
+    """Solve the family, measure distances, regress, and judge the slope at (family.s, r)."""
+    holder_exponent(family.s, r, rho_trivial=family.rho_trivial)  # a bad (s, r) raises
+    return _run_cases(family, params, [r], T, cfl)[0]
 
 
 def _case(s: float, r: float, rho_trivial: bool):
@@ -213,9 +212,8 @@ def _case(s: float, r: float, rho_trivial: bool):
         return _error_report(s, r, exc)
 
 
-def _run_cases(family: PerturbationFamily, params: SystemParams, s: float,
-               rs, T: float, cfl: float = 0.3,
-               seam_policy: str = "ignore") -> list:
+def _run_cases(family: PerturbationFamily, params: SystemParams,
+               rs, T: float, cfl: float = 0.3) -> list:
     """One report per r (an error row if holder_exponent rejects it).
 
     The base and the members step as one stack with one fixed dt, the
@@ -223,7 +221,7 @@ def _run_cases(family: PerturbationFamily, params: SystemParams, s: float,
     H^r x H^{r-2} distance to the base is a running max over the ledger
     times, so no trajectory is stored.
     """
-    cases = [_case(s, r, family.rho_trivial) for r in rs]
+    cases = [_case(family.s, r, family.rho_trivial) for r in rs]
     valid = [c for c in cases if isinstance(c, HolderCase)]
     if not valid:
         return cases
@@ -240,8 +238,8 @@ def _run_cases(family: PerturbationFamily, params: SystemParams, s: float,
         for best, case in zip(distances, valid):
             np.fmax(best, y_norms(diff, grid, case.r), out=best)
 
-    trajs = solve_stack(members, params, s, T, dt_policy=dt, store_stride=0,
-                        seam_policy=seam_policy, observe=track)
+    trajs = solve_stack(members, params, family.s, T, dt_policy=dt, store_stride=0,
+                        seam_policy="ignore", observe=track)
     statuses = tuple(traj.status for traj in trajs)
     # keep regression points clear of accumulated roundoff
     nsteps = len(trajs[0].times) - 1
@@ -277,7 +275,7 @@ def _sweep_group(payload) -> list:
     """Reports of one s-group; a ValueError from its family marks every case."""
     s, rs, params, T, cfl, family_args = payload
     try:
-        return _run_cases(make_family(s=s, **family_args), params, s, rs, T, cfl)
+        return _run_cases(make_family(s=s, **family_args), params, rs, T, cfl)
     except ValueError as exc:
         return [_error_report(s, r, exc) for r in rs]
 

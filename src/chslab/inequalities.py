@@ -45,12 +45,15 @@ __all__ = [
     "ProbeConfig", "ProbeReport",
     "probe_algebra", "probe_kato_ponce", "probe_mollifier_commutator",
     "probe_calderon", "probe_product_low", "probe_product_negative",
-    "probe_interpolation", "product_negative_sweep", "check_negative_hypotheses",
-    "kernel_integral", "kernel_bound_scan", "KernelScanReport",
-    "DEFAULT_EPS_LADDER",
+    "probe_interpolation", "product_negative_sweep", "check_indices",
+    "check_negative_hypotheses", "kernel_integral", "kernel_bound_scan",
+    "KernelScanReport", "DEFAULT_EPS_LADDER",
 ]
 
 DEFAULT_EPS_LADDER = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625)
+_THETAS = (0.0, 0.25, 0.5, 0.75, 1.0)  # interpolation weights
+# modes k0 of the frequency sweep, those at most 0.9 N/3 on the grid
+_SWEEP_MODES = (2, 4, 8, 16, 32, 64, 128)
 
 # samples per stacked block.  It bounds the working set: at N = 1024 one
 # stack of a block's doubled-grid rows is 0.5 MB, and 32 keeps the ineq
@@ -84,14 +87,40 @@ class ProbeConfig:
         if not self.amplitude > 0.0:
             raise ValueError(f"amplitude must be positive, got {self.amplitude}")
 
-    def need(self, *names: str) -> list[float]:
-        vals = []
-        for name in names:
-            v = getattr(self, name)
-            if v is None:
-                raise ValueError(f"probe requires index parameter {name!r}")
-            vals.append(float(v))
-        return vals
+
+def _need(cfg, *names: str) -> list[float]:
+    """The named indices of cfg as floats; ValueError if one is unset."""
+    vals = []
+    for name in names:
+        v = getattr(cfg, name)
+        if v is None:
+            raise ValueError(f"probe requires index parameter {name!r}")
+        vals.append(float(v))
+    return vals
+
+
+# probe -> (the indices it reads, their hypotheses in words and as a test)
+_HYPOTHESES = {
+    "algebra": (("r",), "r > 0", lambda r: r > 0.0),
+    "kato-ponce": (("r",), "r >= 0", lambda r: r >= 0.0),
+    "product-low": (("r",), "r > 1/2", lambda r: r > 0.5),
+    "calderon": (("s", "sigma"), "s > 3/2 and 0 <= sigma+1 <= s",
+                 lambda s, sigma: s > 1.5 and 0.0 <= sigma + 1.0 <= s),
+    "interpolation": (("s1", "s2"), "s1 < s2", lambda s1, s2: s1 < s2),
+}
+
+
+def check_indices(probe: str, cfg) -> list[float]:
+    """The indices `probe` reads from cfg, a ProbeConfig or a run's config.
+
+    ValueError unless each is set and they meet the probe's hypotheses.
+    """
+    names, rule, holds = _HYPOTHESES[probe]
+    vals = _need(cfg, *names)
+    if not holds(*vals):
+        got = ", ".join(f"{name}={v:g}" for name, v in zip(names, vals))
+        raise ValueError(f"need {rule}, got {got}")
+    return vals
 
 
 @dataclass(frozen=True)
@@ -150,9 +179,7 @@ def _sup(c: np.ndarray) -> np.ndarray:
 
 def probe_algebra(cfg: ProbeConfig) -> ProbeReport:
     """||fg||_{H^r} against ||f||_inf ||g||_{H^r} + ||f||_{H^r} ||g||_inf."""
-    (r,) = cfg.need("r")
-    if not r > 0.0:
-        raise ValueError(f"algebra probe needs r > 0, got {r}")
+    (r,) = check_indices("algebra", cfg)
     grid, fine = cfg.grid, cfg.grid.doubled()
     ratios = []
     for idx in _blocks(cfg):
@@ -166,9 +193,7 @@ def probe_algebra(cfg: ProbeConfig) -> ProbeReport:
 
 def probe_kato_ponce(cfg: ProbeConfig) -> ProbeReport:
     """Commutator [Lambda^r, f]g against ||f_x||_inf ||g||_{H^{r-1}} + ||f||_{H^r} ||g||_inf."""
-    (r,) = cfg.need("r")
-    if not r >= 0.0:
-        raise ValueError(f"kato-ponce probe needs r >= 0, got {r}")
+    (r,) = check_indices("kato-ponce", cfg)
     grid, fine = cfg.grid, cfg.grid.doubled()
     mult, deriv = half_bessel(fine, r), half_dx(grid)
     ratios = []
@@ -182,8 +207,7 @@ def probe_kato_ponce(cfg: ProbeConfig) -> ProbeReport:
     return _report(cfg, "kato-ponce", ratios, {"r": r})
 
 
-def probe_mollifier_commutator(cfg: ProbeConfig,
-                               eps_ladder=DEFAULT_EPS_LADDER) -> ProbeReport:
+def probe_mollifier_commutator(cfg: ProbeConfig) -> ProbeReport:
     """[J_eps, f] d/dx g against ||f||_{C^1} ||g||_{L^2}, uniformly in eps.
 
     The point of the estimate is eps-uniformity, so the report carries
@@ -195,9 +219,9 @@ def probe_mollifier_commutator(cfg: ProbeConfig,
     """
     f_smooth = 2.5 if cfg.s is None else float(cfg.s)
     grid, fine = cfg.grid, cfg.grid.doubled()
-    mults = [build_mollifier(fine, e).half for e in eps_ladder]
+    mults = [build_mollifier(fine, e) for e in DEFAULT_EPS_LADDER]
     deriv = half_dx(grid)
-    per_eps = np.zeros(len(eps_ladder))
+    per_eps = np.zeros(len(DEFAULT_EPS_LADDER))
     ratios = []
     for idx in _blocks(cfg):
         f, g = _pairs(cfg, idx, f_smooth, 0.0)
@@ -210,7 +234,7 @@ def probe_mollifier_commutator(cfg: ProbeConfig,
         ratios.append(vals.max(axis=0))
     spread = float(per_eps.max() / per_eps.min()) if per_eps.min() > 0 else math.inf
     extra = {
-        "eps_ladder": list(eps_ladder),
+        "eps_ladder": list(DEFAULT_EPS_LADDER),
         "eps_constants": [float(v) for v in per_eps],
         "ladder_spread": spread,
         "end_ratio": float(per_eps[0] / per_eps[-1]),
@@ -221,11 +245,7 @@ def probe_mollifier_commutator(cfg: ProbeConfig,
 
 def probe_calderon(cfg: ProbeConfig) -> ProbeReport:
     """Commutator [Lambda^sigma d/dx, f]v against ||f||_{H^s} ||v||_{H^sigma}."""
-    s, sigma = cfg.need("s", "sigma")
-    if not s > 1.5:
-        raise ValueError(f"calderon probe needs s > 3/2, got {s}")
-    if not 0.0 <= sigma + 1.0 <= s:
-        raise ValueError(f"calderon probe needs 0 <= sigma+1 <= s, got sigma={sigma}")
+    s, sigma = check_indices("calderon", cfg)
     grid, fine = cfg.grid, cfg.grid.doubled()
     mult = half_bessel(fine, sigma) * half_dx(fine)
     ratios = []
@@ -249,9 +269,7 @@ def _product_ratios(cfg: ProbeConfig, sf: float, sg: float) -> list:
 
 def probe_product_low(cfg: ProbeConfig) -> ProbeReport:
     """||fg||_{H^{r-1}} against ||f||_{H^r} ||g||_{H^{r-1}}, r > 1/2."""
-    (r,) = cfg.need("r")
-    if not r > 0.5:
-        raise ValueError(f"product-low probe needs r > 1/2, got {r}")
+    (r,) = check_indices("product-low", cfg)
     return _report(cfg, "product-low", _product_ratios(cfg, r, r - 1.0), {"r": r})
 
 
@@ -269,14 +287,13 @@ def check_negative_hypotheses(r: float, j: float, k: float):
 
 def probe_product_negative(cfg: ProbeConfig) -> ProbeReport:
     """||fg||_{H^{r-k}} against ||f||_{H^j} ||g||_{H^{r-k}} (negative index)."""
-    r, j, k = cfg.need("r", "j", "k")
+    r, j, k = _need(cfg, "r", "j", "k")
     check_negative_hypotheses(r, j, k)
     return _report(cfg, "product-negative", _product_ratios(cfg, j, r - k),
                    {"r": r, "j": j, "k": k})
 
 
-def product_negative_sweep(grid: Grid, r: float, j: float, k: float,
-                           modes=None, gamma: float = 0.6,
+def product_negative_sweep(grid: Grid, r: float, j: float, k: float, gamma: float = 0.6,
                            seed: int = 0) -> tuple[np.ndarray, np.ndarray, float]:
     """Ratio of the negative-index product bound as g climbs the spectrum.
 
@@ -285,10 +302,7 @@ def product_negative_sweep(grid: Grid, r: float, j: float, k: float,
     log-log curve; the returned slope is the least-squares trend.
     """
     check_negative_hypotheses(r, j, k)
-    if modes is None:
-        top = grid.n // 3
-        modes = [m for m in (2, 4, 8, 16, 32, 64, 128) if m <= 0.9 * top]
-    modes = np.asarray(modes, dtype=int)
+    modes = np.array([m for m in _SWEEP_MODES if m <= 0.9 * (grid.n // 3)], dtype=int)
     f = random_halves(grid, j, [seed], gamma)
     g = np.array([cosine_mode(grid, int(k0)).half for k0 in modes])
     ratios = sobolev_norms(product_half(np.broadcast_to(f, g.shape), g),
@@ -298,16 +312,13 @@ def product_negative_sweep(grid: Grid, r: float, j: float, k: float,
     return modes, ratios, slope
 
 
-def probe_interpolation(cfg: ProbeConfig,
-                        thetas=(0.0, 0.25, 0.5, 0.75, 1.0)) -> ProbeReport:
+def probe_interpolation(cfg: ProbeConfig) -> ProbeReport:
     """||f||_{H^{th s1+(1-th)s2}} <= ||f||^th_{H^s1} ||f||^{1-th}_{H^s2}.
 
     This is exact Cauchy-Schwarz in coefficient space, so the violation
     count must come back zero (up to 1e-12 relative slack for roundoff).
     """
-    s1, s2 = cfg.need("s1", "s2")
-    if not s1 < s2:
-        raise ValueError(f"need s1 < s2, got {s1}, {s2}")
+    s1, s2 = check_indices("interpolation", cfg)
     violations = 0
     ratios = []
     for idx in _blocks(cfg):
@@ -315,14 +326,14 @@ def probe_interpolation(cfg: ProbeConfig,
                           cfg.amplitude)
         n1, n2 = sobolev_norms(f, cfg.grid, s1), sobolev_norms(f, cfg.grid, s2)
         best = np.zeros(len(idx))
-        for th in thetas:
+        for th in _THETAS:
             lhs = sobolev_norms(f, cfg.grid, th * s1 + (1.0 - th) * s2)
             rhsv = n1**th * n2 ** (1.0 - th)
             violations += int(np.count_nonzero(lhs > rhsv * (1.0 + 1e-12)))
             best = np.maximum(best, lhs / rhsv)
         ratios.append(best)
     return _report(cfg, "interpolation", ratios,
-                   {"s1": s1, "s2": s2, "thetas": list(thetas)},
+                   {"s1": s1, "s2": s2, "thetas": list(_THETAS)},
                    violations=violations)
 
 

@@ -23,15 +23,14 @@ entries per frequency.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
-from dataclasses import dataclass
 
 import numpy as np
 
 from .spectral import Field, Grid, commutator_half, commutator_inputs, half_dx
 
-__all__ = ["MollifierTable", "build_mollifier", "commutator_mollifier"]
+__all__ = ["build_mollifier", "check_scale", "commutator_mollifier"]
 
 
 def _trapezoid_nodes(w_max: float) -> int:
@@ -55,64 +54,41 @@ def bump_transform_raw(w) -> np.ndarray:
             - np.einsum("ka,ka->k", np.sin(fine) @ weights.T, np.sin(coarse)))
 
 
-@dataclass(frozen=True)
-class MollifierTable:
-    """Samples jhat(eps xi_k) for one grid and mollification scale."""
+def check_scale(eps: float, length: float) -> None:
+    """Raise ValueError unless 0 < eps <= 1 and eps < length/2.
 
-    grid: Grid
-    eps: float
-    multiplier: np.ndarray
-
-    def __post_init__(self):
-        self.multiplier.flags.writeable = False
-
-    @property
-    def half(self) -> np.ndarray:
-        """The multiplier on the rfft half spectrum (modes 0..N/2)."""
-        return self.multiplier[: self.grid.n // 2 + 1]
-
-
-_cache: dict[tuple[int, float, float], MollifierTable] = {}
-_cache_lock = threading.Lock()
-
-
-def build_mollifier(grid: Grid, eps: float) -> MollifierTable:
-    """Build (or fetch from cache) the multiplier table for one scale.
-
-    Requires 0 < eps <= 1 and eps < L/2 so the periodised bump support
-    does not wrap onto itself.
+    Below length/2 the periodised bump support does not wrap onto itself.
     """
     if not (0.0 < eps <= 1.0):
         raise ValueError(f"mollifier scale must lie in (0, 1], got {eps}")
-    if not (eps < grid.length / 2.0):
-        raise ValueError(
-            f"mollifier scale {eps} too large for domain length {grid.length}"
-        )
-    key = (grid.n, grid.length, float(eps))
-    with _cache_lock:
-        hit = _cache.get(key)
-    if hit is not None:
-        return hit
+    if not (eps < length / 2.0):
+        raise ValueError(f"mollifier scale {eps} too large for domain length {length}")
 
+
+@functools.lru_cache(maxsize=64)
+def build_mollifier(grid: Grid, eps: float) -> np.ndarray:
+    """The read-only multiplier jhat(eps xi_k) on the rfft half spectrum (modes 0..N/2).
+
+    The scale must pass `check_scale`.
+    """
+    check_scale(eps, grid.length)
     # uniq[0] is the zero frequency, so raw / raw[0] puts exactly 1 there
-    uniq, inverse = np.unique(np.abs(eps * grid.xi), return_inverse=True)
+    uniq, inverse = np.unique(np.abs(eps * grid.xi[: grid.n // 2 + 1]), return_inverse=True)
     raw = bump_transform_raw(uniq)
-    vals = raw / raw[0]
-    table = MollifierTable(grid, float(eps), np.clip(vals[inverse], -1.0, 1.0))
-    with _cache_lock:
-        _cache[key] = table
-    return table
+    half = np.clip((raw / raw[0])[inverse], -1.0, 1.0)
+    half.flags.writeable = False
+    return half
 
 
-def commutator_mollifier(table: MollifierTable, f: Field, g: Field) -> Field:
+def commutator_mollifier(eps: float, f: Field, g: Field) -> Field:
     """Mollifier commutator applied to the derivative: J(f g') - f J(g').
 
-    Evaluated alias-free on the doubled grid (the matching table for the
-    doubled grid is pulled from the cache); this is the one-row case of
-    the stacked `spectral.commutator_half`.
+    Evaluated alias-free on the doubled grid with the scale-eps table of
+    that grid; this is the one-row case of the stacked
+    `spectral.commutator_half`.
     """
-    if table.grid != f.grid or f.grid != g.grid:
-        raise ValueError("fields and table must share one grid")
-    fine_table = build_mollifier(f.grid.doubled(), table.eps)
+    if f.grid != g.grid:
+        raise ValueError("fields must share one grid")
+    fine = f.grid.doubled()
     inputs = commutator_inputs(f.half, half_dx(f.grid) * g.half)
-    return Field(fine_table.grid, commutator_half(fine_table.half, *inputs))
+    return Field(fine, commutator_half(build_mollifier(fine, eps), *inputs))

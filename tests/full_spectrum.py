@@ -4,12 +4,14 @@ A Field stores only its rfft half spectrum.  The functions named `full_*`
 are the full complex-spectrum bodies that representation replaced: the
 complex FFT in and out, the full-sum Sobolev norm, padding with the
 +-N/2 Nyquist split and truncation with its fold.  They are the oracle
-for the half-spectrum code.  `inner`, `truncate_to` and `mollify` are
-Field helpers that only tests use.
+for the half-spectrum code; `full_mollifier` is the full-spectrum rule
+the mollifier tables were built by.  `inner`, `truncate_to` and
+`mollify` are Field helpers that only tests use.
 """
 
 import numpy as np
 
+from chslab.mollifier import bump_transform_raw
 from chslab.spectral import Field
 
 
@@ -72,7 +74,18 @@ def truncate_to(f, grid):
 
 
 def mollify(f, table):
-    """Low-pass the field through the mollifier multiplier."""
-    if table.grid != f.grid:
+    """Low-pass the field through a half-spectrum mollifier multiplier."""
+    if table.shape != f.half.shape:
         raise ValueError("mollifier table was built on a different grid")
-    return Field(f.grid, f.half * table.half)
+    return Field(f.grid, f.half * table)
+
+
+def full_mollifier(grid, eps):
+    """The mollifier table by the full-spectrum rule, sliced to the half spectrum.
+
+    np.unique runs over |eps xi| of all N modes in FFT order, the table
+    is spread back over them, and only modes 0..N/2 are kept.
+    """
+    uniq, inverse = np.unique(np.abs(eps * grid.xi), return_inverse=True)
+    raw = bump_transform_raw(uniq)
+    return np.clip((raw / raw[0])[inverse], -1.0, 1.0)[: grid.n // 2 + 1]

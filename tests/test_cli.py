@@ -90,6 +90,10 @@ def test_bad_config_exits_two_and_names_every_problem(tmp_path, capsys):
     (["ineq", "--amplitude", "0"], "amplitude"),
     (["ineq", "--probe", "product-negative"], "product-negative"),
     (["kernel", "--r", "0.5", "--k", "2"], "kernel"),
+    (["ineq", "--r", "0.3"], "product-low"),
+    (["ineq", "--s", "1.2"], "calderon"),
+    (["ineq", "--sigma", "3"], "calderon"),
+    (["ineq", "--L", "1.5"], "mollifier"),
 ])
 def test_bad_values_are_config_errors_not_failed_runs(tmp_path, capsys, argv, key):
     out = tmp_path / "x"
@@ -288,20 +292,6 @@ def test_holder_single_case_via_cli(tmp_path):
     text = (out / "holder_reports.csv").read_text()
     assert "s4-r2" in text and ",pass" in text
     assert (out / "curves_s4-r2.csv").exists()
-
-
-def test_sweep_execute_aggregates_in_order(tmp_path):
-    cfgs = [
-        parse_config("", "solve", str(tmp_path / f"r{i}"),
-                     {"N": "128", "t_end": "0.1", "amplitude": str(0.3 + 0.1 * i)})
-        for i in range(3)
-    ]
-    agg = tmp_path / "summary.csv"
-    rc = sweep_execute(cfgs, parallelism=1, aggregate_path=agg)
-    assert rc == 0
-    lines = agg.read_text().splitlines()
-    assert lines[0] == "index,command,out,exit_code"
-    assert [l.split(",")[0] for l in lines[1:]] == ["0", "1", "2"]
 
 
 def test_sweep_execute_parallel_matches_serial(tmp_path, pools):

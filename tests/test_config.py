@@ -235,3 +235,14 @@ def test_product_negative_probe_checks_its_hypotheses():
     assert (cfg.r, cfg.j, cfg.k) == (1.0, 2.0, 3.0)
     # the triple only matters to that probe
     assert parse_config("k = 0.5\n", "ineq", "x").k == 0.5
+
+
+def test_ineq_index_rules_apply_to_the_selected_probes_only():
+    with pytest.raises(ConfigError) as err:
+        parse_config("s = 1.2\n", "ineq", "x")
+    assert err.value.errors == ["calderon probe invalid: need s > 3/2 and 0 <= sigma+1 <= s, "
+                                "got s=1.2, sigma=1"]
+    assert parse_config("probe = algebra\ns = 1.2\n", "ineq", "x").s == 1.2
+    assert parse_config("probe = calderon\nL = 1.5\n", "ineq", "x").length == 1.5
+    with pytest.raises(ConfigError, match="mollifier probe invalid"):
+        parse_config("probe = mollifier\nL = 1.5\n", "ineq", "x")

@@ -149,17 +149,25 @@ def test_trivial_family_flag_follows_contents(grid):
 
 def test_single_case_passes_and_reports_unit_slope(grid):
     fam = make_family(grid, 4.0, 2.0)
-    rep = run_holder(fam, params(), 4.0, 2.0, T=0.5)
+    rep = run_holder(fam, params(), 2.0, T=0.5)
     assert rep.verdict == "pass"
     assert rep.slope == pytest.approx(1.0, abs=1e-6)
     assert rep.residual < 1e-6
     assert rep.case.beta == 1.0
 
 
+def test_run_holder_judges_at_the_familys_own_s(grid):
+    fam = make_family(grid, 3.75, 2.0)
+    rep = run_holder(fam, params(), 1.0, T=0.2)
+    assert rep.case.s == 3.75
+    assert rep.case.regime == "interpolation-low"
+    assert rep.case.beta == 10.0 / 11.0
+
+
 def test_degenerate_ladder_is_flagged(grid):
     deltas = np.geomspace(1e-12, 1e-15, 5)
     fam = make_family(grid, 4.0, 2.0, deltas=deltas)
-    rep = run_holder(fam, params(), 4.0, 2.0, T=0.2)
+    rep = run_holder(fam, params(), 2.0, T=0.2)
     assert rep.verdict.startswith("degenerate")
     assert math.isnan(rep.slope)
 

@@ -97,14 +97,6 @@ def test_stacked_cfl_step_follows_the_largest_row(line):
     assert len(got[0].times) > len(solve(small, params(), 4.0, 0.5).times)
 
 
-def test_cfl_refresh_below_one_step_refreshes_every_step(line):
-    state = bump(line, 1.6)
-    every_step = solve(state, params(), 4.0, 0.3, recompute_every=1)
-    for refresh in (0, -2):
-        assert_same_trajectory(solve(state, params(), 4.0, 0.3, recompute_every=refresh),
-                               every_step)
-
-
 def test_stack_rejects_mixed_grids_and_start_times(line):
     other = Grid(256, 32.0)
     with pytest.raises(ValueError, match="share grid"):
@@ -169,7 +161,7 @@ def test_planted_family_statuses_match_their_own_solves():
         deltas=np.geomspace(2e6, 2e-3, 10), h=1e7, s=4.0, base_kind=fam.base_kind,
         direction_kind=fam.direction_kind, seed=0)
     with np.errstate(all="ignore"):
-        got = run_holder(planted, params(), 4.0, 2.0, T=2e-4)
+        got = run_holder(planted, params(), 2.0, T=2e-4)
         want = oracle_run_holder(planted, params(), 4.0, 2.0, T=2e-4)
     assert_same_report(got, want)
     assert got.statuses[:4] == (COMPLETED, BLOWUP, RESOLUTION_EXHAUSTED,
@@ -210,7 +202,7 @@ def test_grouped_sweep_equals_per_member_oracle(n, direction, rho_trivial, T,
 
 def test_degenerate_ladder_matches_the_oracle(line):
     fam = make_family(line, 4.0, 2.0, deltas=np.geomspace(1e-12, 1e-15, 5))
-    got = run_holder(fam, params(), 4.0, 2.0, T=0.2)
+    got = run_holder(fam, params(), 2.0, T=0.2)
     assert got.verdict.startswith("degenerate")
     assert_same_report(got, oracle_run_holder(fam, params(), 4.0, 2.0, T=0.2))
 
@@ -271,12 +263,12 @@ def test_parallel_sweep_writes_the_serial_bytes(tmp_path, pools):
 def test_holder_memory_does_not_grow_with_the_horizon():
     grid = Grid(1024, 64.0)
     fam = make_family(grid, 4.0, 2.0)
-    run_holder(fam, params(), 4.0, 2.0, T=0.05)  # warm the operator caches
+    run_holder(fam, params(), 2.0, T=0.05)  # warm the operator caches
     peaks = []
     for T in (0.15, 0.6):
         tracemalloc.start()
         try:
-            run_holder(fam, params(), 4.0, 2.0, T=T)
+            run_holder(fam, params(), 2.0, T=T)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

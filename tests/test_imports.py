@@ -2,7 +2,9 @@
 
 A removal that leaves its import behind fails here: each name that a
 module-level import binds in chslab/*.py must be read somewhere in that
-module or be listed in its __all__.  A serial run with no config text
+module or be listed in its __all__.  Likewise each private (_name)
+function, class or variable a module defines must be read in that
+module, since nothing outside it should reach for it.  A serial run with no config text
 loads neither the process pool nor the INI parser.  The collector is the
 front end's business alone: `cli` freezes the import heap, and no other
 module imports gc, so importing a library module never changes its state.
@@ -50,6 +52,42 @@ def test_guard_sees_unused_imports():
            "__all__ = ['Grid']\nprint(np.zeros(1), tau)\n\n"
            "def f():\n    import sys\n    tau = 1\n")
     assert _unused_imports(ast.parse(src)) == [(2, "os"), (4, "osp"), (5, "pi")]
+
+
+def _unread_private_names(tree):
+    """(line, name) of each module-level _name a def, class or assignment binds, never read."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [n.id for target in node.targets for n in ast.walk(target)
+                     if isinstance(n, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined.setdefault(name, node.lineno)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted((line, name) for name, line in defined.items() if name not in read)
+
+
+def test_package_private_names_are_all_read():
+    found = []
+    for path in sorted(pathlib.Path(chslab.__file__).parent.glob("*.py")):
+        found += [(path.name, *hit) for hit in _unread_private_names(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_guard_sees_unread_private_names():
+    src = ("import os as _os\n_A = 1\n_B: int = 2\n_C = 3\n__all__ = []\n\n"
+           "def _f():\n    return _A\n\n\nclass _K:\n    _inner = 1\n\n\n"
+           "_x, _y = 1, 2\nprint(_y, _C)\n\n\ndef g():\n    _local = 1\n")
+    assert _unread_private_names(ast.parse(src)) == [(3, "_B"), (7, "_f"), (11, "_K"),
+                                                     (15, "_x")]
 
 
 def _gc_uses(tree):

@@ -3,7 +3,8 @@
 The multiplier tables come from a trapezoid rule; scalar adaptive `quad`
 of the same cosine transform, the method it replaced, is kept here as
 the oracle.  The rule is evaluated by angle addition; its dense cosine
-matrix form is the second oracle.
+matrix form is the second oracle.  Tables are built on the half
+spectrum; the full-spectrum rule they replaced is the third.
 """
 
 import os
@@ -24,7 +25,7 @@ from chslab.mollifier import (
     commutator_mollifier,
 )
 from chslab.spectral import Field, Grid, dealias_truncate, dx, sobolev_norm, sup_norm
-from full_spectrum import inner, mollify
+from full_spectrum import full_mollifier, inner, mollify
 
 _QUAD_TOL = 1e-12
 
@@ -53,7 +54,8 @@ def dense_transform(w):
 
 
 def oracle_table(grid, eps):
-    uniq, inverse = np.unique(np.abs(eps * grid.xi), return_inverse=True)
+    """The table by quad on the half spectrum (modes 0..N/2)."""
+    uniq, inverse = np.unique(np.abs(eps * grid.xi[: grid.n // 2 + 1]), return_inverse=True)
     return np.array([quad_transform(w) for w in uniq])[inverse] / quad_transform(0.0)
 
 
@@ -74,21 +76,19 @@ def smooth_random(grid, seed=0, decay=3.0):
 
 
 def test_symbol_is_one_at_zero_frequency(grid):
-    table = build_mollifier(grid, 0.5)
-    assert table.multiplier[0] == 1.0
+    assert build_mollifier(grid, 0.5)[0] == 1.0
 
 
 def test_symbol_stays_in_unit_interval(grid):
     for eps in (1.0, 0.25, 1.0 / 64.0):
-        m = build_mollifier(grid, eps).multiplier
+        m = build_mollifier(grid, eps)
         assert m.max() <= 1.0
         assert m.min() >= -1.0
 
 
 def test_symbol_decays_at_high_frequency(grid):
-    m = build_mollifier(grid, 1.0).multiplier
-    top = np.abs(grid.modes) >= 40
-    assert np.abs(m[top]).max() < 1e-3
+    m = build_mollifier(grid, 1.0)
+    assert np.abs(m[40:]).max() < 1e-3
 
 
 def test_transform_peaks_at_zero():
@@ -100,8 +100,16 @@ def test_transform_peaks_at_zero():
 def test_default_ladder_tables_match_quad(n):
     grid = Grid(n, 2.0 * np.pi)
     for eps in DEFAULT_EPS_LADDER:
-        table = build_mollifier(grid, eps).multiplier
+        table = build_mollifier(grid, eps)
         assert np.abs(table - oracle_table(grid, eps)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2**p for p in range(3, 13)])
+def test_half_spectrum_tables_equal_the_full_spectrum_rule(n):
+    # |eps xi| takes the same values over modes 0..N/2 as over all N modes
+    grid = Grid(n, 2.0 * np.pi)
+    for eps in DEFAULT_EPS_LADDER:
+        assert np.array_equal(build_mollifier(grid, eps), full_mollifier(grid, eps))
 
 
 @pytest.mark.parametrize("n", [1024, 2048])
@@ -127,13 +135,12 @@ def test_angle_addition_matches_the_dense_rule_on_any_frequencies(w):
     assert np.abs(got - dense_transform(w)).max() <= 1e-13 * scale
 
 
-def test_table_build_needs_no_dense_cosine_matrix(monkeypatch):
-    # the dense rule peaks at about 7 MB on this table
-    monkeypatch.setattr(mollifier, "_cache", {})
+def test_table_build_needs_no_dense_cosine_matrix():
+    # the dense rule peaks at about 7 MB on this table; the uncached build runs
     grid = Grid(2048, 2.0 * np.pi)
     tracemalloc.start()
     try:
-        build_mollifier(grid, 1.0)
+        build_mollifier.__wrapped__(grid, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -145,7 +152,7 @@ def test_node_rule_scales_to_high_frequency():
     # agreement: it is off by 1.3e-12 near w = 2989, where doubling the
     # trapezoid nodes moves the table by 1.5e-14
     grid = Grid(8192, 2.0 * np.pi)
-    table = build_mollifier(grid, 1.0).multiplier
+    table = build_mollifier(grid, 1.0)
     tol = 2.0 * _QUAD_TOL / quad_transform(0.0)
     assert np.abs(table - oracle_table(grid, 1.0)).max() <= tol
 
@@ -233,24 +240,21 @@ def test_mollifier_commutes_with_derivative(grid):
 def test_commutator_vanishes_for_constant_multiplier(grid):
     ones = Field.from_values(grid, np.ones(grid.n))
     g = dealias_truncate(smooth_random(grid, seed=6))
-    table = build_mollifier(grid, 0.25)
-    assert sup_norm(commutator_mollifier(table, ones, g)) < 1e-13
+    assert sup_norm(commutator_mollifier(0.25, ones, g)) < 1e-13
 
 
 def test_commutator_vanishes_for_constant_argument(grid):
     f = dealias_truncate(smooth_random(grid, seed=7))
     const = Field.from_values(grid, 0.7 * np.ones(grid.n))
-    table = build_mollifier(grid, 0.25)
     # g' = 0 kills both terms
-    assert sup_norm(commutator_mollifier(table, f, const)) < 1e-14
+    assert sup_norm(commutator_mollifier(0.25, f, const)) < 1e-14
 
 
 def test_commutator_scales_linearly_in_multiplier(grid):
     f = dealias_truncate(smooth_random(grid, seed=8))
     g = dealias_truncate(smooth_random(grid, seed=9))
-    table = build_mollifier(grid, 0.25)
-    one = commutator_mollifier(table, f, g)
-    three = commutator_mollifier(table, 3.0 * f, g)
+    one = commutator_mollifier(0.25, f, g)
+    three = commutator_mollifier(0.25, 3.0 * f, g)
     assert sup_norm(three - 3.0 * one) < 1e-12 * max(1.0, sup_norm(one))
 
 
@@ -280,4 +284,4 @@ def test_mollify_rejects_grid_mismatch(grid):
 def test_multiplier_is_read_only(grid):
     table = build_mollifier(grid, 0.5)
     with pytest.raises(ValueError):
-        table.multiplier[0] = 2.0
+        table[0] = 2.0

@@ -340,7 +340,7 @@ def test_size_bound_passes_below_the_envelope():
     y0 = 1.0
     t0 = 0.5 * math.log(2.0)
     t = np.linspace(0.0, t0, 50)
-    rep = size_bound_check(_ledger(t, y0 * np.exp(t)), y0, default_params(), 4.0)
+    rep = size_bound_check(_ledger(t, y0 * np.exp(t)), default_params())
     assert rep.passed
     # bound is 2 sqrt(y0^2 + y0) whatever the rate constant
     assert rep.bound == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-14)
@@ -353,7 +353,7 @@ def test_size_bound_flags_the_first_excursion():
     t = np.linspace(0.0, t0, 50)
     y = y0 * np.exp(t)
     y[30:] = 5.0  # jump above 2 sqrt 2 inside the window
-    rep = size_bound_check(_ledger(t, y), y0, default_params(), 4.0)
+    rep = size_bound_check(_ledger(t, y), default_params())
     assert not rep.passed
     assert rep.first_violation == pytest.approx(t[30], rel=1e-12)
     assert rep.max_ratio > 1.0
@@ -362,23 +362,15 @@ def test_size_bound_flags_the_first_excursion():
 def test_size_bound_needs_full_window_coverage():
     t = np.linspace(0.0, 0.1, 20)  # window for y0 = 1 is ln(2)/2 = 0.346
     with pytest.raises(ValueError):
-        size_bound_check(_ledger(t, np.ones_like(t)), 1.0, default_params(), 4.0)
-
-
-def test_size_bound_checks_norm_index():
-    t = np.linspace(0.0, 1.0, 20)
-    with pytest.raises(ValueError):
-        size_bound_check(_ledger(t, np.ones_like(t), s=4.0), 1.0,
-                         default_params(), 3.5)
+        size_bound_check(_ledger(t, np.ones_like(t)), default_params())
 
 
 def test_size_bound_fails_an_aborted_ledger():
     # an abort certifies nothing, even with every ledger point under the
     # bound; the ratio covers the whole ledger, past any window
-    y0 = 1.0
     t = np.linspace(0.0, 0.01, 3)  # far short of the window ln(2)/2
     traj = _ledger(t, [1.0, 1.5, 2.0], status=RESOLUTION_EXHAUSTED)
-    rep = size_bound_check(traj, y0, default_params(), 4.0)
+    rep = size_bound_check(traj, default_params())
     assert not rep.passed
     assert math.isnan(rep.t0)
     assert rep.first_violation is None
@@ -388,11 +380,14 @@ def test_size_bound_fails_an_aborted_ledger():
 
 def test_size_bound_zero_datum_degenerates():
     t = np.linspace(0.0, 1.0, 20)
-    ok = size_bound_check(_ledger(t, np.zeros_like(t)), 0.0, default_params(), 4.0)
+    ok = size_bound_check(_ledger(t, np.zeros_like(t)), default_params())
     assert ok.passed and math.isinf(ok.t0)
-    bad = size_bound_check(_ledger(t, 1e-3 * np.ones_like(t)), 0.0,
-                           default_params(), 4.0)
+    # zero data that drifts off zero
+    drift = 1e-3 * np.ones_like(t)
+    drift[0] = 0.0
+    bad = size_bound_check(_ledger(t, drift), default_params())
     assert not bad.passed
+    assert bad.first_violation == t[1]
 
 
 def test_rate_fit_recovers_synthetic_constant():
