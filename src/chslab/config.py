@@ -18,7 +18,8 @@ from dataclasses import field, make_dataclass
 
 from .fields import INITIAL_KINDS
 from .holder import BASE_KINDS, DIRECTION_KINDS, holder_exponent
-from .inequalities import DEFAULT_EPS_LADDER, check_indices, check_negative_hypotheses
+from .inequalities import (DEFAULT_EPS_LADDER, check_indices, check_negative_hypotheses,
+                           check_sweep_grid)
 from .mollifier import check_scale
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "COMMANDS", "command_keys"]
@@ -212,6 +213,11 @@ def _cross_checks(cfg) -> list:
                     check_indices(name, cfg)
             except ValueError as exc:
                 errors.append(f"{name} probe invalid: {exc}")
+        if cfg.probe in ("all", "product-negative"):
+            try:
+                check_sweep_grid(cfg.n)
+            except ValueError as exc:
+                errors.append(f"product-negative sweep invalid: {exc}")
     if cfg.command == "kernel" and cfg.j > 0.5:  # j <= 1/2 is reported as divergent
         try:
             check_negative_hypotheses(cfg.r, cfg.j, cfg.k)

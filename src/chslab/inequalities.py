@@ -9,12 +9,12 @@ and stable, never that it match a book value.  Sample i always uses
 seeds seed + 2i and seed + 2i + 1, so enlarging the ensemble extends the
 ratio sequence instead of reshuffling it.
 
-An ensemble is evaluated in blocks of BLOCK samples, each block as one
-stack of rfft half spectra (`spectral.product_half` and friends): a few
-batched FFTs per block in place of a Field pipeline per sample.  Every
-transform and reduction acts on one row at a time, so a sample's ratio
-does not depend on the block size or on how many samples share its
-block.
+An ensemble is evaluated in blocks of at most BLOCK probe-grid points
+(BLOCK // N samples, at least one), each block as one stack of rfft half
+spectra (`spectral.product_half` and friends): a few batched FFTs per
+block in place of a Field pipeline per sample.  Every transform and
+reduction acts on one row at a time, so a sample's ratio does not depend
+on the block size or on how many samples share its block.
 
 The convolution kernel bound behind the negative-index product estimate
 is checked separately by a fixed double-exponential quadrature rule on
@@ -46,8 +46,8 @@ __all__ = [
     "probe_algebra", "probe_kato_ponce", "probe_mollifier_commutator",
     "probe_calderon", "probe_product_low", "probe_product_negative",
     "probe_interpolation", "product_negative_sweep", "check_indices",
-    "check_negative_hypotheses", "kernel_integral", "kernel_bound_scan",
-    "KernelScanReport", "DEFAULT_EPS_LADDER",
+    "check_negative_hypotheses", "check_sweep_grid", "kernel_integral",
+    "kernel_bound_scan", "KernelScanReport", "DEFAULT_EPS_LADDER",
 ]
 
 DEFAULT_EPS_LADDER = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625)
@@ -55,11 +55,11 @@ _THETAS = (0.0, 0.25, 0.5, 0.75, 1.0)  # interpolation weights
 # modes k0 of the frequency sweep, those at most 0.9 N/3 on the grid
 _SWEEP_MODES = (2, 4, 8, 16, 32, 64, 128)
 
-# samples per stacked block.  It bounds the working set: at N = 1024 one
-# stack of a block's doubled-grid rows is 0.5 MB, and 32 keeps the ineq
-# process's peak memory at that of one Field pipeline per sample, where
-# 64 added 7 MB and saved no time.  The ratios do not depend on it.
-BLOCK = 32
+# probe-grid points per stacked block, so a block holds BLOCK // N samples
+# (at least one): 32 at N = 256 and 8 at the mollifier probe's N = 1024.
+# It bounds the working set by points, not samples: 32 samples at N = 1024
+# traced a 6.6 MB peak, 8 trace 1.7 MB.  The ratios do not depend on it.
+BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -159,9 +159,10 @@ def _report(cfg: ProbeConfig, lemma: str, blocks, params: dict,
 
 
 def _blocks(cfg: ProbeConfig):
-    """Sample indices of the ensemble, BLOCK at a time (Python ints, so seeds never wrap)."""
-    for start in range(0, cfg.ensemble, BLOCK):
-        yield range(start, min(start + BLOCK, cfg.ensemble))
+    """Sample indices of the ensemble, BLOCK // N at a time (Python ints, so seeds never wrap)."""
+    size = max(1, BLOCK // cfg.grid.n)
+    for start in range(0, cfg.ensemble, size):
+        yield range(start, min(start + size, cfg.ensemble))
 
 
 def _pairs(cfg: ProbeConfig, idx: range, sf: float, sg: float):
@@ -293,6 +294,14 @@ def probe_product_negative(cfg: ProbeConfig) -> ProbeReport:
                    {"r": r, "j": j, "k": k})
 
 
+def check_sweep_grid(n: int) -> np.ndarray:
+    """The sweep's modes on n grid points; ValueError unless two fit (a slope)."""
+    modes = np.array([m for m in _SWEEP_MODES if m <= 0.9 * (n // 3)], dtype=int)
+    if len(modes) < 2:
+        raise ValueError(f"the frequency sweep needs N >= 16 to fit two modes, got N={n}")
+    return modes
+
+
 def product_negative_sweep(grid: Grid, r: float, j: float, k: float, gamma: float = 0.6,
                            seed: int = 0) -> tuple[np.ndarray, np.ndarray, float]:
     """Ratio of the negative-index product bound as g climbs the spectrum.
@@ -302,7 +311,7 @@ def product_negative_sweep(grid: Grid, r: float, j: float, k: float, gamma: floa
     log-log curve; the returned slope is the least-squares trend.
     """
     check_negative_hypotheses(r, j, k)
-    modes = np.array([m for m in _SWEEP_MODES if m <= 0.9 * (grid.n // 3)], dtype=int)
+    modes = check_sweep_grid(grid.n)
     f = random_halves(grid, j, [seed], gamma)
     g = np.array([cosine_mode(grid, int(k0)).half for k0 in modes])
     ratios = sobolev_norms(product_half(np.broadcast_to(f, g.shape), g),

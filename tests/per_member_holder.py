@@ -29,8 +29,9 @@ def oracle_distance(traj_a, traj_b, r: float) -> float:
     return best
 
 
-def oracle_run_holder(family, params, s, r, T, cfl=0.3,
+def oracle_run_holder(family, params, r, T, cfl=0.3,
                       seam_policy="ignore") -> HolderReport:
+    s = family.s
     case = holder_exponent(s, r, rho_trivial=family.rho_trivial)
 
     worst_sup = max(sup_norm(family.member(0.0).u),
@@ -75,7 +76,7 @@ def oracle_sweep(cases, grid, params, T, cfl=0.3, **family_args):
     for s, r in cases:
         try:
             family = make_family(grid, float(s), **family_args)
-            reports.append(oracle_run_holder(family, params, float(s), float(r), T, cfl))
+            reports.append(oracle_run_holder(family, params, float(r), T, cfl))
         except ValueError as exc:
             reports.append(_error_report(float(s), float(r), exc))
     return reports

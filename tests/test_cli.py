@@ -94,6 +94,8 @@ def test_bad_config_exits_two_and_names_every_problem(tmp_path, capsys):
     (["ineq", "--s", "1.2"], "calderon"),
     (["ineq", "--sigma", "3"], "calderon"),
     (["ineq", "--L", "1.5"], "mollifier"),
+    (["ineq", "--N", "8"], "sweep"),
+    (["ineq", "--N", "8", "--probe", "product-negative", "--r", "0"], "sweep"),
 ])
 def test_bad_values_are_config_errors_not_failed_runs(tmp_path, capsys, argv, key):
     out = tmp_path / "x"
@@ -103,6 +105,13 @@ def test_bad_values_are_config_errors_not_failed_runs(tmp_path, capsys, argv, ke
     lines = [l for l in err.splitlines() if l.startswith("config error")]
     assert len(lines) == 1 and key in lines[0]
     assert not out.exists()  # nothing ran
+
+
+def test_sweep_grid_rule_binds_only_when_the_sweep_runs(tmp_path):
+    out = tmp_path / "x"
+    rc = main(["ineq", "--N", "8", "--probe", "calderon", "--ensemble", "4", "--out", str(out)])
+    assert rc in (0, 1)
+    assert (out / "manifest.txt").exists()
 
 
 @pytest.mark.parametrize("argv, key", [

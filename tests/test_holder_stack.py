@@ -162,7 +162,7 @@ def test_planted_family_statuses_match_their_own_solves():
         direction_kind=fam.direction_kind, seed=0)
     with np.errstate(all="ignore"):
         got = run_holder(planted, params(), 2.0, T=2e-4)
-        want = oracle_run_holder(planted, params(), 4.0, 2.0, T=2e-4)
+        want = oracle_run_holder(planted, params(), 2.0, T=2e-4)
     assert_same_report(got, want)
     assert got.statuses[:4] == (COMPLETED, BLOWUP, RESOLUTION_EXHAUSTED,
                                 RESOLUTION_EXHAUSTED)
@@ -204,7 +204,7 @@ def test_degenerate_ladder_matches_the_oracle(line):
     fam = make_family(line, 4.0, 2.0, deltas=np.geomspace(1e-12, 1e-15, 5))
     got = run_holder(fam, params(), 2.0, T=0.2)
     assert got.verdict.startswith("degenerate")
-    assert_same_report(got, oracle_run_holder(fam, params(), 4.0, 2.0, T=0.2))
+    assert_same_report(got, oracle_run_holder(fam, params(), 2.0, T=0.2))
 
 
 def test_case_error_marks_only_its_case(line):

@@ -8,6 +8,7 @@ kernel integrals that reduce to textbook contour integrals.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,6 +162,20 @@ def test_mollifier_probe_reports_ladder(circle256):
     assert rep.constant == pytest.approx(max(extra["eps_constants"]), rel=1e-12)
 
 
+def test_mollifier_probe_peak_memory_is_bounded():
+    # the doubled-grid rows of one block set the peak: at the CLI defaults,
+    # 8-sample blocks trace 1.7 MB where 32-sample blocks traced 6.6 MB
+    cfg = ProbeConfig(Grid(1024, 2.0 * np.pi), ensemble=200, s=2.5)
+    probe_mollifier_commutator(cfg)  # fill the table and seed caches first
+    tracemalloc.start()
+    try:
+        probe_mollifier_commutator(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
+
+
 def test_report_json_round_trip(tmp_path, circle256):
     rep = probe_algebra(small_cfg(circle256, r=1.5))
     path = tmp_path / "rep.json"
@@ -188,6 +203,13 @@ def test_negative_product_sweep_is_flat(circle256):
 def test_sweep_rejects_bad_triples(circle256):
     with pytest.raises(ValueError):
         product_negative_sweep(circle256, 0.5, 1.0, 2.0)
+
+
+def test_sweep_needs_two_modes_for_its_slope():
+    with pytest.raises(ValueError, match="N >= 16"):
+        product_negative_sweep(Grid(8, 2.0 * np.pi), 0.0, 1.0, 1.0)
+    modes, _, slope = product_negative_sweep(Grid(16, 2.0 * np.pi), 0.0, 1.0, 1.0)
+    assert list(modes) == [2, 4] and math.isfinite(slope)
 
 
 # -------------------------------------------------------- kernel integral

@@ -9,6 +9,7 @@ sample's ratio must not depend on the ensemble size or the block size.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -264,13 +265,31 @@ def test_ratios_are_a_prefix_of_the_larger_ensemble(name):
     assert np.array_equal(small.ratios, large.ratios[:70])
 
 
-def test_mollifier_ladder_does_not_depend_on_the_block_size(monkeypatch):
-    cfg = ProbeConfig(FINE, ensemble=70, s=2.5)
-    default = probe_mollifier_commutator(cfg)
-    monkeypatch.setattr(inequalities, "BLOCK", 9)
-    small_blocks = probe_mollifier_commutator(cfg)
-    assert np.array_equal(default.ratios, small_blocks.ratios)
-    assert default.extra["eps_constants"] == small_blocks.extra["eps_constants"]
+def test_block_samples_follow_the_point_budget():
+    # BLOCK counts probe-grid points: 32 samples at N = 256, 8 at N = 1024
+    sizes = {n: [len(b) for b in inequalities._blocks(ProbeConfig(Grid(n, 2.0 * np.pi)))]
+             for n in (256, 1024, 16384)}
+    assert sizes[256] == [32] * 6 + [8]
+    assert sizes[1024] == [8] * 25
+    assert sizes[16384] == [1] * 200
+
+
+# (case, point budget): 32-sample mollifier blocks, as when BLOCK counted
+# samples; one sample per block; budgets that split 200 samples unevenly
+BUDGETS = [("mollifier", 32 * 1024), ("mollifier", 9),
+           ("calderon", 9 * 256 + 100), ("interpolation", 7 * 256)]
+
+
+@pytest.mark.parametrize("name,budget", BUDGETS)
+def test_ratios_do_not_depend_on_the_block_budget(monkeypatch, name, budget):
+    probe, _, grid, idx = CASES[name]
+    cfg = ProbeConfig(grid, ensemble=200, **idx)
+    default = probe(cfg)
+    monkeypatch.setattr(inequalities, "BLOCK", budget)
+    other = probe(cfg)
+    assert np.array_equal(default.ratios, other.ratios)
+    # every other field too: constant, worst seed, violations and extra
+    assert replace(default, ratios=None) == replace(other, ratios=None)
 
 
 # -- kernel quadrature ------------------------------------------------------
