@@ -2,11 +2,13 @@
 
     chslab <command> [--config FILE] [--key value ...] --out DIR
 
-Commands: solve, holder, ineq, t0probe, kernel.  Every run writes its
-artifacts plus a manifest.txt that echoes the effective configuration
-and a content hash per artifact, so identical configs can be diffed
-byte for byte.  Exit code 0 means the run's verdict passed, 1 means it
-ran but the verdict failed, 2 means the run itself could not proceed.
+Commands: solve, holder, ineq, t0probe, kernel.  Each runner returns
+its artifacts as file name -> bytes and writes nothing; `execute` writes
+them plus a manifest.txt that echoes the effective configuration and
+hashes the same bytes, so identical configs can be diffed byte for byte
+and a run that raises leaves no artifact.  Exit code 0 means the run's
+verdict passed, 1 means it ran but the verdict failed, 2 means the run
+itself could not proceed.
 """
 
 from __future__ import annotations
@@ -57,28 +59,24 @@ def _json_num(x):
     return x if math.isfinite(x) else None
 
 
-def _write_manifest(cfg: RunConfig, results: dict, artifacts, wall: float):
+def _write_manifest(cfg: RunConfig, results: dict, artifacts: dict, wall: float):
     lines = ["chslab manifest", f"command = {cfg.command}"]
     for key, val in effective_items(cfg):
         lines.append(f"{key} = {_fmt(val)}")
     for key, val in results.items():
         lines.append(f"{key} = {_fmt(val)}")
     for name in sorted(artifacts):
-        with open(os.path.join(cfg.out, name), "rb") as fh:
-            digest = _git_blob_sha1(fh.read())
-        lines.append(f"artifact {name} sha1 {digest}")
+        lines.append(f"artifact {name} sha1 {_git_blob_sha1(artifacts[name])}")
     # wall time goes last so everything above it is reproducible
     lines.append(f"wall_time_s = {wall:.3f}")
     with open(os.path.join(cfg.out, "manifest.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-# -- text artifacts: every CSV and JSON file a run writes goes through here
+# -- text artifacts: every CSV and JSON file a run writes is made here
 
-def _write_json(path, obj):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _json(obj) -> bytes:
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
 
 
 def _cell(value) -> str:
@@ -86,38 +84,35 @@ def _cell(value) -> str:
     return str(value) if isinstance(value, (str, int)) else repr(float(value))
 
 
-def _write_csv(path, header: str, rows):
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(map(_cell, row)) + "\n")
+def _csv(header: str, rows) -> bytes:
+    lines = [header] + [",".join(map(_cell, row)) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
 
 
-def _write_ledger(traj: solver.Trajectory, out):
-    _write_csv(os.path.join(out, "ledger.csv"), "t,norm_u_Hs,norm_rho_Hs-2,y",
-               zip(traj.times, traj.norm_u, traj.norm_rho, traj.y))
+def _ledger(traj: solver.Trajectory) -> bytes:
+    return _csv("t,norm_u_Hs,norm_rho_Hs-2,y",
+                zip(traj.times, traj.norm_u, traj.norm_rho, traj.y))
 
 
-def _write_holder_reports(reports, out) -> list:
-    """The report table as CSV and JSON plus one curve per report; their names."""
+def _holder_artifacts(reports) -> dict:
+    """The report table as CSV and JSON plus one curve per report."""
     rows = [{"case": f"s{rep.case.s:g}-r{rep.case.r:g}", "s": rep.case.s, "r": rep.case.r,
              "beta_theory": rep.case.beta, "slope": rep.slope,
              "residual": rep.residual, "verdict": rep.verdict} for rep in reports]
-    names = ["holder_reports.csv", "holder_reports.json"]
-    _write_csv(os.path.join(out, names[0]), "case,s,r,beta_theory,slope,residual,verdict",
-               [row.values() for row in rows])
-    _write_json(os.path.join(out, names[1]), [
-        dict(row, deltas=[float(v) for v in rep.deltas],
-             distances=[float(v) for v in rep.distances], intercept=rep.intercept,
-             statuses=list(rep.statuses), horizon=rep.horizon, dt=rep.dt,
-             regime=rep.case.regime) for rep, row in zip(reports, rows)])
+    artifacts = {
+        "holder_reports.csv": _csv("case,s,r,beta_theory,slope,residual,verdict",
+                                   [row.values() for row in rows]),
+        "holder_reports.json": _json([
+            dict(row, deltas=[float(v) for v in rep.deltas],
+                 distances=[float(v) for v in rep.distances], intercept=rep.intercept,
+                 statuses=list(rep.statuses), horizon=rep.horizon, dt=rep.dt,
+                 regime=rep.case.regime) for rep, row in zip(reports, rows)])}
     for i, (rep, row) in enumerate(zip(reports, rows)):
         name = f"curves_{row['case']}.csv"
-        if name in names:  # repeated case in the list
+        if name in artifacts:  # repeated case in the list
             name = f"curves_{row['case']}_{i}.csv"
-        _write_csv(os.path.join(out, name), "delta,distance", zip(rep.deltas, rep.distances))
-        names.append(name)
-    return names
+        artifacts[name] = _csv("delta,distance", zip(rep.deltas, rep.distances))
+    return artifacts
 
 
 def _probe_json(rep: ineq.ProbeReport) -> dict:
@@ -157,8 +152,6 @@ def _run_solve(cfg: RunConfig):
     state = _initial_state(cfg, grid)
     traj = solver.solve(state, _params(cfg), cfg.s, cfg.t_end, cfl=cfg.cfl,
                         store_stride=0, seam_policy=cfg.seam)
-    _write_ledger(traj, cfg.out)
-    solver.save_snapshot(traj.final, os.path.join(cfg.out, "state_final.chs2"))
     results = {
         "status": traj.status,
         "ledger_rows": len(traj.times),
@@ -166,7 +159,8 @@ def _run_solve(cfg: RunConfig):
         "final_y": float(traj.y[-1]),
     }
     ok = traj.status == solver.COMPLETED
-    return ok, results, ["ledger.csv", "state_final.chs2"]
+    return ok, results, {"ledger.csv": _ledger(traj),
+                         "state_final.chs2": solver.snapshot_bytes(traj.final)}
 
 
 def _run_holder(cfg: RunConfig):
@@ -179,7 +173,7 @@ def _run_holder(cfg: RunConfig):
         rho_trivial=cfg.rho_trivial, cfl=cfg.cfl,
         workers=_worker_cap(cfg.parallelism))
     ok = all(r.verdict == "pass" for r in reports)
-    return ok, {"verdict": "pass" if ok else "fail"}, _write_holder_reports(reports, cfg.out)
+    return ok, {"verdict": "pass" if ok else "fail"}, _holder_artifacts(reports)
 
 
 _NEGATIVE_TRIPLES = ((0.0, 1.0, 1.0), (1.0, 2.0, 3.0))
@@ -217,16 +211,13 @@ def _run_ineq(cfg: RunConfig):
                         "ratios": [float(x) for x in ratios],
                         "slope": float(slope)}
 
-    artifacts = []
+    artifacts = {}
     problems = []
     constants = {}
     for stem, rep in reports:
-        _write_json(os.path.join(cfg.out, stem + ".json"), _probe_json(rep))
-        artifacts.append(stem + ".json")
+        artifacts[stem + ".json"] = _json(_probe_json(rep))
         if cfg.ratios_csv:
-            _write_csv(os.path.join(cfg.out, stem + "_ratios.csv"), "index,ratio",
-                       enumerate(rep.ratios))
-            artifacts.append(stem + "_ratios.csv")
+            artifacts[stem + "_ratios.csv"] = _csv("index,ratio", enumerate(rep.ratios))
         constants[stem] = _json_num(rep.constant)
         if not math.isfinite(rep.constant):
             problems.append(f"{stem}: constant is not finite")
@@ -244,8 +235,7 @@ def _run_ineq(cfg: RunConfig):
     summary = {"verdict": "pass" if ok else "fail", "constants": constants,
                "problems": problems, "sweeps": sweeps,
                "ensemble": cfg.ensemble, "seed": cfg.seed}
-    _write_json(os.path.join(cfg.out, "probe_summary.json"), summary)
-    artifacts.append("probe_summary.json")
+    artifacts["probe_summary.json"] = _json(summary)
     return ok, {"verdict": summary["verdict"], "probes": len(reports)}, artifacts
 
 
@@ -287,7 +277,6 @@ def _run_t0probe(cfg: RunConfig):
         check = solver.size_bound_check(
             traj, params if fitted is None else replace(params, c_s=fitted))
 
-    _write_ledger(traj, cfg.out)
     report = {
         "y0": float(traj.y[0]),
         "c_s": params.c_s,
@@ -301,15 +290,14 @@ def _run_t0probe(cfg: RunConfig):
         "status": traj.status,
         "ledger_rows": len(traj.times),
     }
-    _write_json(os.path.join(cfg.out, "t0_report.json"), report)
-    ok = check.passed
     results = {
         "T0": t0_config,
         "fitted_cs": fitted,
         "size_bound": "pass" if check.passed else "fail",
         "status": traj.status,
     }
-    return ok, results, ["ledger.csv", "t0_report.json"]
+    return check.passed, results, {"ledger.csv": _ledger(traj),
+                                   "t0_report.json": _json(report)}
 
 
 def _run_kernel(cfg: RunConfig):
@@ -317,21 +305,20 @@ def _run_kernel(cfg: RunConfig):
     if j <= 0.5:
         report = {"r": r, "j": j, "k": k, "divergent": True,
                   "reason": "kernel integral diverges for j <= 1/2"}
-        _write_json(os.path.join(cfg.out, "kernel_report.json"), report)
-        return False, {"divergent": True}, ["kernel_report.json"]
+        return False, {"divergent": True}, {"kernel_report.json": _json(report)}
     etas = np.concatenate([[0.0], np.geomspace(0.1, cfg.eta_max, cfg.eta_points - 1)])
     scan = ineq.kernel_bound_scan(r, j, k, etas=etas)
-    _write_csv(os.path.join(cfg.out, "kernel_scan.csv"), "eta,integral,ratio",
-               zip(scan.etas, scan.integrals, scan.ratios))
     report = {
         "r": r, "j": j, "k": k,
         "sup_ratio": scan.sup, "argmax_eta": scan.argmax,
         "last_decade_growth": scan.last_decade_growth,
         "plateau": scan.plateau, "points": len(scan.etas),
     }
-    _write_json(os.path.join(cfg.out, "kernel_report.json"), report)
     results = {"sup_ratio": scan.sup, "plateau": scan.plateau}
-    return scan.plateau, results, ["kernel_scan.csv", "kernel_report.json"]
+    return scan.plateau, results, {
+        "kernel_scan.csv": _csv("eta,integral,ratio",
+                                zip(scan.etas, scan.integrals, scan.ratios)),
+        "kernel_report.json": _json(report)}
 
 
 _RUNNERS = {
@@ -344,15 +331,21 @@ _RUNNERS = {
 
 
 def execute(cfg: RunConfig) -> int:
-    """Run one command, write artifacts and manifest, return exit code."""
+    """Run one command, write its artifacts and manifest, return exit code."""
     try:
         os.makedirs(cfg.out, exist_ok=True)
         start = time.perf_counter()
         try:
             ok, results, artifacts = _RUNNERS[cfg.command](cfg)
+        except solver.SeamError as exc:  # the initial data, not the code, is at fault
+            print(f"chslab: {exc}", file=sys.stderr)
+            return 2
         except Exception:
             traceback.print_exc()
             return 2
+        for name, data in artifacts.items():
+            with open(os.path.join(cfg.out, name), "wb") as fh:
+                fh.write(data)
         _write_manifest(cfg, results, artifacts, time.perf_counter() - start)
     except OSError as exc:  # the output directory or its manifest is unusable
         print(f"chslab: cannot write to {cfg.out}: {exc}", file=sys.stderr)
@@ -424,29 +417,21 @@ gc.freeze()
 
 def main(argv=None) -> int:
     args, extra = _PARSER.parse_known_args(argv)
-
     try:
         overrides = _parse_overrides(extra)
-    except ValueError as exc:
-        print(f"chslab: {exc}", file=sys.stderr)
-        return 2
-
-    text = ""
-    if args.config is not None:
-        try:
-            with open(args.config) as fh:
-                text = fh.read()
-        except OSError as exc:
-            print(f"chslab: cannot read config: {exc}", file=sys.stderr)
-            return 2
-
-    try:
+        text = ""
+        if args.config is not None:
+            try:
+                with open(args.config) as fh:
+                    text = fh.read()
+            except OSError as exc:
+                raise ValueError(f"cannot read config: {exc}") from exc
         cfg = parse_config(text, args.command, args.out, overrides)
+        # every command takes parallelism, so a bad cap stops any run before it writes
+        _worker_cap(cfg.parallelism)
     except ConfigError as exc:
         print(exc.report(), file=sys.stderr)
         return 2
-    try:  # every command takes parallelism, so a bad cap stops any run before it writes
-        _worker_cap(cfg.parallelism)
     except ValueError as exc:
         print(f"chslab: {exc}", file=sys.stderr)
         return 2

@@ -225,6 +225,9 @@ def _cross_checks(cfg) -> list:
             errors.append(f"kernel scan invalid: {exc}")
     if cfg.command == "t0probe" and not cfg.s > 2.0:
         errors.append("s must exceed 2 so the ledger norms make sense")
+    # rho is scaled by amplitude too, so these are exactly the zero data
+    if cfg.command == "t0probe" and cfg.normalize and (cfg.kind == "zero" or cfg.amplitude == 0):
+        errors.append("normalize needs nonzero initial data, not kind = zero or amplitude = 0")
     return errors
 
 

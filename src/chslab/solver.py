@@ -61,7 +61,7 @@ __all__ = [
     "SeamWarning", "NonFiniteStateError", "COMPLETED", "BLOWUP", "RESOLUTION_EXHAUSTED",
     "rhs", "step_rk4", "solve", "solve_stack", "existence_time", "t0_lower_bound",
     "size_bound_check", "MIN_FITTED_CS", "fit_min_cs", "diff_solve",
-    "y_norms", "save_snapshot", "load_snapshot",
+    "y_norms", "snapshot_bytes", "load_snapshot", "SeamError",
 ]
 
 COMPLETED = "completed"
@@ -75,6 +75,10 @@ _CFL_REFRESH_STEPS = 16
 
 class SeamWarning(UserWarning):
     """Initial data does not decay at the periodic seam."""
+
+
+class SeamError(ValueError):
+    """Initial data does not decay at the periodic seam, under seam policy "error"."""
 
 
 @dataclass(frozen=True)
@@ -367,7 +371,7 @@ def _seam_check(state: State, policy: str):
         msg = (f"initial data reaches {worst:.3e} within 10% of the domain "
                f"edge (tolerance {_SEAM_TOL:.1e}); periodic wrap-around will pollute the run")
         if policy == "error":
-            raise ValueError(msg)
+            raise SeamError(msg)
         warnings.warn(msg, SeamWarning)
 
 
@@ -622,13 +626,12 @@ _VERSION = 1
 _HEADER = struct.Struct("<4sIIdd")  # magic, version, N, L, t
 
 
-def save_snapshot(state: State, path):
+def snapshot_bytes(state: State) -> bytes:
     """Flat binary state dump: header then u values then rho values."""
     grid = state.grid
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, _VERSION, grid.n, grid.length, state.t))
-        fh.write(np.ascontiguousarray(state.u.values, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(state.rho.values, dtype="<f8").tobytes())
+    return (_HEADER.pack(_MAGIC, _VERSION, grid.n, grid.length, state.t)
+            + np.ascontiguousarray(state.u.values, dtype="<f8").tobytes()
+            + np.ascontiguousarray(state.rho.values, dtype="<f8").tobytes())
 
 
 def load_snapshot(path) -> State:

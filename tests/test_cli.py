@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from chslab import cli, solver
-from chslab.cli import (_cell, _git_blob_sha1, _worker_cap, _write_csv, execute, main,
-                        sweep_execute)
+from chslab.cli import _cell, _csv, _git_blob_sha1, _worker_cap, execute, main, sweep_execute
 from chslab.config import parse_config
 
 
@@ -59,6 +58,19 @@ def test_manifest_hashes_match_artifact_contents(tmp_path):
             assert _git_blob_sha1((out / name).read_bytes()) == digest
 
 
+def test_optional_ratio_tables_are_listed_and_hashed(tmp_path):
+    out = tmp_path / "run"
+    assert main(["ineq", "--probe", "algebra", "--ensemble", "8", "--ratios_csv", "true",
+                 "--out", str(out)]) == 0
+    hashed = {line.split()[1]: line.split()[3] for line in manifest_lines(out)
+              if line.startswith("artifact ")}
+    assert sorted(hashed) == sorted(p.name for p in out.iterdir() if p.name != "manifest.txt")
+    data = (out / "probe_algebra_ratios.csv").read_bytes()
+    assert hashed["probe_algebra_ratios.csv"] == _git_blob_sha1(data)
+    rows = data.decode().splitlines()
+    assert rows[0] == "index,ratio" and len(rows) == 1 + 8
+
+
 def test_config_file_and_override_precedence(tmp_path):
     cfile = tmp_path / "run.cfg"
     cfile.write_text("N = 128\nt_end = 0.2\namplitude = 0.5\n")
@@ -96,6 +108,8 @@ def test_bad_config_exits_two_and_names_every_problem(tmp_path, capsys):
     (["ineq", "--L", "1.5"], "mollifier"),
     (["ineq", "--N", "8"], "sweep"),
     (["ineq", "--N", "8", "--probe", "product-negative", "--r", "0"], "sweep"),
+    (["t0probe", "--amplitude", "0", "--normalize", "true"], "normalize"),
+    (["t0probe", "--kind", "zero", "--normalize", "true"], "normalize"),
 ])
 def test_bad_values_are_config_errors_not_failed_runs(tmp_path, capsys, argv, key):
     out = tmp_path / "x"
@@ -259,15 +273,13 @@ def test_t0probe_aborted_refit_run_is_a_failed_verdict(tmp_path):
     assert "size_bound = fail" in manifest_lines(out)
 
 
-def test_csv_cells_have_exact_bytes(tmp_path):
+def test_csv_cells_have_exact_bytes():
     # numpy 2 reprs a scalar as np.float64(...); a cell never does
     cells = ["s4-r2", 7, -3, 0.1, np.float64(0.1), 1e-300, float("nan"),
              np.float64(np.inf), -np.inf, -0.0, np.float64(-0.0)]
     assert [_cell(v) for v in cells] == [
         "s4-r2", "7", "-3", "0.1", "0.1", "1e-300", "nan", "inf", "-inf", "-0.0", "-0.0"]
-    path = tmp_path / "t.csv"
-    _write_csv(path, "a,b", [(0, np.float64(1.5)), ("x", -0.0)])
-    assert path.read_bytes() == b"a,b\n0,1.5\nx,-0.0\n"
+    assert _csv("a,b", [(0, np.float64(1.5)), ("x", -0.0)]) == b"a,b\n0,1.5\nx,-0.0\n"
 
 
 def test_unusable_out_exits_two_with_one_line(tmp_path, capsys):
@@ -346,11 +358,38 @@ def test_bad_thread_cap_exits_two_before_writing(tmp_path, capsys, monkeypatch, 
     assert not out.exists()
 
 
-def test_execute_turns_runtime_failures_into_exit_two(tmp_path, capsys):
-    # normalizing zero data is impossible, which surfaces mid-run
-    cfg = parse_config("", "t0probe", str(tmp_path / "x"),
-                       {"kind": "zero", "normalize": "true"})
+def test_execute_turns_runtime_failures_into_exit_two(tmp_path, capsys, monkeypatch):
+    # a library call that fails mid-run; zero data with normalize = true,
+    # the example used before, is now a config error
+    def broken_bound(state, s, params):
+        raise ValueError("no window for these data")
+
+    monkeypatch.setattr(solver, "t0_lower_bound", broken_bound)
+    cfg = parse_config("", "t0probe", str(tmp_path / "x"), {"N": "64"})
     assert execute(cfg) == 2
+    assert "no window for these data" in capsys.readouterr().err
+
+
+def test_a_run_that_raises_after_its_solve_writes_nothing(tmp_path, capsys, monkeypatch):
+    # the report is built after both solves; nothing reaches the disk before it
+    def broken(x):
+        raise RuntimeError("report failed")
+
+    monkeypatch.setattr(cli, "_json_num", broken)
+    out = tmp_path / "t"
+    assert main(["t0probe", "--N", "64", "--out", str(out)]) == 2
+    assert "report failed" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_seam_error_exits_two_with_one_line_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "s"
+    assert main(["solve", "--seam", "error", "--kind", "random", "--N", "64",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("chslab: initial data reaches ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
 
 
 def test_step_error_is_a_failed_run_not_a_blowup(tmp_path, capsys, monkeypatch):

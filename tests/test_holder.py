@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from chslab.cli import _write_holder_reports
+from chslab.cli import _holder_artifacts
 from chslab.fields import gaussian_bump, random_field, sech2_bump
 from chslab.holder import (
     HolderReport,
@@ -189,21 +189,19 @@ def test_sweep_turns_case_errors_into_rows(grid):
     assert math.isnan(reports[1].slope)
 
 
-def test_report_files_round_trip(tmp_path, grid):
+def test_report_files_round_trip(grid):
     reports = sweep([(4.0, 2.0)], grid, params(), T=0.3)
-    assert _write_holder_reports(reports, tmp_path) == [
+    artifacts = _holder_artifacts(reports)
+    assert list(artifacts) == [
         "holder_reports.csv", "holder_reports.json", "curves_s4-r2.csv"]
-    csv_path = tmp_path / "holder_reports.csv"
-    lines = csv_path.read_text().splitlines()
+    lines = artifacts["holder_reports.csv"].decode().splitlines()
     assert lines[0] == "case,s,r,beta_theory,slope,residual,verdict"
     assert len(lines) == 2
     assert lines[1].startswith("s4-r2,")
 
-    json_path = tmp_path / "holder_reports.json"
-    data = json.loads(json_path.read_text())
+    data = json.loads(artifacts["holder_reports.json"])
     assert data[0]["verdict"] == "pass"
 
-    curves = tmp_path / "curves_s4-r2.csv"
-    rows = curves.read_text().splitlines()
+    rows = artifacts["curves_s4-r2.csv"].decode().splitlines()
     assert rows[0] == "delta,distance"
     assert len(rows) == 1 + len(reports[0].deltas)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chslab import holder
-from chslab.cli import _write_holder_reports, execute
+from chslab.cli import _holder_artifacts, execute
 from chslab.config import parse_config
 from chslab.fields import cosine_mode, gaussian_bump, random_field
 from chslab.holder import (
@@ -242,17 +242,14 @@ def test_programming_errors_propagate_out_of_the_sweep(line, monkeypatch, tmp_pa
     assert "not a rejected case" in capsys.readouterr().err
 
 
-def test_parallel_sweep_writes_the_serial_bytes(tmp_path, pools):
+def test_parallel_sweep_writes_the_serial_bytes(pools):
     grid = Grid(128, 64.0)
     cases = [(4.0, 2.0), (3.75, 1.0), (4.0, 3.5), (4.0, 2.0), (3.4, 1.0)]
     outputs = {}
     for workers in (1, 2):
         reports = sweep(cases, grid, params(), T=0.3,
                         direction_kind="random-decay", seed=5, workers=workers)
-        out = tmp_path / f"w{workers}"
-        out.mkdir()
-        _write_holder_reports(reports, out)
-        outputs[workers] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        outputs[workers] = _holder_artifacts(reports)
     assert pools == [2]  # three s-groups on two workers; the serial run built none
     assert len(outputs[1]) == 2 + len(cases)
     assert outputs[1] == outputs[2]

@@ -4,8 +4,12 @@ A removal that leaves its import behind fails here: each name that a
 module-level import binds in chslab/*.py must be read somewhere in that
 module or be listed in its __all__.  Likewise each private (_name)
 function, class or variable a module defines must be read in that
-module, since nothing outside it should reach for it.  A serial run with no config text
-loads neither the process pool nor the INI parser.  The collector is the
+module, since nothing outside it should reach for it.  Each public
+name in a module's __all__ must be read in chslab/*.py or in the
+acceptance tests, or be named in bench/*.py, whose tracer names the
+functions it wraps by string: test-only public API does not grow back.
+A serial run with no config text loads neither the process pool nor
+the INI parser.  The collector is the
 front end's business alone: `cli` freezes the import heap, and no other
 module imports gc, so importing a library module never changes its state.
 """
@@ -88,6 +92,55 @@ def test_guard_sees_unread_private_names():
            "_x, _y = 1, 2\nprint(_y, _C)\n\n\ndef g():\n    _local = 1\n")
     assert _unread_private_names(ast.parse(src)) == [(3, "_B"), (7, "_f"), (11, "_K"),
                                                      (15, "_x")]
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+# public on purpose though nothing here reads them: the snapshot reader and
+# the package version
+UNREAD_PUBLIC = {("__init__.py", "__version__"), ("solver.py", "load_snapshot")}
+
+
+def _reads(tree):
+    """Every name a tree loads, as a bare name or as an attribute of anything."""
+    return {getattr(node, "id", None) or node.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
+def _named(tree):
+    """_reads, plus each identifier spelled in a string, dotted or not."""
+    return _reads(tree) | {part for node in ast.walk(tree)
+                           if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                           for part in node.value.split(".") if part.isidentifier()}
+
+
+def _unread_public_names(modules, used):
+    """(module, name) of each __all__ entry of modules (name -> tree) not in used."""
+    return sorted((module, name) for module, tree in modules.items() for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(target, "id", None) == "__all__" for target in node.targets)
+                  for name in ast.literal_eval(node.value) if name not in used)
+
+
+def test_every_public_name_is_read():
+    modules = {path.name: ast.parse(path.read_text())
+               for path in sorted(pathlib.Path(chslab.__file__).parent.glob("*.py"))}
+    used = set().union(*map(_reads, modules.values()),
+                       _reads(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())),
+                       *(_named(ast.parse(path.read_text()))
+                         for path in sorted((ROOT / "bench").glob("*.py"))))
+    found = [hit for hit in _unread_public_names(modules, used) if hit not in UNREAD_PUBLIC]
+    assert found == []
+
+
+def test_guard_sees_unread_public_names():
+    lib = ast.parse("__all__ = ['used', 'traced', 'planted']\n\n"
+                    "def used():\n    pass\n\n\ndef traced():\n    pass\n\n\n"
+                    "def planted():\n    pass\n")
+    caller = ast.parse("import lib\nlib.used()\nplanted = 1\n")
+    bench = ast.parse("LAYERS = {'lib': ('lib.traced',)}\n# planted\n")
+    used = _reads(lib) | _reads(caller) | _named(bench)
+    assert _unread_public_names({"lib.py": lib}, used) == [
+        ("lib.py", "planted")]
 
 
 def _gc_uses(tree):

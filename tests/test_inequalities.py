@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chslab.cli import _probe_json, _write_csv, _write_json
+from chslab.cli import _csv, _json, _probe_json
 from chslab.fields import random_field
 from chslab.inequalities import (
     DEFAULT_EPS_LADDER,
@@ -176,16 +176,12 @@ def test_mollifier_probe_peak_memory_is_bounded():
     assert peak < 2.5e6
 
 
-def test_report_json_round_trip(tmp_path, circle256):
+def test_report_json_round_trip(circle256):
     rep = probe_algebra(small_cfg(circle256, r=1.5))
-    path = tmp_path / "rep.json"
-    _write_json(path, _probe_json(rep))
-    back = json.loads(path.read_text())
+    back = json.loads(_json(_probe_json(rep)))
     assert back == json.loads(json.dumps(_probe_json(rep)))
     assert back["constant"] == rep.constant and back["grid"]["n"] == 256
-    csv_path = tmp_path / "rep.csv"
-    _write_csv(csv_path, "index,ratio", enumerate(rep.ratios))
-    lines = csv_path.read_text().splitlines()
+    lines = _csv("index,ratio", enumerate(rep.ratios)).decode().splitlines()
     assert lines[0] == "index,ratio"
     assert len(lines) == 1 + len(rep.ratios)
     assert [float(l.split(",")[1]) for l in lines[1:]] == list(rep.ratios)

@@ -12,8 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chslab import solver
-from chslab.cli import _write_ledger
+from chslab import cli, solver
 from chslab.fields import cosine_mode, gaussian_bump, initial_pair, random_field
 from chslab.solver import (
     BLOWUP,
@@ -28,8 +27,8 @@ from chslab.solver import (
     fit_min_cs,
     load_snapshot,
     rhs,
-    save_snapshot,
     size_bound_check,
+    snapshot_bytes,
     solve,
     step_rk4,
     t0_lower_bound,
@@ -478,7 +477,7 @@ def test_difference_solver_requires_dense_trajectories(line):
 def test_snapshot_round_trip(tmp_path, line):
     st = bump_state(line, amp=0.37)
     path = tmp_path / "state.chs2"
-    save_snapshot(st, path)
+    path.write_bytes(snapshot_bytes(st))
     back = load_snapshot(path)
     assert back.t == st.t
     assert np.allclose(back.u.values, st.u.values, atol=1e-15)
@@ -495,7 +494,7 @@ def test_snapshot_rejects_foreign_files(tmp_path):
 def test_snapshot_rejects_truncation(tmp_path, line):
     st = bump_state(line)
     path = tmp_path / "state.chs2"
-    save_snapshot(st, path)
+    path.write_bytes(snapshot_bytes(st))
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
     with pytest.raises(ValueError):
@@ -520,7 +519,7 @@ def test_snapshot_checks_the_body_size_before_reading(tmp_path):
 def test_snapshot_rejects_trailing_bytes(tmp_path, line):
     st = bump_state(line)
     path = tmp_path / "state.chs2"
-    save_snapshot(st, path)
+    path.write_bytes(snapshot_bytes(st))
     path.write_bytes(path.read_bytes() + b"\0")
     with pytest.raises(ValueError, match="trailing"):
         load_snapshot(path)
@@ -529,7 +528,7 @@ def test_snapshot_rejects_trailing_bytes(tmp_path, line):
 def test_snapshot_rejects_a_non_finite_length(tmp_path, line):
     st = bump_state(line)
     path = tmp_path / "state.chs2"
-    save_snapshot(st, path)
+    path.write_bytes(snapshot_bytes(st))
     data = bytearray(path.read_bytes())
     data[12:20] = struct.pack("<d", math.inf)  # L follows magic, version, N
     path.write_bytes(bytes(data))
@@ -542,7 +541,7 @@ def test_snapshot_rejects_a_non_finite_body(tmp_path):
     # and a non-finite stage never reaches it
     st = bump_state(Grid(8, 2.0 * np.pi))
     path = tmp_path / "state.chs2"
-    save_snapshot(st, path)
+    path.write_bytes(snapshot_bytes(st))
     data = bytearray(path.read_bytes())
     head = struct.calcsize("<4sIIdd")
     for index, bad in ((3, math.nan), (8 + 5, math.inf)):  # a u value, then a rho value
@@ -553,11 +552,9 @@ def test_snapshot_rejects_a_non_finite_body(tmp_path):
             load_snapshot(path)
 
 
-def test_ledger_csv_round_trips_exactly(tmp_path, line):
+def test_ledger_csv_round_trips_exactly(line):
     traj = solve(bump_state(line), default_params(), 4.0, 0.3)
-    path = tmp_path / "ledger.csv"
-    _write_ledger(traj, tmp_path)
-    lines = path.read_text().splitlines()
+    lines = cli._ledger(traj).decode().splitlines()
     assert lines[0] == "t,norm_u_Hs,norm_rho_Hs-2,y"
     assert len(lines) == 1 + len(traj.times)
     t_back = np.array([float(row.split(",")[0]) for row in lines[1:]])
