@@ -246,7 +246,7 @@ def _run_t0probe(cfg: RunConfig):
     if cfg.normalize:
         y_raw = float(solver.y_norms(np.array([state.u.half, state.rho.half]), grid, cfg.s))
         if y_raw == 0.0:
-            raise ValueError("cannot normalize zero initial data")
+            raise solver.DataError("cannot normalize initial data: its norm y underflows to 0")
         state = solver.State((1.0 / y_raw) * state.u, (1.0 / y_raw) * state.rho, 0.0)
 
     t0_config = solver.t0_lower_bound(state, cfg.s, params)
@@ -337,7 +337,7 @@ def execute(cfg: RunConfig) -> int:
         start = time.perf_counter()
         try:
             ok, results, artifacts = _RUNNERS[cfg.command](cfg)
-        except solver.SeamError as exc:  # the initial data, not the code, is at fault
+        except solver.DataError as exc:
             print(f"chslab: {exc}", file=sys.stderr)
             return 2
         except Exception:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .fields import cosine_mode, initial_pair, random_field
 from .solver import COMPLETED, State, SystemParams, solve_stack, y_norms
-from .spectral import Field, Grid, sobolev_norm, sup_norm
+from .spectral import Field, Grid, half_values, sobolev_norms
 
 __all__ = [
     "HolderCase", "holder_exponent", "PerturbationFamily", "make_family",
@@ -77,77 +77,62 @@ def holder_exponent(s: float, r: float, rho_trivial: bool = False) -> HolderCase
 
 @dataclass(frozen=True)
 class PerturbationFamily:
-    """Base datum plus a unit direction and an amplitude ladder.
+    """Base datum plus a unit direction and an amplitude ladder, as (u, rho) rows.
 
-    The direction has unit norm in H^s x H^{s-2}, so member delta sits
-    at initial distance exactly delta from the base, and the whole
-    family fits inside the ball of radius h by construction.
+    `base` and `direction` are (2, N/2+1) arrays holding the half spectra
+    of u and rho.  The direction has unit norm in H^s x H^{s-2}, so the
+    member base + delta * direction sits at initial distance exactly
+    delta from the base.
     """
 
-    u0: Field
-    rho0: Field
-    dir_u: Field
-    dir_rho: Field
+    grid: Grid
+    base: np.ndarray
+    direction: np.ndarray
     deltas: np.ndarray
-    h: float
     s: float
-    base_kind: str
-    direction_kind: str
-    seed: int
-
-    @property
-    def grid(self) -> Grid:
-        return self.u0.grid
 
     @property
     def rho_trivial(self) -> bool:
-        return (sobolev_norm(self.rho0, 0.0) == 0.0
-                and sobolev_norm(self.dir_rho, 0.0) == 0.0)
+        rho = np.array([self.base[1], self.direction[1]])
+        return bool((sobolev_norms(rho, self.grid, 0.0) == 0.0).all())
 
-    def member(self, delta: float) -> State:
-        if delta == 0.0:
-            return State(self.u0, self.rho0, 0.0)
-        return State(self.u0 + delta * self.dir_u,
-                     self.rho0 + delta * self.dir_rho, 0.0)
-
-    def member_y(self, delta: float) -> float:
-        st = self.member(delta)
-        return float(y_norms(np.array([st.u.half, st.rho.half]), self.grid, self.s))
+    def members(self) -> np.ndarray:
+        """The (1 + len(deltas), 2, N/2+1) stack: the base, then base + delta * direction."""
+        return np.concatenate(
+            [self.base[None], self.base + self.deltas[:, None, None] * self.direction])
 
 
-def _base_pair(grid, kind, amplitude, seed, rho_trivial):
+def _base_rows(grid, kind, amplitude, seed, rho_trivial):
     if kind not in _BASE_DATA:
         raise ValueError(f"unknown base kind {kind!r}; pick one of {BASE_KINDS}")
     u0, rho0 = initial_pair(grid, _BASE_DATA[kind], amplitude, 0.5, seed)
-    if rho_trivial:
-        rho0 = Field.zero(grid)
-    return u0, rho0
+    return np.array([u0.half, np.zeros_like(u0.half) if rho_trivial else rho0.half])
 
 
-def _direction_pair(grid, kind, s, seed, rho_trivial):
+def _direction_rows(grid, kind, s, seed, rho_trivial):
+    rows = np.zeros((2, grid.n // 2 + 1), dtype=complex)
     if kind == "high-mode":
         # half the dealias cutoff: high enough to probe roughness, safely
         # inside the retained band
-        dir_u = cosine_mode(grid, grid.n // 6)
-        dir_rho = Field.zero(grid)
+        rows[0] = cosine_mode(grid, grid.n // 6).half
     elif kind == "random-decay":
-        dir_u = random_field(grid, s + 1.0, seed=seed + 2)
-        dir_rho = (Field.zero(grid) if rho_trivial
-                   else random_field(grid, s - 1.0, seed=seed + 3))
+        rows[0] = random_field(grid, s + 1.0, seed=seed + 2).half
+        if not rho_trivial:
+            rows[1] = random_field(grid, s - 1.0, seed=seed + 3).half
     else:
         raise ValueError(
             f"unknown direction kind {kind!r}; pick one of {DIRECTION_KINDS}")
-    scale = float(y_norms(np.array([dir_u.half, dir_rho.half]), grid, s))
+    scale = float(y_norms(rows, grid, s))
     if scale == 0.0:
         raise ValueError("perturbation direction is identically zero")
-    return (1.0 / scale) * dir_u, (1.0 / scale) * dir_rho
+    return (1.0 / scale) * rows
 
 
 def make_family(grid: Grid, s: float, h: float, base_kind: str = "gaussian-bump",
                 direction_kind: str = "high-mode", deltas=None, seed: int = 0,
                 base_amplitude: float = 0.5,
                 rho_trivial: bool = False) -> PerturbationFamily:
-    """Build a perturbation family verified to fit inside the ball B(0, h)."""
+    """Build the family's rows; a base too large for the ball B(0, h) is shrunk to fit."""
     if deltas is None:
         deltas = np.geomspace(1e-2, 1e-5, 7)
     deltas = np.asarray(deltas, dtype=float)
@@ -161,26 +146,20 @@ def make_family(grid: Grid, s: float, h: float, base_kind: str = "gaussian-bump"
     if np.abs(logr - logr[0]).max() > 1e-2 * abs(logr[0]):
         raise ValueError("amplitude ladder must be log-spaced")
 
-    u0, rho0 = _base_pair(grid, base_kind, base_amplitude, seed, rho_trivial)
-    dir_u, dir_rho = _direction_pair(grid, direction_kind, s, seed, rho_trivial)
+    base = _base_rows(grid, base_kind, base_amplitude, seed, rho_trivial)
+    direction = _direction_rows(grid, direction_kind, s, seed, rho_trivial)
 
     delta_max = float(deltas.max())
     if delta_max >= h:
         raise ValueError(
             f"largest perturbation {delta_max} cannot fit in a ball of radius {h}")
-    y_base = float(y_norms(np.array([u0.half, rho0.half]), grid, s))
+    y_base = float(y_norms(base, grid, s))
     if y_base + delta_max > h:
-        # shrink the base; the unit direction and the ladder stay fixed
-        factor = 0.98 * (h - delta_max) / y_base
-        u0 = factor * u0
-        rho0 = factor * rho0
+        base = (0.98 * (h - delta_max) / y_base) * base
 
-    fam = PerturbationFamily(u0=u0, rho0=rho0, dir_u=dir_u, dir_rho=dir_rho,
-                             deltas=deltas, h=h, s=s, base_kind=base_kind,
-                             direction_kind=direction_kind, seed=seed)
-    for d in deltas:
-        if fam.member_y(float(d)) > h * (1.0 + 1e-12):
-            raise ValueError("cannot fit family in the requested ball")
+    fam = PerturbationFamily(grid, base, direction, deltas, s)
+    if (y_norms(fam.members()[1:], grid, s) > h * (1.0 + 1e-12)).any():
+        raise ValueError("cannot fit family in the requested ball")
     return fam
 
 
@@ -216,29 +195,30 @@ def _run_cases(family: PerturbationFamily, params: SystemParams,
                rs, T: float, cfl: float = 0.3) -> list:
     """One report per r (an error row if holder_exponent rejects it).
 
-    The base and the members step as one stack with one fixed dt, the
-    CFL step of the worst initial sup-norm in the family.  Each member's
-    H^r x H^{r-2} distance to the base is a running max over the ledger
-    times, so no trajectory is stored.
+    The rows of `family.members()` step as one stack with one fixed dt,
+    the CFL step of the worst initial sup|u| in the family.  Each
+    member's H^r x H^{r-2} distance to the base row is a running max
+    over the ledger times, so no trajectory is stored.
     """
     cases = [_case(family.s, r, family.rho_trivial) for r in rs]
     valid = [c for c in cases if isinstance(c, HolderCase)]
     if not valid:
         return cases
-    members = [family.member(0.0)] + [family.member(float(d)) for d in family.deltas]
-    dt = cfl * family.grid.dx / max(1.0, sup_norm(members[0].u), sup_norm(members[1].u))
-
-    grid, nrows = family.grid, len(members)
-    distances = np.zeros((len(valid), nrows - 1))
+    grid, members = family.grid, family.members()
+    # sup|u0 + delta d| is convex in delta, so its largest value over the
+    # ladder is at delta = 0 or at the largest delta: rows 0 and 1
+    dt = cfl * grid.dx / max(1.0, float(np.abs(half_values(members[:2, 0])).max()))
+    distances = np.zeros((len(valid), len(members) - 1))
 
     def track(t, stack, rows):
-        if len(rows) < nrows:
+        if len(rows) < len(members):
             return  # a member aborted: no case reports distances
         diff = stack[1:] - stack[:1]
         for best, case in zip(distances, valid):
             np.fmax(best, y_norms(diff, grid, case.r), out=best)
 
-    trajs = solve_stack(members, params, family.s, T, dt_policy=dt, store_stride=0,
+    states = [State(Field(grid, m[0]), Field(grid, m[1])) for m in members]
+    trajs = solve_stack(states, params, family.s, T, dt_policy=dt, store_stride=0,
                         seam_policy="ignore", observe=track)
     statuses = tuple(traj.status for traj in trajs)
     # keep regression points clear of accumulated roundoff

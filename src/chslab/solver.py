@@ -61,7 +61,7 @@ __all__ = [
     "SeamWarning", "NonFiniteStateError", "COMPLETED", "BLOWUP", "RESOLUTION_EXHAUSTED",
     "rhs", "step_rk4", "solve", "solve_stack", "existence_time", "t0_lower_bound",
     "size_bound_check", "MIN_FITTED_CS", "fit_min_cs", "diff_solve",
-    "y_norms", "snapshot_bytes", "load_snapshot", "SeamError",
+    "y_norms", "snapshot_bytes", "load_snapshot", "DataError", "SeamError",
 ]
 
 COMPLETED = "completed"
@@ -77,7 +77,11 @@ class SeamWarning(UserWarning):
     """Initial data does not decay at the periodic seam."""
 
 
-class SeamError(ValueError):
+class DataError(ValueError):
+    """The initial data, not the code, is at fault."""
+
+
+class SeamError(DataError):
     """Initial data does not decay at the periodic seam, under seam policy "error"."""
 
 

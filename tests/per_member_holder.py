@@ -1,10 +1,14 @@
 """Per-member Holder oracle: the experiment before families were stacked.
 
-`oracle_run_holder` solves the base and every member with its own dense
-`solve` under the shared dt, then takes each member's distance to the
-base as a max over the stored states.  `oracle_sweep` runs it once per
-(s, r) case, rebuilding the family every time.  The stacked,
-s-grouped `holder.sweep` must reproduce both bit for bit.
+`member_states` checks each row of `family.members()` bit for bit
+against the Field arithmetic that built the members one State at a
+time, and `oracle_direction` rebuilds a unit direction from its Field
+constructors.  `oracle_run_holder` solves the base and every member
+with its own dense `solve` under the shared dt, then takes each
+member's distance to the base as a max over the stored states.
+`oracle_sweep` runs it once per (s, r) case, rebuilding the family
+every time.  The stacked, s-grouped `holder.sweep` must reproduce both
+bit for bit.
 """
 
 import math
@@ -17,8 +21,37 @@ from chslab.holder import (
     holder_exponent,
     make_family,
 )
-from chslab.solver import COMPLETED, solve
-from chslab.spectral import sobolev_norm, sup_norm
+from chslab.fields import cosine_mode, random_field
+from chslab.solver import COMPLETED, State, solve
+from chslab.spectral import Field, sobolev_norm, sup_norm
+
+
+def member_states(family) -> list:
+    """One State per row of family.members(), each row checked bit for bit
+    against base + delta * direction taken one Field at a time."""
+    grid = family.grid
+    u0, rho0 = Field(grid, family.base[0]), Field(grid, family.base[1])
+    dir_u, dir_rho = Field(grid, family.direction[0]), Field(grid, family.direction[1])
+    want = [(u0, rho0)] + [(u0 + float(d) * dir_u, rho0 + float(d) * dir_rho)
+                           for d in family.deltas]
+    rows = family.members()
+    assert rows.shape == (len(want), 2, grid.n // 2 + 1)
+    for row, (u, rho) in zip(rows, want):
+        assert row[0].tobytes() == u.half.tobytes()
+        assert row[1].tobytes() == rho.half.tobytes()
+    return [State(Field(grid, row[0]), Field(grid, row[1])) for row in rows]
+
+
+def oracle_direction(grid, kind, s, seed, rho_trivial):
+    """The unit direction rows: the kind's Field halves scaled by 1/y."""
+    if kind == "high-mode":
+        u, rho = cosine_mode(grid, grid.n // 6), Field.zero(grid)
+    else:
+        u = random_field(grid, s + 1.0, seed=seed + 2)
+        rho = Field.zero(grid) if rho_trivial else random_field(grid, s - 1.0,
+                                                                seed=seed + 3)
+    y = sobolev_norm(u, s) + sobolev_norm(rho, s - 2.0)
+    return np.array([(1.0 / y) * u.half, (1.0 / y) * rho.half])
 
 
 def oracle_distance(traj_a, traj_b, r: float) -> float:
@@ -34,14 +67,14 @@ def oracle_run_holder(family, params, r, T, cfl=0.3,
     s = family.s
     case = holder_exponent(s, r, rho_trivial=family.rho_trivial)
 
-    worst_sup = max(sup_norm(family.member(0.0).u),
-                    sup_norm(family.member(float(family.deltas[0])).u))
+    members = member_states(family)
+    worst_sup = max(sup_norm(members[0].u), sup_norm(members[1].u))
     dt = cfl * family.grid.dx / max(1.0, worst_sup)
 
-    base_traj = solve(family.member(0.0), params, s, T, dt_policy=dt,
+    base_traj = solve(members[0], params, s, T, dt_policy=dt,
                       seam_policy=seam_policy)
-    trajs = [solve(family.member(float(d)), params, s, T, dt_policy=dt,
-                   seam_policy=seam_policy) for d in family.deltas]
+    trajs = [solve(m, params, s, T, dt_policy=dt, seam_policy=seam_policy)
+             for m in members[1:]]
     statuses = tuple([base_traj.status] + [t.status for t in trajs])
 
     nan = float("nan")

@@ -383,13 +383,23 @@ def test_a_run_that_raises_after_its_solve_writes_nothing(tmp_path, capsys, monk
 
 
 def test_seam_error_exits_two_with_one_line_and_writes_nothing(tmp_path, capsys):
-    out = tmp_path / "s"
-    assert main(["solve", "--seam", "error", "--kind", "random", "--N", "64",
-                 "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("chslab: initial data reaches ") and err.count("\n") == 1
-    assert "Traceback" not in err
-    assert list(out.iterdir()) == []
+    # data at fault: a seam the data reaches, and norms that underflow to 0
+    # (|c|^2 underflows below amplitudes of about 1e-154)
+    cases = [
+        (["solve", "--seam", "error", "--kind", "random", "--N", "64"],
+         "chslab: initial data reaches "),
+        (["t0probe", "--normalize", "true", "--amplitude", "1e-200"],
+         "chslab: cannot normalize initial data: its norm y underflows to 0"),
+        (["t0probe", "--normalize", "true", "--amplitude", "1e-320"],
+         "chslab: cannot normalize initial data: its norm y underflows to 0"),
+    ]
+    for i, (argv, head) in enumerate(cases):
+        out = tmp_path / str(i)
+        assert main([*argv, "--out", str(out)]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(head) and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
 
 
 def test_step_error_is_a_failed_run_not_a_blowup(tmp_path, capsys, monkeypatch):

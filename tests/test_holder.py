@@ -15,8 +15,8 @@ from chslab.holder import (
     run_holder,
     sweep,
 )
-from chslab.solver import SystemParams
-from chslab.spectral import Grid, sobolev_norm
+from chslab.solver import SystemParams, y_norms
+from chslab.spectral import Field, Grid, sobolev_norm
 
 
 @pytest.fixture
@@ -78,25 +78,22 @@ def test_trivial_second_component_widens_the_range():
 
 def test_family_member_zero_is_the_base(grid):
     fam = make_family(grid, 4.0, 2.0)
-    st = fam.member(0.0)
-    assert st.u is fam.u0
-    assert st.rho is fam.rho0
+    assert np.array_equal(fam.members()[0], fam.base)
 
 
 def test_family_distances_scale_exactly_linearly(grid):
     fam = make_family(grid, 4.0, 2.0)
-    base = fam.member(0.0)
-    for d in fam.deltas:
-        st = fam.member(float(d))
-        dist = (sobolev_norm(st.u - base.u, 4.0)
-                + sobolev_norm(st.rho - base.rho, 2.0))
+    base, *members = fam.members()
+    for d, st in zip(fam.deltas, members):
+        dist = (sobolev_norm(Field(grid, st[0] - base[0]), 4.0)
+                + sobolev_norm(Field(grid, st[1] - base[1]), 2.0))
         assert dist == pytest.approx(float(d), rel=1e-12)
 
 
 def test_family_fits_in_the_requested_ball(grid):
     fam = make_family(grid, 4.0, 1.5, base_amplitude=5.0)  # forces a rescale
-    for d in fam.deltas:
-        assert fam.member_y(float(d)) <= 1.5 * (1.0 + 1e-12)
+    for st in fam.members()[1:]:
+        assert y_norms(st, grid, 4.0) <= 1.5 * (1.0 + 1e-12)
 
 
 def test_family_rejects_bad_ladders(grid):
@@ -133,14 +130,14 @@ def test_base_kinds_build_the_shared_initial_data(grid):
     for kind, (u0, rho0) in expected.items():
         fam = make_family(grid, 4.0, 100.0, base_kind=kind, seed=4,
                           base_amplitude=0.1)  # a ball this big never shrinks the base
-        assert np.array_equal(fam.u0.coefficients, u0.coefficients), kind
-        assert np.array_equal(fam.rho0.coefficients, rho0.coefficients), kind
+        assert np.array_equal(fam.base[0], u0.half), kind
+        assert np.array_equal(fam.base[1], rho0.half), kind
 
 
 def test_trivial_family_flag_follows_contents(grid):
     fam = make_family(grid, 4.0, 2.0, rho_trivial=True)
     assert fam.rho_trivial
-    assert sobolev_norm(fam.rho0, 0.0) == 0.0
+    assert sobolev_norm(Field(grid, fam.base[1]), 0.0) == 0.0
     mixed = make_family(grid, 4.0, 2.0)
     assert not mixed.rho_trivial
 

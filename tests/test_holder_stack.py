@@ -33,8 +33,14 @@ from chslab.solver import (
     solve_stack,
     step_rk4,
 )
-from chslab.spectral import Field, Grid, dealias_truncate
-from per_member_holder import assert_same_report, oracle_run_holder, oracle_sweep
+from chslab.spectral import Field, Grid, dealias_truncate, sobolev_norm
+from per_member_holder import (
+    assert_same_report,
+    member_states,
+    oracle_direction,
+    oracle_run_holder,
+    oracle_sweep,
+)
 
 
 def params(**kw):
@@ -156,10 +162,8 @@ def test_planted_family_statuses_match_their_own_solves():
     # largest member, hence the short horizon.
     grid = Grid(64, 64.0)
     fam = make_family(grid, 4.0, 2.0)
-    planted = PerturbationFamily(
-        u0=fam.u0, rho0=fam.rho0, dir_u=fam.dir_u, dir_rho=fam.dir_rho,
-        deltas=np.geomspace(2e6, 2e-3, 10), h=1e7, s=4.0, base_kind=fam.base_kind,
-        direction_kind=fam.direction_kind, seed=0)
+    planted = PerturbationFamily(grid=fam.grid, base=fam.base, direction=fam.direction,
+                                 deltas=np.geomspace(2e6, 2e-3, 10), s=4.0)
     with np.errstate(all="ignore"):
         got = run_holder(planted, params(), 2.0, T=2e-4)
         want = oracle_run_holder(planted, params(), 2.0, T=2e-4)
@@ -168,6 +172,29 @@ def test_planted_family_statuses_match_their_own_solves():
                                 RESOLUTION_EXHAUSTED)
     assert set(got.statuses[4:]) == {COMPLETED}
     assert got.verdict == "no-verdict: member aborted"
+
+
+# ------------------------------------- family rows against Field arithmetic
+
+@pytest.mark.parametrize("base_kind", holder.BASE_KINDS)
+@pytest.mark.parametrize("direction_kind", holder.DIRECTION_KINDS)
+@pytest.mark.parametrize("rho_trivial", [False, True])
+def test_family_rows_are_the_field_arithmetic(base_kind, direction_kind, rho_trivial):
+    grid = Grid(128, 64.0)
+    kw = dict(base_kind=base_kind, direction_kind=direction_kind, seed=7,
+              base_amplitude=5.0, rho_trivial=rho_trivial)
+    raw, shrunk = make_family(grid, 4.0, 1e3, **kw), make_family(grid, 4.0, 0.05, **kw)
+    # the small ball shrinks the base by the factor it once applied to each Field
+    y = sobolev_norm(Field(grid, raw.base[0]), 4.0) + sobolev_norm(Field(grid, raw.base[1]), 2.0)
+    assert y > 0.05
+    factor = 0.98 * (0.05 - 1e-2) / y
+    for i in (0, 1):
+        assert shrunk.base[i].tobytes() == (factor * Field(grid, raw.base[i])).half.tobytes()
+    want = oracle_direction(grid, direction_kind, 4.0, 7, rho_trivial)
+    for fam in (raw, shrunk):
+        assert fam.rho_trivial == rho_trivial
+        assert fam.direction.tobytes() == want.tobytes()
+        member_states(fam)
 
 
 # ------------------------------------------- grouped sweep against oracle
