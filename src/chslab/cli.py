@@ -29,7 +29,7 @@ import numpy as np
 from . import fields, holder, solver
 from . import inequalities as ineq
 from .config import COMMANDS, ConfigError, RunConfig, effective_items, parse_config
-from .spectral import Grid, sup_norm
+from .spectral import Grid
 
 __all__ = ["main", "execute", "sweep_execute"]
 
@@ -254,7 +254,7 @@ def _run_t0probe(cfg: RunConfig):
     def run(window):
         # CFL-limited, but never fewer than 24 steps so the rate fit has
         # enough interior ledger points to work with
-        dt = min(cfg.cfl * grid.dx / max(1.0, sup_norm(state.u)), window / 24.0)
+        dt = min(solver.cfl_dt(grid, state.u.half, cfg.cfl), window / 24.0)
         return solver.solve(state, params, cfg.s, window, dt_policy=dt, store_stride=0)
 
     if math.isinf(t0_config):

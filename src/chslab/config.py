@@ -191,6 +191,8 @@ def _cross_checks(cfg) -> list:
             errors.append("need 0 < delta_min < delta_max")
         if cfg.delta_min > 0 < cfg.delta_max and not cfg.delta_max / cfg.delta_min >= 100:
             errors.append("delta ladder must span at least two decades")
+        if cfg.h > 0 and not cfg.delta_max < cfg.h:
+            errors.append(f"need delta_max < h = {cfg.h:g}, got delta_max = {cfg.delta_max:g}")
         for s, r in cfg.cases:
             try:
                 holder_exponent(s, r, rho_trivial=cfg.rho_trivial)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import cosine_mode, initial_pair, random_field
-from .solver import COMPLETED, State, SystemParams, solve_stack, y_norms
-from .spectral import Field, Grid, half_values, sobolev_norms
+from .solver import COMPLETED, SystemParams, cfl_dt, solve_stack, y_norms
+from .spectral import Grid, sobolev_norms
 
 __all__ = [
     "HolderCase", "holder_exponent", "PerturbationFamily", "make_family",
@@ -195,8 +195,8 @@ def _run_cases(family: PerturbationFamily, params: SystemParams,
                rs, T: float, cfl: float = 0.3) -> list:
     """One report per r (an error row if holder_exponent rejects it).
 
-    The rows of `family.members()` step as one stack with one fixed dt,
-    the CFL step of the worst initial sup|u| in the family.  Each
+    `family.members()` is the stack `solve_stack` steps, with one fixed
+    dt: the CFL step of the worst initial sup|u| in the family.  Each
     member's H^r x H^{r-2} distance to the base row is a running max
     over the ledger times, so no trajectory is stored.
     """
@@ -207,7 +207,7 @@ def _run_cases(family: PerturbationFamily, params: SystemParams,
     grid, members = family.grid, family.members()
     # sup|u0 + delta d| is convex in delta, so its largest value over the
     # ladder is at delta = 0 or at the largest delta: rows 0 and 1
-    dt = cfl * grid.dx / max(1.0, float(np.abs(half_values(members[:2, 0])).max()))
+    dt = cfl_dt(grid, members[:2, 0], cfl)
     distances = np.zeros((len(valid), len(members) - 1))
 
     def track(t, stack, rows):
@@ -217,8 +217,7 @@ def _run_cases(family: PerturbationFamily, params: SystemParams,
         for best, case in zip(distances, valid):
             np.fmax(best, y_norms(diff, grid, case.r), out=best)
 
-    states = [State(Field(grid, m[0]), Field(grid, m[1])) for m in members]
-    trajs = solve_stack(states, params, family.s, T, dt_policy=dt, store_stride=0,
+    trajs = solve_stack(grid, members, params, family.s, T, dt_policy=dt, store_stride=0,
                         seam_policy="ignore", observe=track)
     statuses = tuple(traj.status for traj in trajs)
     # keep regression points clear of accumulated roundoff

@@ -20,8 +20,8 @@ gives the values of (u, u_x, u_xx, u_xxx, rho, rho_x), the quadratic
 terms are formed pointwise as a bilinear form B, and one batched rfft
 brings three rows back.  `rhs` is B(U, U) and `diff_rhs` is B(w, U) +
 B(V, w), plus the linear alpha term; one RK4 stage formula steps both.
-`solve` is the one-row call of `solve_stack`, which builds State objects
-only for the states it keeps; `diff_solve` steps w = U - V as one row.
+`solve_stack` steps a stack and builds State objects only for the states
+it keeps; `solve` is its one-row call.  `diff_solve` steps w = U - V.
 
 Each run allocates one workspace, sized for its starting stack, and every
 RK4 stage, transform and bilinear row of the run writes into it; rows
@@ -59,7 +59,7 @@ from .spectral import (Field, Grid, half_dealias_mask, half_dx, half_helmholtz_d
 __all__ = [
     "SystemParams", "State", "Trajectory", "DifferenceTrajectory", "SizeBoundReport",
     "SeamWarning", "NonFiniteStateError", "COMPLETED", "BLOWUP", "RESOLUTION_EXHAUSTED",
-    "rhs", "step_rk4", "solve", "solve_stack", "existence_time", "t0_lower_bound",
+    "rhs", "step_rk4", "cfl_dt", "solve", "solve_stack", "existence_time", "t0_lower_bound",
     "size_bound_check", "MIN_FITTED_CS", "fit_min_cs", "diff_solve",
     "y_norms", "snapshot_bytes", "load_snapshot", "DataError", "SeamError",
 ]
@@ -165,11 +165,6 @@ class DifferenceTrajectory:
 
 class NonFiniteStateError(ValueError):
     """A state field holds a NaN or an infinity: the run has blown up."""
-
-
-def _check_finite(state: State):
-    if not (np.isfinite(state.u.half).all() and np.isfinite(state.rho.half).all()):
-        raise NonFiniteStateError("non-finite values in state fields")
 
 
 class _Operators:
@@ -332,45 +327,41 @@ def rhs(state: State, params: SystemParams) -> tuple[Field, Field]:
     Fields are real by construction (a Field is its half spectrum);
     products are dealiased by the 2/3 rule.
     """
-    _check_finite(state)
     stack = np.array([[state.u.half, state.rho.half]])
+    if not np.isfinite(stack).all():
+        raise NonFiniteStateError("non-finite values in state fields")
     ops = _operators(state.grid, params)
     (du, drho), = ops.rhs(stack, _Workspace(state.grid.n, 1), np.empty_like(stack))
     return Field(state.grid, du), Field(state.grid, drho)
 
 
-def step_rk4(state, params: SystemParams, dt: float):
-    """One classical Runge-Kutta step of the full system.
+def step_rk4(grid: Grid, stack: np.ndarray, params: SystemParams, dt: float,
+             work: _Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """One classical Runge-Kutta step of every row of a (P, 2, N/2+1) stack.
 
-    `state` is a State, or the (grid, stack) pair that `solve_stack` steps,
-    which comes back with the mask of the rows whose RK stage went
-    non-finite; `solve_stack` adds its run's `_Workspace` as a third entry.
+    Returns the new stack and the mask of rows with a non-finite stage.
+    Without its run's `_Workspace` (`work`) the step allocates its own.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    one = isinstance(state, State)
-    grid, stack, *work = (state.grid, np.array([[state.u.half, state.rho.half]])) if one else state
-    work = work[0] if work else _Workspace(grid.n, len(stack))
+    if work is None:
+        work = _Workspace(grid.n, len(stack))
     ops = _operators(grid, params)
-    new, bad = _rk4(lambda x, _, out: ops.rhs(x, work, out), stack, dt, work)
-    if not one:
-        return new, bad
-    if bad[0]:
-        raise NonFiniteStateError("non-finite values in state fields")
-    return State(Field(grid, new[0, 0]), Field(grid, new[0, 1]), state.t + dt)
+    return _rk4(lambda x, _, out: ops.rhs(x, work, out), stack, dt, work)
 
 
-def _seam_check(state: State, policy: str):
-    """Initial data must vanish near the periodic seam (x = 0 == L)."""
+def cfl_dt(grid: Grid, u: np.ndarray, cfl: float) -> float:
+    """The CFL step cfl * dx / max(1, sup|u|) over rows of u half spectra."""
+    return cfl * grid.dx / max(1.0, float(np.abs(half_values(u)).max()))
+
+
+def _seam_check(grid: Grid, stack: np.ndarray, policy: str):
+    """Initial data must vanish near the periodic seam (x = 0 == L), in every row."""
     if policy == "ignore":
         return
-    grid = state.grid
     edge = grid.x < 0.1 * grid.length
     edge |= grid.x > 0.9 * grid.length
-    worst = max(
-        float(np.abs(state.u.values[edge]).max()),
-        float(np.abs(state.rho.values[edge]).max()),
-    )
+    worst = float(np.abs(half_values(stack)[..., edge]).max())
     if worst > _SEAM_TOL:
         msg = (f"initial data reaches {worst:.3e} within 10% of the domain "
                f"edge (tolerance {_SEAM_TOL:.1e}); periodic wrap-around will pollute the run")
@@ -385,29 +376,30 @@ def solve(initial: State, params: SystemParams, s: float, t_end: float,
 
     The one-row call of `solve_stack`, which documents the options.
     """
-    return solve_stack([initial], params, s, t_end, **options)[0]
+    stack = np.array([[initial.u.half, initial.rho.half]])
+    return solve_stack(initial.grid, stack, params, s, t_end, initial.t, **options)[0]
 
 
-def solve_stack(initials, params: SystemParams, s: float, t_end: float,
-                dt_policy="cfl", cfl: float = 0.3,
+def solve_stack(grid: Grid, rows: np.ndarray, params: SystemParams, s: float, t_end: float,
+                t: float = 0.0, dt_policy="cfl", cfl: float = 0.3,
                 blowup_threshold: float = 1e6, tail_limit: float = 0.01,
                 store_stride: int = 1, seam_policy: str = "warn",
                 observe=None) -> list[Trajectory]:
-    """Integrate several states, one (P, 2, N/2+1) stack, to t_end.
+    """Integrate each (u, rho) row of a (P, 2, N/2+1) stack of half spectra from t to t_end.
 
     dt_policy is either "cfl" (dt = cfl * dx / max(1, sup|u|) over the
     running rows, refreshed every `_CFL_REFRESH_STEPS` steps) or a
     positive float requesting that fixed dt; either way the step is
-    rounded down so t_end is hit exactly.  Initial data is dealiased once.
-    Each row keeps its own ledger, stored states and watchdog; a row that
-    aborts leaves the stack.  Rows never mix, so under a fixed dt each
-    steps bit for bit as it would alone.  `observe(t, stack, rows)` sees
-    the running rows (indices into `initials`) at each ledger time,
-    before the watchdog acts.
+    rounded down so t_end is hit exactly.  A stack of the wrong shape
+    raises ValueError, a non-finite one NonFiniteStateError; the data is
+    then dealiased once.  Each row keeps its own ledger, stored states
+    and watchdog; a row that aborts leaves the stack.  Rows never mix, so
+    under a fixed dt each steps bit for bit as it would alone.
+    `observe(t, stack, rows)` sees the running rows and their indices in
+    the input at each ledger time, before the watchdog acts.
     """
-    grid, t = initials[0].grid, initials[0].t
-    if not t_end > t:
-        raise ValueError(f"t_end {t_end} must exceed initial time {t}")
+    if not 0.0 <= t < t_end:
+        raise ValueError(f"need 0 <= t < t_end, got t = {t}, t_end = {t_end}")
     if seam_policy not in ("warn", "error", "ignore"):
         raise ValueError(f"unknown seam policy {seam_policy!r}")
     if isinstance(dt_policy, str):
@@ -418,14 +410,14 @@ def solve_stack(initials, params: SystemParams, s: float, t_end: float,
         fixed_dt = float(dt_policy)
         if not (fixed_dt > 0.0 and math.isfinite(fixed_dt)):
             raise ValueError(f"fixed dt must be a positive real, got {dt_policy!r}")
-    for st in initials:
-        if (st.grid, st.t) != (grid, t):
-            raise ValueError("stacked states must share grid and start time")
-        _check_finite(st)
-        _seam_check(st, seam_policy)
+    stack = np.asarray(rows, dtype=complex)
+    if stack.shape[1:] != (2, grid.n // 2 + 1):
+        raise ValueError(f"stack shape {stack.shape} is not (P, 2, {grid.n // 2 + 1})")
+    if not np.isfinite(stack).all():
+        raise NonFiniteStateError("non-finite values in state fields")
+    _seam_check(grid, stack, seam_policy)
 
-    stack = np.where(half_dealias_mask(grid),
-                     [[st.u.half, st.rho.half] for st in initials], 0.0)
+    stack = np.where(half_dealias_mask(grid), stack, 0.0)
     work = _Workspace(grid.n, len(stack))
     rows = np.arange(len(stack))
     status = np.full(len(rows), COMPLETED, dtype=object)
@@ -467,14 +459,13 @@ def solve_stack(initials, params: SystemParams, s: float, t_end: float,
     while len(rows) and t < t_end:
         if step - start >= min(_CFL_REFRESH_STEPS, nsteps):
             remaining = t_end - t
-            raw = fixed_dt if fixed_dt is not None else (
-                cfl * grid.dx / max(1.0, float(np.abs(half_values(stack[:, 0])).max())))
+            raw = fixed_dt if fixed_dt is not None else cfl_dt(grid, stack[:, 0], cfl)
             nsteps = max(1, math.ceil(remaining / raw - 1e-12))
             dt, start = remaining / nsteps, step
         # land on t_end exactly rather than accumulating roundoff
         if nsteps - (step - start) == 1:
             dt = t_end - t
-        stack, bad = step_rk4((grid, stack, work), params, dt)
+        stack, bad = step_rk4(grid, stack, params, dt, work)
         status[rows[bad]] = BLOWUP  # a non-finite stage never reaches the ledger
         drop_aborted()
         t += dt

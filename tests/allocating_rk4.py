@@ -66,7 +66,7 @@ def allocating_rk4(tendency, stack: np.ndarray, dt: float) -> tuple[np.ndarray, 
     return stack + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), ~finite
 
 
-def allocating_step(grid, stack: np.ndarray, params, dt: float):
-    """`solver.step_rk4` on a (grid, stack) pair, on the allocating path."""
+def allocating_step(grid, stack: np.ndarray, params, dt: float, work=None):
+    """`solver.step_rk4` on the allocating path, which takes no workspace: `work` is unread."""
     ops = AllocatingOperators(grid, params)
     return allocating_rk4(lambda x, _: ops.rhs(x), stack, dt)

@@ -110,6 +110,8 @@ def test_bad_config_exits_two_and_names_every_problem(tmp_path, capsys):
     (["ineq", "--N", "8", "--probe", "product-negative", "--r", "0"], "sweep"),
     (["t0probe", "--amplitude", "0", "--normalize", "true"], "normalize"),
     (["t0probe", "--kind", "zero", "--normalize", "true"], "normalize"),
+    (["holder", "--h", "0.005"], "delta_max"),
+    (["holder", "--h", "0.01"], "delta_max"),
 ])
 def test_bad_values_are_config_errors_not_failed_runs(tmp_path, capsys, argv, key):
     out = tmp_path / "x"
@@ -403,7 +405,7 @@ def test_seam_error_exits_two_with_one_line_and_writes_nothing(tmp_path, capsys)
 
 
 def test_step_error_is_a_failed_run_not_a_blowup(tmp_path, capsys, monkeypatch):
-    def broken_step(state, params, dt):
+    def broken_step(grid, stack, params, dt, work=None):
         raise ValueError("grid mismatch")
 
     monkeypatch.setattr(solver, "step_rk4", broken_step)

@@ -2,18 +2,20 @@
 
 A stack of P states steps as one (P, 2, N/2+1) array, and `holder.sweep`
 steps each s-group's family once with streamed distances.  The oracles
-are one-row runs (`solve`, `step_rk4` on a State) and the per-member
+are one-row runs (`solve`, `step_rk4` on a one-row stack) and the per-member
 Holder experiment in `per_member_holder`.
 """
 
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from chslab import holder
+from chslab import holder, solver
 from chslab.cli import _holder_artifacts, execute
 from chslab.config import parse_config
 from chslab.fields import cosine_mode, gaussian_bump, random_field
@@ -27,6 +29,9 @@ from chslab.solver import (
     BLOWUP,
     COMPLETED,
     RESOLUTION_EXHAUSTED,
+    NonFiniteStateError,
+    SeamError,
+    SeamWarning,
     State,
     SystemParams,
     solve,
@@ -52,6 +57,11 @@ def bump(grid, amp, rho_amp=0.2):
                  gaussian_bump(grid, amplitude=rho_amp, width=grid.length / 20.0), 0.0)
 
 
+def rows_of(states):
+    """The (P, 2, N/2+1) stack of the states' (u, rho) half spectra."""
+    return np.array([[st.u.half, st.rho.half] for st in states])
+
+
 def assert_same_trajectory(got, want):
     assert got.status == want.status
     for name in ("times", "norm_u", "norm_rho", "y"):
@@ -75,14 +85,15 @@ def test_stacked_step_equals_one_row_steps(log_n, rows, seed, dt, alpha):
                     dealias_truncate(random_field(grid, 2.0, amplitude=0.1,
                                                   seed=seed + 100 + i)), 0.0)
               for i in range(rows)]
-    stack = np.array([[s.u.half, s.rho.half] for s in states])
-    new, bad = step_rk4((grid, stack), p, dt)
+    stack = rows_of(states)
+    new, bad = step_rk4(grid, stack, p, dt)
     assert new.shape == stack.shape
     assert not bad.any()
-    for row, state in zip(new, states):
-        one = step_rk4(state, p, dt)
-        assert np.array_equal(row[0], one.u.half)
-        assert np.array_equal(row[1], one.rho.half)
+    for i, row in enumerate(new):
+        one, one_bad = step_rk4(grid, stack[i:i + 1], p, dt)
+        assert not one_bad.any()
+        assert np.array_equal(row[0], one[0, 0])
+        assert np.array_equal(row[1], one[0, 1])
 
 
 @pytest.mark.parametrize("n", [64, 256])
@@ -91,25 +102,69 @@ def test_stacked_solve_equals_one_row_solves(n):
     states = [bump(grid, a) for a in (0.5, 0.3, 0.7)]
     # sup|u| < 1 on every row, so the CFL step is the same for all of them
     for kw in ({"dt_policy": 0.02}, {"dt_policy": 0.013, "store_stride": 3}, {}):
-        for got, state in zip(solve_stack(states, params(), 4.0, 0.37, **kw), states):
+        for got, state in zip(solve_stack(grid, rows_of(states), params(), 4.0, 0.37, **kw),
+                              states):
             assert_same_trajectory(got, solve(state, params(), 4.0, 0.37, **kw))
 
 
 def test_stacked_cfl_step_follows_the_largest_row(line):
     big, small = bump(line, 1.6), bump(line, 0.5)
-    got = solve_stack([small, big], params(), 4.0, 0.5)
+    got = solve_stack(line, rows_of([small, big]), params(), 4.0, 0.5)
     assert np.array_equal(got[0].times, got[1].times)
     assert np.array_equal(got[1].times, solve(big, params(), 4.0, 0.5).times)
     assert len(got[0].times) > len(solve(small, params(), 4.0, 0.5).times)
 
 
-def test_stack_rejects_mixed_grids_and_start_times(line):
-    other = Grid(256, 32.0)
-    with pytest.raises(ValueError, match="share grid"):
-        solve_stack([bump(line, 0.5), bump(other, 0.5)], params(), 4.0, 0.1)
-    late = bump(line, 0.5)
-    with pytest.raises(ValueError, match="share grid"):
-        solve_stack([bump(line, 0.5), State(late.u, late.rho, 0.05)], params(), 4.0, 0.1)
+def test_stack_of_the_wrong_shape_is_rejected(line):
+    stack = rows_of([bump(line, 0.5), bump(line, 0.3)])
+    # a last axis that is not N/2+1, no rho row, no row axis
+    for bad in (stack[..., :-1], np.pad(stack, ((0, 0), (0, 0), (0, 2))), stack[:, :1],
+                stack[0]):
+        with pytest.raises(ValueError, match="stack shape"):
+            solve_stack(line, bad, params(), 4.0, 0.1)
+
+
+@pytest.mark.parametrize("t", [-0.05, np.nan, 0.1, 0.2])
+def test_start_time_outside_zero_to_t_end_is_rejected(line, t):
+    # State refuses a negative or NaN time; the stack's own start time is checked too
+    with pytest.raises(ValueError, match="need 0 <= t < t_end"):
+        solve_stack(line, rows_of([bump(line, 0.5)]), params(), 4.0, 0.1, t)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("field", [0, 1])
+def test_non_finite_row_is_rejected_before_any_step(line, monkeypatch, value, field):
+    def no_step(*args):
+        raise AssertionError("a non-finite stack was stepped")
+
+    monkeypatch.setattr(solver, "step_rk4", no_step)
+    stack = rows_of([bump(line, 0.5), bump(line, 0.3)])
+    stack[1, field, 5] = value
+    with pytest.raises(NonFiniteStateError):
+        solve_stack(line, stack, params(), 4.0, 0.1)
+    with pytest.raises(NonFiniteStateError):
+        solve(State(Field(line, stack[1, 0]), Field(line, stack[1, 1])), params(), 4.0, 0.1)
+
+
+def test_stacked_seam_check_judges_every_row(line):
+    # the clean row comes first, so a check of row 0 alone would pass
+    rough = random_field(line, 2.0, seed=3, amplitude=0.5)
+    stack = rows_of([bump(line, 0.5), State(rough, Field.zero(line))])
+    edge = (line.x < 0.1 * line.length) | (line.x > 0.9 * line.length)
+    worst = re.escape(f"reaches {np.abs(rough.values[edge]).max():.3e} within")
+
+    def run(rows, **kw):
+        return solve_stack(line, rows, params(), 4.0, 0.1, dt_policy=0.05, **kw)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run(stack[:1])
+        run(stack, seam_policy="ignore")
+    with pytest.warns(SeamWarning, match=worst) as caught:
+        run(stack)
+    assert sum(issubclass(w.category, SeamWarning) for w in caught) == 1
+    with pytest.raises(SeamError, match=worst):
+        run(stack, seam_policy="error")
 
 
 # ------------------------------------------------------ per-row watchdog
@@ -119,7 +174,7 @@ def test_non_finite_row_leaves_the_stack_alone(line):
     states = [bump(line, 0.5), bump(line, 1e5), bump(line, 0.45)]
     kw = dict(dt_policy=0.05, blowup_threshold=math.inf, tail_limit=1.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        got = solve_stack(states, params(), 4.0, 1.0, **kw)
+        got = solve_stack(line, rows_of(states), params(), 4.0, 1.0, **kw)
         want = [solve(s, params(), 4.0, 1.0, **kw) for s in states]
     assert [t.status for t in got] == [COMPLETED, BLOWUP, COMPLETED]
     for g, w in zip(got, want):
@@ -145,7 +200,7 @@ def test_watchdog_statuses_are_per_row():
     threshold = 0.5 * (solo.y[0] + solo.y.max())
     states = [smooth, rough, bump_state(0.9, 0.3), growing, bump_state(50.0, 0.0), smooth]
     kw["blowup_threshold"] = threshold
-    got = solve_stack(states, params(), 2.5, 1.0, **kw)
+    got = solve_stack(grid, rows_of(states), params(), 2.5, 1.0, **kw)
     assert [t.status for t in got] == [COMPLETED, RESOLUTION_EXHAUSTED, RESOLUTION_EXHAUSTED,
                                        BLOWUP, BLOWUP, COMPLETED]
     # at t = 0, mid-run, mid-run, at t = 0
@@ -244,10 +299,10 @@ def test_case_error_marks_only_its_case(line):
 def test_family_error_marks_every_case_of_its_group(line, monkeypatch):
     real = holder.solve_stack
 
-    def fails_at_375(members, p, s, *args, **kw):
+    def fails_at_375(grid, members, p, s, *args, **kw):
         if s == 3.75:
             raise ValueError("planted family failure")
-        return real(members, p, s, *args, **kw)
+        return real(grid, members, p, s, *args, **kw)
 
     monkeypatch.setattr(holder, "solve_stack", fails_at_375)
     reports = sweep([(3.75, 1.0), (4.0, 2.0), (3.75, 1.25)], line, params(), T=0.3)

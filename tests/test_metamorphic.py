@@ -20,8 +20,8 @@ import numpy as np
 import pytest
 
 from chslab.fields import random_halves
-from chslab.solver import COMPLETED, State, SystemParams, _operators, _Workspace, solve_stack
-from chslab.spectral import Field, Grid
+from chslab.solver import COMPLETED, SystemParams, _operators, _Workspace, solve_stack
+from chslab.spectral import Grid
 
 GRIDS = [(32, 2.0 * np.pi), (64, 10.0), (128, 40.0)]
 
@@ -80,8 +80,7 @@ def test_rhs_commutes_with_reflection_at_alpha_zero(n, length, seed):
 
 def _final_halves(grid: Grid, params: SystemParams, stack: np.ndarray) -> np.ndarray:
     """The (P, 2, N/2+1) final stack of 10 fixed steps, after checking every row completed."""
-    initials = [State(Field(grid, u), Field(grid, rho), 0.0) for u, rho in stack]
-    trajs = solve_stack(initials, params, 4.0, 0.05, dt_policy=0.005, store_stride=0,
+    trajs = solve_stack(grid, stack, params, 4.0, 0.05, dt_policy=0.005, store_stride=0,
                         seam_policy="ignore")
     assert [tr.status for tr in trajs] == [COMPLETED] * len(stack)
     assert all(len(tr.times) == 11 for tr in trajs)

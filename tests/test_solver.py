@@ -180,10 +180,11 @@ def test_single_step_matches_solver_composition():
     grid = Grid(64, 2.0 * np.pi)
     st = State(dealias_truncate(cosine_mode(grid, 1, 0.3)), Field.zero(grid), 0.0)
     params = default_params()
-    stepped = step_rk4(st, params, 0.01)
+    stepped, bad = step_rk4(grid, np.array([[st.u.half, st.rho.half]]), params, 0.01)
     traj = solve(st, params, 4.0, 0.01, dt_policy=0.01, seam_policy="ignore")
-    assert sup_norm(stepped.u - traj.final.u) < 1e-15
-    assert stepped.t == traj.final.t
+    assert not bad.any()
+    assert sup_norm(Field(grid, stepped[0, 0]) - traj.final.u) < 1e-15
+    assert st.t + 0.01 == traj.final.t
 
 
 # --------------------------------------------------------- time stepping
@@ -286,7 +287,7 @@ def test_non_finite_state_raises_its_own_error(line):
 
 
 def test_other_step_errors_are_not_a_blowup(line, monkeypatch):
-    def broken_step(state, params, dt):
+    def broken_step(grid, stack, params, dt, work=None):
         raise ValueError("grid mismatch")
 
     monkeypatch.setattr(solver, "step_rk4", broken_step)

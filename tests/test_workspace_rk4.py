@@ -59,13 +59,13 @@ def test_workspace_step_is_the_allocating_step(log_n, rows, spare, seed, dt, b, 
     stack = random_stack(grid, rows, seed)
     before = stack.copy()
     work = _Workspace(grid.n, rows + spare)
-    new, bad = step_rk4((grid, stack, work), params, dt)
+    new, bad = step_rk4(grid, stack, params, dt, work)
     want, want_bad = allocating_step(grid, stack, params, dt)
     assert np.array_equal(new, want)
     assert np.array_equal(bad, want_bad)
     assert np.array_equal(stack, before)
     # the workspace keeps nothing between steps that changes the next one
-    again, _ = step_rk4((grid, stack, work), params, dt)
+    again, _ = step_rk4(grid, stack, params, dt, work)
     assert np.array_equal(again, want)
 
 
@@ -85,11 +85,6 @@ def test_workspace_difference_step_is_the_allocating_step(log_n, seed, dt, b, ka
                     w, dt, work)
     assert np.array_equal(got, want)
     assert np.array_equal(bad, want_bad)
-
-
-def _allocating_step_rk4(state, params, dt):
-    grid, stack, _ = state
-    return allocating_step(grid, stack, params, dt)
 
 
 def _assert_same_runs(got, want):
@@ -112,10 +107,10 @@ ABORTING = (1e100, 0.5, 2.0, 0.3, 10.0)
 
 def _aborting_run(params):
     grid = Grid(64, 2.0 * np.pi)
-    states = [State(gaussian_bump(grid, amplitude=a, width=0.8),
-                    gaussian_bump(grid, amplitude=0.3, width=0.5), 0.0) for a in ABORTING]
+    rho = gaussian_bump(grid, amplitude=0.3, width=0.5).half
+    stack = np.array([[gaussian_bump(grid, amplitude=a, width=0.8).half, rho] for a in ABORTING])
     with np.errstate(all="ignore"):
-        return solve_stack(states, params, 2.5, 0.5, dt_policy=0.01, seam_policy="ignore",
+        return solve_stack(grid, stack, params, 2.5, 0.5, dt_policy=0.01, seam_policy="ignore",
                            tail_limit=1e-3, blowup_threshold=np.inf)
 
 
@@ -127,7 +122,7 @@ def test_run_with_rows_aborting_mid_run_is_the_allocating_run(b, kappa, alpha):
     params = SystemParams(b=b, kappa=kappa, alpha=alpha)
     got = _aborting_run(params)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(solver, "step_rk4", _allocating_step_rk4)
+        m.setattr(solver, "step_rk4", allocating_step)
         want = _aborting_run(params)
     _assert_same_runs(got, want)
 
@@ -178,10 +173,10 @@ def test_warm_one_row_step_allocates_no_stage_buffers():
     stack = random_stack(grid, 1, 3)
     params = SystemParams(b=2.3, kappa=0.7, alpha=0.2)
     work = _Workspace(grid.n, 1)
-    step_rk4((grid, stack, work), params, 1e-3)
+    step_rk4(grid, stack, params, 1e-3, work)
     tracemalloc.start()
     try:
-        step_rk4((grid, stack, work), params, 1e-3)
+        step_rk4(grid, stack, params, 1e-3, work)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
