@@ -143,8 +143,7 @@ def _initial_state(cfg: RunConfig, grid: Grid) -> solver.State:
 
 
 def _params(cfg: RunConfig) -> solver.SystemParams:
-    return solver.SystemParams(b=cfg.b, kappa=cfg.kappa, alpha=cfg.alpha,
-                               c_s=cfg.c_s)
+    return solver.SystemParams(b=cfg.b, kappa=cfg.kappa, alpha=cfg.alpha)
 
 
 def _run_solve(cfg: RunConfig):
@@ -241,15 +240,19 @@ def _run_ineq(cfg: RunConfig):
 
 def _run_t0probe(cfg: RunConfig):
     grid = Grid(cfg.n, cfg.length)
-    params = _params(cfg)
+    params = replace(_params(cfg), c_s=cfg.c_s)
     state = _initial_state(cfg, grid)
+    y_raw = float(solver.y_norms(np.array([state.u.half, state.rho.half]), grid, cfg.s))
+    if not math.isfinite(y_raw):
+        raise solver.DataError(f"initial data too large: its norm y overflows (y = {y_raw})")
     if cfg.normalize:
-        y_raw = float(solver.y_norms(np.array([state.u.half, state.rho.half]), grid, cfg.s))
         if y_raw == 0.0:
             raise solver.DataError("cannot normalize initial data: its norm y underflows to 0")
         state = solver.State((1.0 / y_raw) * state.u, (1.0 / y_raw) * state.rho, 0.0)
 
     t0_config = solver.t0_lower_bound(state, cfg.s, params)
+    if not t0_config > 0.0:
+        raise solver.DataError(f"empty existence window: T0 = {t0_config} at c_s = {params.c_s}")
 
     def run(window):
         # CFL-limited, but never fewer than 24 steps so the rate fit has

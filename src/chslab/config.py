@@ -147,7 +147,7 @@ _COMMON = {
     "N": 256, "L": 64.0, "seed": 0, "parallelism": 1,
 }
 _PHYSICS = {
-    "b": 2.0, "kappa": 1.0, "alpha": 0.0, "c_s": 1.0,
+    "b": 2.0, "kappa": 1.0, "alpha": 0.0,
 }
 _DATA = {
     "kind": "gaussian", "amplitude": 1.0, "width": 0.0, "rho_amplitude": 0.3,
@@ -167,7 +167,7 @@ DEFAULTS = {
              "ratios_csv": False, "r": 2.0, "s": 2.5, "sigma": 1.0,
              "j": 1.0, "k": 1.0, "s1": 0.0, "s2": 3.0},
     "t0probe": {**_COMMON, **_PHYSICS, **_DATA,
-                "s": 4.0, "normalize": False, "cfl": 0.3},
+                "c_s": 1.0, "s": 4.0, "normalize": False, "cfl": 0.3},
     "kernel": {"r": 0.0, "j": 1.0, "k": 1.0, "eta_max": 1e4, "eta_points": 52,
                "parallelism": 1, "seed": 0},
 }

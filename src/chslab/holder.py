@@ -9,6 +9,7 @@ taking each member's running-max distance to the base, and regresses
 log distance against log amplitude; a sweep steps each family once per
 s.  The exponent law is an upper bound on distances, so a fitted slope
 above beta is consistent; verdicts only check slope >= beta - 0.1.
+A run reaches a verdict (pass, fail, no-verdict, degenerate) or raises.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import cosine_mode, initial_pair, random_field
-from .solver import COMPLETED, SystemParams, cfl_dt, solve_stack, y_norms
+from .solver import COMPLETED, DataError, SystemParams, cfl_dt, solve_stack, y_norms
 from .spectral import Grid, sobolev_norms
 
 __all__ = [
@@ -132,7 +133,10 @@ def make_family(grid: Grid, s: float, h: float, base_kind: str = "gaussian-bump"
                 direction_kind: str = "high-mode", deltas=None, seed: int = 0,
                 base_amplitude: float = 0.5,
                 rho_trivial: bool = False) -> PerturbationFamily:
-    """Build the family's rows; a base too large for the ball B(0, h) is shrunk to fit."""
+    """Build the family's rows; a base too large for the ball B(0, h) is shrunk to fit.
+
+    A family that still leaves the ball (its norms overflow) raises DataError.
+    """
     if deltas is None:
         deltas = np.geomspace(1e-2, 1e-5, 7)
     deltas = np.asarray(deltas, dtype=float)
@@ -159,7 +163,7 @@ def make_family(grid: Grid, s: float, h: float, base_kind: str = "gaussian-bump"
 
     fam = PerturbationFamily(grid, base, direction, deltas, s)
     if (y_norms(fam.members()[1:], grid, s) > h * (1.0 + 1e-12)).any():
-        raise ValueError("cannot fit family in the requested ball")
+        raise DataError("cannot fit family in the requested ball")
     return fam
 
 
@@ -180,41 +184,30 @@ class HolderReport:
 def run_holder(family: PerturbationFamily, params: SystemParams,
                r: float, T: float, cfl: float = 0.3) -> HolderReport:
     """Solve the family, measure distances, regress, and judge the slope at (family.s, r)."""
-    holder_exponent(family.s, r, rho_trivial=family.rho_trivial)  # a bad (s, r) raises
     return _run_cases(family, params, [r], T, cfl)[0]
-
-
-def _case(s: float, r: float, rho_trivial: bool):
-    try:
-        return holder_exponent(s, r, rho_trivial=rho_trivial)
-    except ValueError as exc:
-        return _error_report(s, r, exc)
 
 
 def _run_cases(family: PerturbationFamily, params: SystemParams,
                rs, T: float, cfl: float = 0.3) -> list:
-    """One report per r (an error row if holder_exponent rejects it).
+    """One report per r; holder_exponent raises on a bad (s, r) before any step.
 
     `family.members()` is the stack `solve_stack` steps, with one fixed
     dt: the CFL step of the worst initial sup|u| in the family.  Each
     member's H^r x H^{r-2} distance to the base row is a running max
     over the ledger times, so no trajectory is stored.
     """
-    cases = [_case(family.s, r, family.rho_trivial) for r in rs]
-    valid = [c for c in cases if isinstance(c, HolderCase)]
-    if not valid:
-        return cases
+    cases = [holder_exponent(family.s, r, rho_trivial=family.rho_trivial) for r in rs]
     grid, members = family.grid, family.members()
     # sup|u0 + delta d| is convex in delta, so its largest value over the
     # ladder is at delta = 0 or at the largest delta: rows 0 and 1
     dt = cfl_dt(grid, members[:2, 0], cfl)
-    distances = np.zeros((len(valid), len(members) - 1))
+    distances = np.zeros((len(cases), len(members) - 1))
 
     def track(t, stack, rows):
         if len(rows) < len(members):
             return  # a member aborted: no case reports distances
         diff = stack[1:] - stack[:1]
-        for best, case in zip(distances, valid):
+        for best, case in zip(distances, cases):
             np.fmax(best, y_norms(diff, grid, case.r), out=best)
 
     trajs = solve_stack(grid, members, params, family.s, T, dt_policy=dt, store_stride=0,
@@ -223,9 +216,8 @@ def _run_cases(family: PerturbationFamily, params: SystemParams,
     # keep regression points clear of accumulated roundoff
     nsteps = len(trajs[0].times) - 1
     floor = 1e3 * 2.22e-16 * max(1.0, float(trajs[0].y.max())) * max(nsteps, 1)
-    fits = iter([_fit(case, family.deltas, dist, floor, statuses, T, dt)
-                 for case, dist in zip(valid, distances)])
-    return [next(fits) if isinstance(c, HolderCase) else c for c in cases]
+    return [_fit(case, family.deltas, dist, floor, statuses, T, dt)
+            for case, dist in zip(cases, distances)]
 
 
 def _fit(case, deltas, distances, floor, statuses, T, dt) -> HolderReport:
@@ -251,12 +243,9 @@ def _fit(case, deltas, distances, floor, statuses, T, dt) -> HolderReport:
 
 
 def _sweep_group(payload) -> list:
-    """Reports of one s-group; a ValueError from its family marks every case."""
+    """Reports of one s-group: its family is built and stepped once for all of its r."""
     s, rs, params, T, cfl, family_args = payload
-    try:
-        return _run_cases(make_family(s=s, **family_args), params, rs, T, cfl)
-    except ValueError as exc:
-        return [_error_report(s, r, exc) for r in rs]
+    return _run_cases(make_family(s=s, **family_args), params, rs, T, cfl)
 
 
 def sweep(cases, grid: Grid, params: SystemParams, T: float, h: float = 2.0,
@@ -266,11 +255,10 @@ def sweep(cases, grid: Grid, params: SystemParams, T: float, h: float = 2.0,
     """One report per (s, r) case, in input order.
 
     Cases that share s share a family, built and stepped once for all of
-    their r.  A ValueError (the documented rejections of holder_exponent,
-    make_family and solve) becomes an error row; any other exception
-    propagates.  Workers > 1 fans the s-groups out to processes; each
-    rebuilds its family from the same seed, so results match the serial
-    run.
+    their r.  Every exception propagates, from a worker process too; data
+    at fault (non-finite rows, a family outside the ball) raise DataError.
+    Workers > 1 fans the s-groups out to processes; each rebuilds its
+    family from the same seed, so results match the serial run.
     """
     family_args = dict(grid=grid, h=h, base_kind=base_kind, direction_kind=direction_kind,
                        deltas=deltas, seed=seed, base_amplitude=base_amplitude,
@@ -288,11 +276,3 @@ def sweep(cases, grid: Grid, params: SystemParams, T: float, h: float = 2.0,
         results = [_sweep_group(p) for p in payloads]
     by_case = dict(zip(itertools.chain(*groups.values()), itertools.chain(*results)))
     return [by_case[i] for i in range(len(cases))]
-
-
-def _error_report(s: float, r: float, exc: Exception) -> HolderReport:
-    nan = float("nan")
-    case = HolderCase(s=s, r=r, rho_trivial=False, beta=nan, regime="invalid")
-    return HolderReport(case, np.array([]), np.array([]), nan, nan, nan,
-                        f"error: {exc}", (), nan, nan)
-

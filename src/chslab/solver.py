@@ -163,8 +163,11 @@ class DifferenceTrajectory:
     defect: float
 
 
-class NonFiniteStateError(ValueError):
-    """A state field holds a NaN or an infinity: the run has blown up."""
+class NonFiniteStateError(DataError):
+    """Input state holds a NaN or an infinity: a fault of the data.
+
+    A `solve_stack` row that blows up on the way gets the status BLOWUP instead.
+    """
 
 
 class _Operators:

@@ -15,12 +15,7 @@ import math
 
 import numpy as np
 
-from chslab.holder import (
-    HolderReport,
-    _error_report,
-    holder_exponent,
-    make_family,
-)
+from chslab.holder import HolderReport, holder_exponent, make_family
 from chslab.fields import cosine_mode, random_field
 from chslab.solver import COMPLETED, State, solve
 from chslab.spectral import Field, sobolev_norm, sup_norm
@@ -104,15 +99,9 @@ def oracle_run_holder(family, params, r, T, cfl=0.3,
 
 
 def oracle_sweep(cases, grid, params, T, cfl=0.3, **family_args):
-    """One family build and one oracle run per case, errors as rows."""
-    reports = []
-    for s, r in cases:
-        try:
-            family = make_family(grid, float(s), **family_args)
-            reports.append(oracle_run_holder(family, params, float(r), T, cfl))
-        except ValueError as exc:
-            reports.append(_error_report(float(s), float(r), exc))
-    return reports
+    """One family build and one oracle run per case; any error propagates."""
+    return [oracle_run_holder(make_family(grid, float(s), **family_args), params,
+                              float(r), T, cfl) for s, r in cases]
 
 
 def _same_float(a, b) -> bool:

@@ -384,9 +384,11 @@ def test_a_run_that_raises_after_its_solve_writes_nothing(tmp_path, capsys, monk
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
 def test_seam_error_exits_two_with_one_line_and_writes_nothing(tmp_path, capsys):
     # data at fault: a seam the data reaches, and norms that underflow to 0
-    # (|c|^2 underflows below amplitudes of about 1e-154)
+    # (|c|^2 underflows below amplitudes of about 1e-154) or overflow
     cases = [
         (["solve", "--seam", "error", "--kind", "random", "--N", "64"],
          "chslab: initial data reaches "),
@@ -394,6 +396,23 @@ def test_seam_error_exits_two_with_one_line_and_writes_nothing(tmp_path, capsys)
          "chslab: cannot normalize initial data: its norm y underflows to 0"),
         (["t0probe", "--normalize", "true", "--amplitude", "1e-320"],
          "chslab: cannot normalize initial data: its norm y underflows to 0"),
+        # values or norms that overflow (|c|^2 overflows above about 1e154)
+        (["holder", "--base_amplitude", "1e307"],
+         "chslab: non-finite values in state fields"),
+        (["holder", "--base_amplitude", "1e307", "--parallelism", "2"],
+         "chslab: non-finite values in state fields"),
+        (["holder", "--cases", "200:199.5"], "chslab: non-finite values in state fields"),
+        (["holder", "--h", "1e300", "--base_amplitude", "1e305", "--delta_max", "1e290",
+          "--delta_min", "1e280"], "chslab: cannot fit family in the requested ball"),
+        (["solve", "--amplitude", "1e308"], "chslab: non-finite values in state fields"),
+        (["t0probe", "--amplitude", "1e200"], "chslab: initial data too large: "),
+        (["t0probe", "--amplitude", "1e308"], "chslab: initial data too large: "),
+        (["t0probe", "--normalize", "true", "--amplitude", "1e200"],
+         "chslab: initial data too large: "),
+        (["t0probe", "--normalize", "true", "--amplitude", "1e308"],
+         "chslab: initial data too large: "),
+        # 2 c_s overflows, so the window log1p(1/y0) / (2 c_s) is 0
+        (["t0probe", "--c_s", "1e308"], "chslab: empty existence window: T0 = 0.0"),
     ]
     for i, (argv, head) in enumerate(cases):
         out = tmp_path / str(i)

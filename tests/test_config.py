@@ -23,7 +23,7 @@ def test_defaults_without_any_input():
     assert cfg.n == 256
     assert cfg.length == 64.0
     assert cfg.b == 2.0
-    assert cfg.c_s == 1.0
+    assert cfg.c_s is None  # only t0probe reads the energy-estimate constant
     assert cfg.kind == "gaussian"
     assert cfg.t_end == 1.0
     assert cfg.out == "/tmp/out"
@@ -92,9 +92,13 @@ def test_unknown_command_is_rejected():
 
 
 def test_keys_are_scoped_per_command():
-    with pytest.raises(ConfigError) as err:
-        parse_config("t_end = 1.0\n", "kernel", "/tmp/out")
-    assert "does not apply" in str(err.value)
+    # only t0probe reads the energy-estimate constant c_s
+    for text, command in [("t_end = 1.0\n", "kernel"), ("c_s = 7\n", "solve"),
+                          ("c_s = 7\n", "holder")]:
+        with pytest.raises(ConfigError) as err:
+            parse_config(text, command, "/tmp/out")
+        assert "does not apply" in str(err.value)
+    assert parse_config("c_s = 7\n", "t0probe", "/tmp/out").c_s == 7.0
 
 
 def test_holder_cases_parse_and_validate():
@@ -143,13 +147,13 @@ def test_command_key_lists_are_disjoint_where_expected():
 DEFAULT_MANIFEST_LINES = {
     "solve": [
         "L = 64.0", "N = 256", "alpha = 0.0", "amplitude = 1.0", "b = 2.0",
-        "c_s = 1.0", "cfl = 0.3", "kappa = 1.0", "kind = gaussian",
-        "parallelism = 1", "rho_amplitude = 0.3", "s = 4.0", "seam = warn",
-        "seed = 0", "t_end = 1.0", "width = 0.0",
+        "cfl = 0.3", "kappa = 1.0", "kind = gaussian", "parallelism = 1",
+        "rho_amplitude = 0.3", "s = 4.0", "seam = warn", "seed = 0",
+        "t_end = 1.0", "width = 0.0",
     ],
     "holder": [
         "L = 64.0", "N = 256", "T = 0.5", "alpha = 0.0", "b = 2.0",
-        "base_amplitude = 0.5", "base_kind = gaussian-bump", "c_s = 1.0",
+        "base_amplitude = 0.5", "base_kind = gaussian-bump",
         "cases = 4:1 4:2 4:3.5 3.75:1", "cfl = 0.3", "delta_count = 7",
         "delta_max = 0.01", "delta_min = 1e-05", "direction_kind = high-mode",
         "h = 2.0", "kappa = 1.0", "parallelism = 1", "rho_trivial = false",

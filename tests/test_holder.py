@@ -9,7 +9,6 @@ import pytest
 from chslab.cli import _holder_artifacts
 from chslab.fields import gaussian_bump, random_field, sech2_bump
 from chslab.holder import (
-    HolderReport,
     holder_exponent,
     make_family,
     run_holder,
@@ -179,11 +178,10 @@ def test_sweep_preserves_case_order_and_is_deterministic(grid):
     assert np.array_equal(reports[0].distances, reports[1].distances)
 
 
-def test_sweep_turns_case_errors_into_rows(grid):
-    reports = sweep([(4.0, 2.0), (3.4, 1.0)], grid, params(), T=0.3)
-    assert reports[0].verdict == "pass"
-    assert reports[1].verdict.startswith("error:")
-    assert math.isnan(reports[1].slope)
+def test_sweep_raises_on_a_bad_case(grid):
+    # a bad (s, r) is an error of the call, not a report row
+    with pytest.raises(ValueError, match=r"need s > 7/2, got s=3\.4"):
+        sweep([(4.0, 2.0), (3.4, 1.0)], grid, params(), T=0.3)
 
 
 def test_report_files_round_trip(grid):

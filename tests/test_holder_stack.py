@@ -259,11 +259,11 @@ SWEEP_SETUPS = [
     (64, "high-mode", False, 0.2, None,
      [(4.0, 1.0), (4.0, 3.5), (3.75, 1.0), (4.0, 2.0)]),
     (256, "random-decay", True, 0.3, None,
-     [(4.0, 0.5), (4.5, 0.3), (4.0, 2.0), (3.4, 1.0)]),
+     [(4.0, 0.5), (4.5, 0.3), (4.0, 2.0), (3.75, 1.0)]),
     (256, "high-mode", False, 0.2, np.geomspace(1e-12, 1e-15, 5),
      [(4.0, 2.0), (4.0, 3.5)]),
     (1024, "random-decay", False, 0.1, None,
-     [(4.0, 1.0), (3.75, 1.0), (4.0, 0.5), (4.0, 3.5)]),
+     [(4.0, 1.0), (3.75, 1.0), (4.0, 1.5), (4.0, 3.5)]),
     (1024, "high-mode", False, 0.1, None, [(4.0, 2.0), (4.0, 2.0)]),
 ]
 
@@ -289,14 +289,17 @@ def test_degenerate_ladder_matches_the_oracle(line):
     assert_same_report(got, oracle_run_holder(fam, params(), 2.0, T=0.2))
 
 
-def test_case_error_marks_only_its_case(line):
+def test_bad_case_raises_before_any_step(line, monkeypatch):
+    def never(*args, **kw):
+        raise AssertionError("a bad case must raise before its family steps")
+
+    monkeypatch.setattr(holder, "solve_stack", never)
     # r = 0.5 is below the r >= 1 floor when rho is not trivial
-    reports = sweep([(4.0, 0.5), (4.0, 2.0), (3.75, 1.0)], line, params(), T=0.3)
-    assert reports[0].verdict.startswith("error:")
-    assert reports[1].verdict == reports[2].verdict == "pass"
+    with pytest.raises(ValueError, match=r"got r=0\.5, s=4\.0"):
+        sweep([(4.0, 0.5), (4.0, 2.0), (3.75, 1.0)], line, params(), T=0.3)
 
 
-def test_family_error_marks_every_case_of_its_group(line, monkeypatch):
+def test_family_error_propagates_out_of_the_sweep(line, monkeypatch):
     real = holder.solve_stack
 
     def fails_at_375(grid, members, p, s, *args, **kw):
@@ -305,9 +308,8 @@ def test_family_error_marks_every_case_of_its_group(line, monkeypatch):
         return real(grid, members, p, s, *args, **kw)
 
     monkeypatch.setattr(holder, "solve_stack", fails_at_375)
-    reports = sweep([(3.75, 1.0), (4.0, 2.0), (3.75, 1.25)], line, params(), T=0.3)
-    assert reports[0].verdict == reports[2].verdict == "error: planted family failure"
-    assert reports[1].verdict == "pass"
+    with pytest.raises(ValueError, match="planted family failure"):
+        sweep([(3.75, 1.0), (4.0, 2.0), (3.75, 1.25)], line, params(), T=0.3)
 
 
 def test_programming_errors_propagate_out_of_the_sweep(line, monkeypatch, tmp_path,
@@ -326,7 +328,7 @@ def test_programming_errors_propagate_out_of_the_sweep(line, monkeypatch, tmp_pa
 
 def test_parallel_sweep_writes_the_serial_bytes(pools):
     grid = Grid(128, 64.0)
-    cases = [(4.0, 2.0), (3.75, 1.0), (4.0, 3.5), (4.0, 2.0), (3.4, 1.0)]
+    cases = [(4.0, 2.0), (3.75, 1.0), (4.0, 3.5), (4.0, 2.0), (4.5, 2.0)]
     outputs = {}
     for workers in (1, 2):
         reports = sweep(cases, grid, params(), T=0.3,

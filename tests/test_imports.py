@@ -2,7 +2,8 @@
 
 A removal that leaves its import behind fails here: each name that a
 module-level import binds in chslab/*.py must be read somewhere in that
-module or be listed in its __all__.  Likewise each private (_name)
+module or be listed in its __all__, and the same holds for tests/*.py
+(the acceptance tests excepted).  Likewise each private (_name)
 function, class or variable a module defines must be read in that
 module, since nothing outside it should reach for it.  Each public
 name in a module's __all__ must be read in chslab/*.py or in the
@@ -50,6 +51,18 @@ def test_package_has_no_unused_imports():
     assert found == []
 
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def test_tests_have_no_unused_imports():
+    # the acceptance tests stay as they were written
+    found = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        if path.name != "test_acceptance.py":
+            found += [(path.name, *hit) for hit in _unused_imports(ast.parse(path.read_text()))]
+    assert found == []
+
+
 def test_guard_sees_unused_imports():
     src = ("from __future__ import annotations\nimport os\nimport numpy as np\n"
            "import os.path as osp\nfrom math import pi, tau\nfrom .spectral import Grid\n"
@@ -94,7 +107,6 @@ def test_guard_sees_unread_private_names():
                                                      (15, "_x")]
 
 
-ROOT = pathlib.Path(__file__).resolve().parents[1]
 # public on purpose though nothing here reads them: the snapshot reader and
 # the package version
 UNREAD_PUBLIC = {("__init__.py", "__version__"), ("solver.py", "load_snapshot")}

@@ -32,7 +32,7 @@ from chslab.solver import (
     solve_stack,
     step_rk4,
 )
-from chslab.spectral import Field, Grid, half_dealias_mask
+from chslab.spectral import Grid, half_dealias_mask
 
 
 def random_stack(grid, rows, seed, amp_u=0.3, amp_rho=0.1):
