@@ -53,12 +53,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _json_num(x):
-    # JSON has no inf/nan tokens; report them as null
-    x = float(x)
-    return x if math.isfinite(x) else None
-
-
 def _write_manifest(cfg: RunConfig, results: dict, artifacts: dict, wall: float):
     lines = ["chslab manifest", f"command = {cfg.command}"]
     for key, val in effective_items(cfg):
@@ -75,8 +69,18 @@ def _write_manifest(cfg: RunConfig, results: dict, artifacts: dict, wall: float)
 
 # -- text artifacts: every CSV and JSON file a run writes is made here
 
+def _finite(obj):
+    """JSON has no NaN or infinity tokens: every non-finite float becomes null."""
+    if isinstance(obj, dict):
+        return {key: _finite(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(val) for val in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def _json(obj) -> bytes:
-    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+    return (json.dumps(_finite(obj), indent=2, sort_keys=True, allow_nan=False)
+            + "\n").encode()
 
 
 def _cell(value) -> str:
@@ -122,20 +126,6 @@ def _probe_json(rep: ineq.ProbeReport) -> dict:
             "grid": {"n": rep.grid_n, "length": rep.grid_length}, "extra": rep.extra}
 
 
-def _worker_cap(requested: int) -> int:
-    """CHSLAB_THREADS caps worker counts; unset means honor the request."""
-    env = os.environ.get("CHSLAB_THREADS", "").strip()
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            cap = 0  # not an integer: rejected below with the same message
-        if cap < 1:
-            raise ValueError(f"CHSLAB_THREADS must be a positive integer, got {env!r}")
-        return max(1, min(requested, cap))
-    return max(1, requested)
-
-
 def _initial_state(cfg: RunConfig, grid: Grid) -> solver.State:
     u, rho = fields.initial_pair(grid, cfg.kind, cfg.amplitude, cfg.rho_amplitude,
                                  cfg.seed, cfg.width or None)
@@ -166,11 +156,10 @@ def _run_holder(cfg: RunConfig):
     grid = Grid(cfg.n, cfg.length)
     deltas = np.geomspace(cfg.delta_max, cfg.delta_min, cfg.delta_count)
     reports = holder.sweep(
-        cfg.cases, grid, _params(cfg), h=cfg.h, base_kind=cfg.base_kind,
-        direction_kind=cfg.direction_kind, deltas=deltas, seed=cfg.seed,
-        T=cfg.horizon, base_amplitude=cfg.base_amplitude,
-        rho_trivial=cfg.rho_trivial, cfl=cfg.cfl,
-        workers=_worker_cap(cfg.parallelism))
+        cfg.cases, grid, _params(cfg), cfg.horizon, cfl=cfg.cfl, workers=cfg.parallelism,
+        h=cfg.h, base_kind=cfg.base_kind, direction_kind=cfg.direction_kind,
+        deltas=deltas, seed=cfg.seed, base_amplitude=cfg.base_amplitude,
+        rho_trivial=cfg.rho_trivial)
     ok = all(r.verdict == "pass" for r in reports)
     return ok, {"verdict": "pass" if ok else "fail"}, _holder_artifacts(reports)
 
@@ -217,7 +206,7 @@ def _run_ineq(cfg: RunConfig):
         artifacts[stem + ".json"] = _json(_probe_json(rep))
         if cfg.ratios_csv:
             artifacts[stem + "_ratios.csv"] = _csv("index,ratio", enumerate(rep.ratios))
-        constants[stem] = _json_num(rep.constant)
+        constants[stem] = rep.constant
         if not math.isfinite(rep.constant):
             problems.append(f"{stem}: constant is not finite")
         if rep.violations:
@@ -283,11 +272,11 @@ def _run_t0probe(cfg: RunConfig):
     report = {
         "y0": float(traj.y[0]),
         "c_s": params.c_s,
-        "T0": _json_num(t0_config),
+        "T0": t0_config,
         "fitted_cs": fitted,
-        "T0_fitted": _json_num(check.t0),
+        "T0_fitted": check.t0,
         "bound": check.bound,
-        "max_ratio": _json_num(check.max_ratio),
+        "max_ratio": check.max_ratio,
         "passed": check.passed,
         "first_violation": check.first_violation,
         "status": traj.status,
@@ -339,7 +328,10 @@ def execute(cfg: RunConfig) -> int:
         os.makedirs(cfg.out, exist_ok=True)
         start = time.perf_counter()
         try:
-            ok, results, artifacts = _RUNNERS[cfg.command](cfg)
+            # a datum that overflows is classified by the run's status or a
+            # DataError; numpy's warnings about it would only add stderr lines
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                ok, results, artifacts = _RUNNERS[cfg.command](cfg)
         except solver.DataError as exc:
             print(f"chslab: {exc}", file=sys.stderr)
             return 2
@@ -363,10 +355,9 @@ def sweep_execute(configs, parallelism: int = 1) -> int:
     are byte-identical whatever the parallelism.  Returns the worst exit
     code.
     """
-    workers = _worker_cap(parallelism)
-    if workers > 1 and len(configs) > 1:
+    if parallelism > 1 and len(configs) > 1:
         from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool is built
-        with ProcessPoolExecutor(max_workers=min(workers, len(configs))) as pool:
+        with ProcessPoolExecutor(max_workers=min(parallelism, len(configs))) as pool:
             futures = [pool.submit(execute, cfg) for cfg in configs]
             codes = [f.result() for f in futures]
     else:
@@ -430,8 +421,6 @@ def main(argv=None) -> int:
             except OSError as exc:
                 raise ValueError(f"cannot read config: {exc}") from exc
         cfg = parse_config(text, args.command, args.out, overrides)
-        # every command takes parallelism, so a bad cap stops any run before it writes
-        _worker_cap(cfg.parallelism)
     except ConfigError as exc:
         print(exc.report(), file=sys.stderr)
         return 2

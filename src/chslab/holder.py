@@ -129,13 +129,14 @@ def _direction_rows(grid, kind, s, seed, rho_trivial):
     return (1.0 / scale) * rows
 
 
-def make_family(grid: Grid, s: float, h: float, base_kind: str = "gaussian-bump",
+def make_family(grid: Grid, s: float, h: float = 2.0, base_kind: str = "gaussian-bump",
                 direction_kind: str = "high-mode", deltas=None, seed: int = 0,
                 base_amplitude: float = 0.5,
                 rho_trivial: bool = False) -> PerturbationFamily:
     """Build the family's rows; a base too large for the ball B(0, h) is shrunk to fit.
 
     A family that still leaves the ball (its norms overflow) raises DataError.
+    `sweep` forwards its family keywords here, so these defaults are its too.
     """
     if deltas is None:
         deltas = np.geomspace(1e-2, 1e-5, 7)
@@ -188,7 +189,7 @@ def run_holder(family: PerturbationFamily, params: SystemParams,
 
 
 def _run_cases(family: PerturbationFamily, params: SystemParams,
-               rs, T: float, cfl: float = 0.3) -> list:
+               rs, T: float, cfl: float) -> list:
     """One report per r; holder_exponent raises on a bad (s, r) before any step.
 
     `family.members()` is the stack `solve_stack` steps, with one fixed
@@ -244,15 +245,13 @@ def _fit(case, deltas, distances, floor, statuses, T, dt) -> HolderReport:
 
 def _sweep_group(payload) -> list:
     """Reports of one s-group: its family is built and stepped once for all of its r."""
-    s, rs, params, T, cfl, family_args = payload
-    return _run_cases(make_family(s=s, **family_args), params, rs, T, cfl)
+    grid, s, rs, params, T, cfl, family = payload
+    return _run_cases(make_family(grid, s, **family), params, rs, T, cfl)
 
 
-def sweep(cases, grid: Grid, params: SystemParams, T: float, h: float = 2.0,
-          base_kind: str = "gaussian-bump", direction_kind: str = "high-mode",
-          deltas=None, seed: int = 0, base_amplitude: float = 0.5,
-          rho_trivial: bool = False, cfl: float = 0.3, workers: int = 1):
-    """One report per (s, r) case, in input order.
+def sweep(cases, grid: Grid, params: SystemParams, T: float, cfl: float = 0.3,
+          workers: int = 1, **family):
+    """One report per (s, r) case, in input order; `family` goes to `make_family`.
 
     Cases that share s share a family, built and stepped once for all of
     their r.  Every exception propagates, from a worker process too; data
@@ -260,13 +259,10 @@ def sweep(cases, grid: Grid, params: SystemParams, T: float, h: float = 2.0,
     Workers > 1 fans the s-groups out to processes; each rebuilds its
     family from the same seed, so results match the serial run.
     """
-    family_args = dict(grid=grid, h=h, base_kind=base_kind, direction_kind=direction_kind,
-                       deltas=deltas, seed=seed, base_amplitude=base_amplitude,
-                       rho_trivial=rho_trivial)
     groups = {}
     for i, (s, _) in enumerate(cases):
         groups.setdefault(float(s), []).append(i)
-    payloads = [(s, [float(cases[i][1]) for i in idx], params, T, cfl, family_args)
+    payloads = [(grid, s, [float(cases[i][1]) for i in idx], params, T, cfl, family)
                 for s, idx in groups.items()]
     if workers > 1 and len(payloads) > 1:
         from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool is built

@@ -2,12 +2,15 @@
 
 import json
 import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from chslab import cli, solver
-from chslab.cli import _cell, _csv, _git_blob_sha1, _worker_cap, execute, main, sweep_execute
+from chslab.cli import _cell, _csv, _git_blob_sha1, execute, main, sweep_execute
 from chslab.config import parse_config
 
 
@@ -334,32 +337,6 @@ def test_sweep_execute_parallel_matches_serial(tmp_path, pools):
                 == artifact_bytes(tmp_path / f"par{i}"))
 
 
-def test_worker_cap_respects_environment(monkeypatch):
-    monkeypatch.setenv("CHSLAB_THREADS", "1")
-    assert _worker_cap(8) == 1
-    monkeypatch.setenv("CHSLAB_THREADS", "3")
-    assert _worker_cap(8) == 3
-    assert _worker_cap(2) == 2
-    monkeypatch.delenv("CHSLAB_THREADS")
-    assert _worker_cap(8) == 8
-    for bad in ("0", "abc"):
-        monkeypatch.setenv("CHSLAB_THREADS", bad)
-        with pytest.raises(ValueError, match="must be a positive integer"):
-            _worker_cap(4)
-
-
-@pytest.mark.parametrize("command", ["holder", "solve"])
-@pytest.mark.parametrize("value", ["abc", "0"])
-def test_bad_thread_cap_exits_two_before_writing(tmp_path, capsys, monkeypatch, command,
-                                                 value):
-    monkeypatch.setenv("CHSLAB_THREADS", value)
-    out = tmp_path / "run"
-    assert main([command, "--out", str(out), "--N", "64"]) == 2
-    assert capsys.readouterr().err == (
-        f"chslab: CHSLAB_THREADS must be a positive integer, got {value!r}\n")
-    assert not out.exists()
-
-
 def test_execute_turns_runtime_failures_into_exit_two(tmp_path, capsys, monkeypatch):
     # a library call that fails mid-run; zero data with normalize = true,
     # the example used before, is now a config error
@@ -377,15 +354,13 @@ def test_a_run_that_raises_after_its_solve_writes_nothing(tmp_path, capsys, monk
     def broken(x):
         raise RuntimeError("report failed")
 
-    monkeypatch.setattr(cli, "_json_num", broken)
+    monkeypatch.setattr(cli, "_finite", broken)
     out = tmp_path / "t"
     assert main(["t0probe", "--N", "64", "--out", str(out)]) == 2
     assert "report failed" in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 def test_seam_error_exits_two_with_one_line_and_writes_nothing(tmp_path, capsys):
     # data at fault: a seam the data reaches, and norms that underflow to 0
     # (|c|^2 underflows below amplitudes of about 1e-154) or overflow
@@ -416,11 +391,40 @@ def test_seam_error_exits_two_with_one_line_and_writes_nothing(tmp_path, capsys)
     ]
     for i, (argv, head) in enumerate(cases):
         out = tmp_path / str(i)
-        assert main([*argv, "--out", str(out)]) == 2, argv
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*argv, "--out", str(out)]) == 2, argv
+        # numpy's overflow warnings would print before the one line
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == [], argv
         err = capsys.readouterr().err
         assert err.startswith(head) and err.count("\n") == 1, err
         assert "Traceback" not in err
         assert list(out.iterdir()) == []
+
+
+def test_data_fault_prints_one_stderr_line_from_a_real_process(tmp_path):
+    out = tmp_path / "h"
+    done = subprocess.run(
+        [sys.executable, "-m", "chslab.cli", "holder", "--base_amplitude", "1e307",
+         "--out", str(out)], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__))))
+    assert done.returncode == 2
+    assert done.stderr == "chslab: non-finite values in state fields\n"
+    assert list(out.iterdir()) == []
+
+
+def test_json_artifacts_hold_no_nan_or_infinity_tokens(tmp_path):
+    # the no-verdict report's slope, residual, intercept and distances are NaN
+    out = tmp_path / "h"
+    assert main(["holder", "--cases", "100:99.5", "--out", str(out)]) == 1
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    [report] = json.loads((out / "holder_reports.json").read_text(), parse_constant=reject)
+    assert report["verdict"] == "no-verdict: member aborted"
+    assert report["slope"] is None and report["intercept"] is None
+    assert report["distances"] == [None] * len(report["deltas"])
 
 
 def test_step_error_is_a_failed_run_not_a_blowup(tmp_path, capsys, monkeypatch):

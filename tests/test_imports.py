@@ -10,7 +10,8 @@ name in a module's __all__ must be read in chslab/*.py or in the
 acceptance tests, or be named in bench/*.py, whose tracer names the
 functions it wraps by string: test-only public API does not grow back.
 A serial run with no config text loads neither the process pool nor
-the INI parser.  The collector is the
+the INI parser.  No module reads the process environment: a run is
+configured by its key table alone.  The collector is the
 front end's business alone: `cli` freezes the import heap, and no other
 module imports gc, so importing a library module never changes its state.
 """
@@ -186,6 +187,37 @@ def test_gc_guard_sees_collector_use():
            "    importlib.import_module('gc')\n    os.getpid()\n    garbage = 'gc'\n"
            "    return freeze, garbage\n")
     assert _gc_uses(ast.parse(src)) == [1, 2, 6, 7, 8]
+
+
+_ENVIRONMENT = {"environ", "getenv", "putenv"}
+
+
+def _environment_uses(tree):
+    """Lines that reach the process environment through os.environ, os.getenv or os.putenv."""
+    hits = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT:
+            if getattr(node.value, "id", None) == "os":
+                hits.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            if any(alias.name in _ENVIRONMENT for alias in node.names):
+                hits.add(node.lineno)
+    return sorted(hits)
+
+
+def test_package_reads_no_environment_variable():
+    # one worker setting, one seed, one of everything: the config key table
+    found = []
+    for path in sorted(pathlib.Path(chslab.__file__).parent.glob("*.py")):
+        found += [(path.name, line) for line in _environment_uses(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_environment_guard_sees_os_environment_use():
+    src = ("import os\nfrom os import getenv\nfrom os import path\n\n"
+           "def f():\n    os.environ.get('X')\n    os.putenv('X', '1')\n"
+           "    environ = {}\n    return os.path.join('a'), environ, os.getpid()\n")
+    assert _environment_uses(ast.parse(src)) == [2, 6, 7]
 
 
 def _fresh_python(code, *args):
