@@ -5,9 +5,10 @@ s + r >= 5, an interpolation exponent (2s-5)/(s-r) below that corner,
 and s - r once r climbs within one of s.  The experiment side perturbs
 a base datum along a fixed direction with a log-spaced amplitude ladder,
 steps the base and every member as one stack with one shared dt while
-taking each member's running-max distance to the base, and regresses
-log distance against log amplitude; a sweep steps each family once per
-s.  The exponent law is an upper bound on distances, so a fitted slope
+taking each member's running-max distance to the base, and fits a
+least-squares line to log distance against log amplitude in closed form
+(`spectral.line_fit`, no LAPACK call); a sweep steps each family once
+per s.  The exponent law is an upper bound on distances, so a fitted slope
 above beta is consistent; verdicts only check slope >= beta - 0.1.
 A run reaches a verdict (pass, fail, no-verdict, degenerate) or raises.
 """
@@ -21,7 +22,7 @@ import numpy as np
 
 from .fields import cosine_mode, initial_pair, random_field
 from .solver import COMPLETED, DataError, SystemParams, cfl_dt, solve_stack, y_norms
-from .spectral import Grid, sobolev_norms
+from .spectral import Grid, line_fit, sobolev_norms
 
 __all__ = [
     "HolderCase", "holder_exponent", "PerturbationFamily", "make_family",
@@ -222,6 +223,11 @@ def _run_cases(family: PerturbationFamily, params: SystemParams,
 
 
 def _fit(case, deltas, distances, floor, statuses, T, dt) -> HolderReport:
+    """Judge one case: the closed-form line through (log10 delta, log10 distance).
+
+    Only distances above the noise floor enter; fewer than 3 of them is
+    degenerate, and an aborted member leaves no verdict.
+    """
     nan = float("nan")
     if any(st != COMPLETED for st in statuses):
         return HolderReport(case, deltas.copy(), np.full(len(deltas), nan),
@@ -235,12 +241,11 @@ def _fit(case, deltas, distances, floor, statuses, T, dt) -> HolderReport:
 
     logd = np.log10(deltas[live])
     logdist = np.log10(distances[live])
-    slope, intercept = np.polyfit(logd, logdist, 1)
-    resid = float(np.sqrt(np.mean((np.polyval([slope, intercept], logd) - logdist) ** 2)))
+    slope, intercept = line_fit(logd, logdist)
+    resid = float(np.sqrt(np.mean((slope * logd + intercept - logdist) ** 2)))
     ok = slope >= case.beta - 0.1 and resid <= 0.05
-    return HolderReport(case, deltas.copy(), distances, float(slope),
-                        float(intercept), resid, "pass" if ok else "fail",
-                        statuses, T, dt)
+    return HolderReport(case, deltas.copy(), distances, slope, intercept, resid,
+                        "pass" if ok else "fail", statuses, T, dt)
 
 
 def _sweep_group(payload) -> list:

@@ -37,6 +37,7 @@ from .spectral import (
     half_bessel,
     half_dx,
     half_values,
+    line_fit,
     product_half,
     sobolev_norms,
 )
@@ -317,7 +318,7 @@ def product_negative_sweep(grid: Grid, r: float, j: float, k: float, gamma: floa
     ratios = sobolev_norms(product_half(np.broadcast_to(f, g.shape), g),
                            grid.doubled(), r - k) / (
         sobolev_norms(f, grid, j) * sobolev_norms(g, grid, r - k))
-    slope = float(np.polyfit(np.log(modes.astype(float)), np.log(ratios), 1)[0])
+    slope = line_fit(np.log(modes.astype(float)), np.log(ratios))[0]
     return modes, ratios, slope
 
 

@@ -5,6 +5,8 @@ bump integrates to one, is nonnegative, even and smooth, so its Fourier
 transform jhat is real, even, equals 1 at the origin and satisfies
 |jhat| <= 1 everywhere.  Mollification at scale eps multiplies mode k by
 jhat(eps xi_k); tables of those samples are cached per (grid, eps).
+Over the half spectrum |eps xi_k| strictly increases, so each table
+transforms its frequencies as they are, each once.
 
 jhat(w) = 2 int_0^1 exp(1/(x^2-1)) cos(w x) dx comes from the trapezoid
 rule on m uniform nodes, divided by the w = 0 entry of the rule so the zero
@@ -16,9 +18,11 @@ aliased from 2 pi m - w, which decays like exp(-sqrt(2 pi m - w))
 The rule is evaluated by angle addition rather than as a dense cosine
 matrix: with node j = a b + c (b about sqrt(m), 0 <= c < b),
 cos(w j/m) = cos(w a b/m) cos(w c/m) - sin(w a b/m) sin(w c/m), so each
-frequency needs about 4 sqrt(m) cosines and sines and two small matrix
-products instead of m cosines, and the work arrays hold O(sqrt(m))
-entries per frequency.
+frequency needs about 4 sqrt(m) cosines and sines and two small
+contractions instead of m cosines, and the work arrays hold O(sqrt(m))
+entries per frequency.  The contractions are two-operand `np.einsum`
+calls, which stay off BLAS: a matrix product would page about 1 MB of
+BLAS code into the process for work this small.
 """
 
 from __future__ import annotations
@@ -50,8 +54,10 @@ def bump_transform_raw(w) -> np.ndarray:
     weights = weights.reshape(-1, b)  # row a: nodes a b .. a b + b - 1
     fine = np.outer(w, np.arange(b) / m)
     coarse = np.outer(w, np.arange(len(weights)) * (b / m))
-    return (np.einsum("ka,ka->k", np.cos(fine) @ weights.T, np.cos(coarse))
-            - np.einsum("ka,ka->k", np.sin(fine) @ weights.T, np.sin(coarse)))
+    return (np.einsum("ka,ka->k", np.einsum("kc,ac->ka", np.cos(fine), weights),
+                      np.cos(coarse))
+            - np.einsum("ka,ka->k", np.einsum("kc,ac->ka", np.sin(fine), weights),
+                        np.sin(coarse)))
 
 
 def check_scale(eps: float, length: float) -> None:
@@ -72,10 +78,11 @@ def build_mollifier(grid: Grid, eps: float) -> np.ndarray:
     The scale must pass `check_scale`.
     """
     check_scale(eps, grid.length)
-    # uniq[0] is the zero frequency, so raw / raw[0] puts exactly 1 there
-    uniq, inverse = np.unique(np.abs(eps * grid.xi[: grid.n // 2 + 1]), return_inverse=True)
-    raw = bump_transform_raw(uniq)
-    half = np.clip((raw / raw[0])[inverse], -1.0, 1.0)
+    # |eps xi_k| strictly increases over modes 0..N/2 (the Nyquist entry
+    # -N/2 folds to +N/2), and raw[0] is the zero frequency, so raw / raw[0]
+    # puts exactly 1 there
+    raw = bump_transform_raw(np.abs(eps * grid.xi[: grid.n // 2 + 1]))
+    half = np.clip(raw / raw[0], -1.0, 1.0)
     half.flags.writeable = False
     return half
 

@@ -39,7 +39,7 @@ __all__ = [
     "sup_norm", "product", "product_exact", "pad_to", "commutator_bessel",
     "commutator_bessel_dx", "half_weights", "sobolev_norms", "half_dx",
     "half_bessel", "half_helmholtz_dx", "half_dealias_mask", "half_values",
-    "product_half", "commutator_inputs", "commutator_half",
+    "product_half", "commutator_inputs", "commutator_half", "line_fit",
 ]
 
 
@@ -191,7 +191,22 @@ def half_weights(grid: Grid, s: float) -> np.ndarray:
 
 def sobolev_norms(c: np.ndarray, grid: Grid, s: float) -> np.ndarray:
     """H^s norm of each row of a stack of half spectra on grid."""
-    return np.sqrt(grid.length * np.sum(half_weights(grid, s) * np.abs(c) ** 2, axis=-1))
+    a = np.abs(c)
+    np.square(a, out=a)
+    a *= half_weights(grid, s)
+    return np.sqrt(grid.length * np.sum(a, axis=-1))
+
+
+def line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares line y ~ slope x + intercept through 1-D points, as (slope, intercept).
+
+    Closed form from centred sums, so no BLAS or LAPACK code runs (np.polyfit
+    would call LAPACK's lstsq).  Needs at least two distinct x.
+    """
+    xm, ym = float(np.mean(x)), float(np.mean(y))
+    xc = x - xm
+    slope = float(np.sum(xc * (y - ym)) / np.sum(xc * xc))
+    return slope, ym - slope * xm
 
 
 # -- Field operators: one-row calls of the multipliers -------------------
@@ -281,19 +296,29 @@ def half_values(c: np.ndarray) -> np.ndarray:
     return np.fft.irfft(c, n=2 * (c.shape[-1] - 1), axis=-1, norm="forward")
 
 
-def _half_coefficients(values: np.ndarray) -> np.ndarray:
-    """Half spectra of each row of grid values, one batched rfft scaled by 1/N."""
-    return np.fft.rfft(values, axis=-1, norm="forward")
+def _half_coefficients(values: np.ndarray, out=None) -> np.ndarray:
+    """Half spectra of each row of grid values, one batched rfft scaled by 1/N.
+
+    With `out`, an array of the result's shape, the rfft writes there.
+    """
+    return np.fft.rfft(values, axis=-1, norm="forward", out=out)
 
 
 def commutator_inputs(f: np.ndarray, g: np.ndarray):
     """What every commutator [M, f] g of these rows shares on the doubled grid.
 
-    Returns the values of f, the half spectra of f g and g padded.
+    f and g are stacks of one shape.  Returns the values of f, the half
+    spectra of f g and g padded.  f and g are padded and transformed one
+    at a time; the values of g become f g in place, and their rfft
+    overwrites f's padded spectrum, which is no longer needed.
     """
-    padded = _pad_half(np.stack([f, g]), 4 * (f.shape[-1] - 1))
-    fv, gv = half_values(padded)
-    return fv, _half_coefficients(fv * gv), padded[1]
+    n = 4 * (f.shape[-1] - 1)
+    f = _pad_half(f, n)
+    fv = half_values(f)
+    g = _pad_half(g, n)
+    fg = half_values(g)
+    fg *= fv
+    return fv, _half_coefficients(fg, out=f), g
 
 
 def product_half(f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -306,9 +331,17 @@ def commutator_half(mult: np.ndarray, fv: np.ndarray, fg: np.ndarray,
     """[M, f] g = M(f g) - f M(g) on the doubled grid, from commutator_inputs.
 
     mult is M's half-spectrum multiplier on the doubled grid; per call
-    this is one irfft and one rfft.
+    this is one irfft and one rfft.  Both write into buffers the call
+    allocated (the rfft over the spectrum of M g), never into its inputs,
+    which every commutator of the same rows shares.
     """
-    return mult * fg - _half_coefficients(fv * half_values(mult * g))
+    work = mult * g
+    vals = half_values(work)
+    vals *= fv
+    _half_coefficients(vals, out=work)
+    out = mult * fg
+    out -= work
+    return out
 
 
 def product_exact(f: Field, g: Field) -> Field:

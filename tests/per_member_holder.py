@@ -8,7 +8,9 @@ with its own dense `solve` under the shared dt, then takes each
 member's distance to the base as a max over the stored states.
 `oracle_sweep` runs it once per (s, r) case, rebuilding the family
 every time.  The stacked, s-grouped `holder.sweep` must reproduce both
-bit for bit.
+bit for bit.  The regression line comes from the same
+`spectral.line_fit` that `holder` calls (its own oracle is np.polyfit,
+in tests/test_spectral.py), so the comparison stays exact.
 """
 
 import math
@@ -18,7 +20,7 @@ import numpy as np
 from chslab.holder import HolderReport, holder_exponent, make_family
 from chslab.fields import cosine_mode, random_field
 from chslab.solver import COMPLETED, State, solve
-from chslab.spectral import Field, sobolev_norm, sup_norm
+from chslab.spectral import Field, line_fit, sobolev_norm, sup_norm
 
 
 def member_states(family) -> list:
@@ -90,12 +92,11 @@ def oracle_run_holder(family, params, r, T, cfl=0.3,
 
     logd = np.log10(family.deltas[live])
     logdist = np.log10(distances[live])
-    slope, intercept = np.polyfit(logd, logdist, 1)
+    slope, intercept = line_fit(logd, logdist)
     resid = float(np.sqrt(np.mean((np.polyval([slope, intercept], logd) - logdist) ** 2)))
     ok = slope >= case.beta - 0.1 and resid <= 0.05
-    return HolderReport(case, family.deltas.copy(), distances, float(slope),
-                        float(intercept), resid, "pass" if ok else "fail",
-                        statuses, T, dt)
+    return HolderReport(case, family.deltas.copy(), distances, slope, intercept, resid,
+                        "pass" if ok else "fail", statuses, T, dt)
 
 
 def oracle_sweep(cases, grid, params, T, cfl=0.3, **family_args):

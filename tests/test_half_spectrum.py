@@ -15,7 +15,21 @@ import pytest
 
 import chslab
 from chslab.fields import cosine_mode, gaussian_bump, random_field, sech2_bump
-from chslab.spectral import Field, Grid, _half_coefficients, half_values, pad_to, sobolev_norm
+from chslab.spectral import (
+    Field,
+    Grid,
+    _half_coefficients,
+    _pad_half,
+    commutator_half,
+    commutator_inputs,
+    half_bessel,
+    half_dx,
+    half_values,
+    half_weights,
+    pad_to,
+    sobolev_norm,
+    sobolev_norms,
+)
 from full_spectrum import (
     full_from_values,
     full_pad,
@@ -66,6 +80,32 @@ def test_unscaled_transforms_equal_the_explicit_scaling_bit_for_bit(n):
     assert (_half_coefficients(vals).tobytes()
             == (np.fft.rfft(vals, axis=-1) / n).tobytes())
     assert half_values(half[2]).tobytes() == np.fft.irfft(half[2] * n, n=n).tobytes()
+    # sobolev_norms squares and weights |c| in place
+    grid = Grid(n, 5.0)
+    for s in (-2.0, 0.0, 1.5):
+        want = np.sqrt(grid.length * np.sum(half_weights(grid, s) * np.abs(half) ** 2, axis=-1))
+        assert sobolev_norms(half, grid, s).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [8, 256, 1024])
+def test_commutators_keep_their_stacked_expressions_bit_for_bit(n):
+    # the expressions before f and g were transformed one at a time and
+    # the products formed in place
+    rng = np.random.default_rng(n)
+    re, im = rng.standard_normal((2, 2, 5, n // 2 + 1))
+    f, g = re + 1j * im
+    padded = _pad_half(np.stack([f, g]), 2 * n)
+    fv, gv = half_values(padded)
+    want_inputs = (fv, _half_coefficients(fv * gv), padded[1])
+    got_inputs = commutator_inputs(f, g)
+    for got, want in zip(got_inputs, want_inputs):
+        assert got.tobytes() == want.tobytes()
+    fine = Grid(2 * n, 3.0)
+    for mult in (half_bessel(fine, 1.5), half_bessel(fine, 0.5) * half_dx(fine)):
+        want = mult * want_inputs[1] - _half_coefficients(fv * half_values(mult * padded[1]))
+        assert commutator_half(mult, *got_inputs).tobytes() == want.tobytes()
+    for got, want in zip(got_inputs, want_inputs):  # shared by every commutator
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -10,17 +10,21 @@ name in a module's __all__ must be read in chslab/*.py or in the
 acceptance tests, or be named in bench/*.py, whose tracer names the
 functions it wraps by string: test-only public API does not grow back.
 A serial run with no config text loads neither the process pool nor
-the INI parser.  No module reads the process environment: a run is
-configured by its key table alone.  The collector is the
+the INI parser.  No CLI run pages in BLAS or LAPACK code.  No module
+reads the process environment: a run is configured by its key table
+alone.  The collector is the
 front end's business alone: `cli` freezes the import heap, and no other
 module imports gc, so importing a library module never changes its state.
 """
 
 import ast
+import json
 import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 import chslab
 
@@ -220,10 +224,10 @@ def test_environment_guard_sees_os_environment_use():
     assert _environment_uses(ast.parse(src)) == [2, 6, 7]
 
 
-def _fresh_python(code, *args):
+def _fresh_python(code, *args, **env_vars):
     """Run code in a fresh interpreter that imports chslab from this tree."""
     src = pathlib.Path(chslab.__file__).parent.parent
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(src), **env_vars)
     return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
                           capture_output=True, text=True, timeout=120)
 
@@ -259,3 +263,51 @@ def test_serial_run_loads_neither_the_process_pool_nor_the_ini_parser(tmp_path):
     done = _fresh_python(code, tmp_path / "run")
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["0"]
+
+
+# Rss in kB of the BLAS and LAPACK code mapped into this process, or None
+# when no such library is mapped; then each command's growth in it
+_LINALG_RSS = """
+import json, sys
+import chslab.cli
+
+LIBS = ("openblas", "lapack", "gfortran", "_umath_linalg")
+RUNS = [["solve", "--N", "64", "--t_end", "0.1"], ["holder", "--N", "64", "--T", "0.1"],
+        ["t0probe", "--N", "64"],
+        ["ineq", "--N", "32", "--mollifier_N", "64", "--ensemble", "8"], ["kernel"]]
+
+def linalg_rss():
+    total, path = None, ""
+    with open("/proc/self/smaps") as fh:
+        for line in fh:
+            head = line.split()
+            if not head[0].endswith(":"):
+                path = head[5] if len(head) > 5 else ""
+            elif head[0] == "Rss:" and any(lib in path for lib in LIBS):
+                total = (total or 0) + int(head[1])
+    return total
+
+grown = None
+if linalg_rss() is not None:
+    grown = {}
+    for i, argv in enumerate(RUNS):
+        before = linalg_rss()
+        code = chslab.cli.main(argv + ["--out", f"{sys.argv[1]}/{i}"])
+        grown[argv[0]] = (code, linalg_rss() - before)
+with open(f"{sys.argv[1]}/grown.json", "w") as fh:
+    json.dump(grown, fh)
+"""
+
+
+def test_cli_runs_page_in_no_blas_or_lapack_code(tmp_path):
+    # one np.polyfit or one BLAS matrix product pages in about 1 MB of
+    # OpenBLAS code, which every CLI process then carries in its peak RSS
+    if not os.path.exists("/proc/self/smaps"):
+        pytest.skip("no /proc/self/smaps on this platform")
+    done = _fresh_python(_LINALG_RSS, tmp_path, OPENBLAS_NUM_THREADS="1")
+    assert done.returncode == 0, done.stderr
+    grown = json.loads((tmp_path / "grown.json").read_text())
+    if grown is None:
+        pytest.skip("numpy maps no BLAS or LAPACK library by these names")
+    assert all(code in (0, 1) for code, _ in grown.values()), grown
+    assert {cmd: kb for cmd, (_, kb) in grown.items() if kb > 0} == {}

@@ -4,9 +4,12 @@ The multiplier tables come from a trapezoid rule; scalar adaptive `quad`
 of the same cosine transform, the method it replaced, is kept here as
 the oracle.  The rule is evaluated by angle addition; its dense cosine
 matrix form is the second oracle.  Tables are built on the half
-spectrum; the full-spectrum rule they replaced is the third.
+spectrum; the full-spectrum rule they replaced is the third.  The angle
+addition contracts with einsum, which stays off BLAS; its form with
+matrix products, which call BLAS, is the fourth.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -51,6 +54,22 @@ def dense_transform(w):
     weights = np.exp(1.0 / (x * x - 1.0)) * (2.0 / m)
     weights[0] *= 0.5
     return np.cos(np.outer(w, x)) @ weights
+
+
+def matmul_transform(w):
+    """Oracle: the angle-addition rule with its two contractions as BLAS matrix products."""
+    w = np.asarray(w, dtype=float)
+    m = mollifier._trapezoid_nodes(float(np.abs(w).max()))
+    b = math.isqrt(m - 1) + 1
+    x = np.arange(m) / m
+    weights = np.zeros(-(-m // b) * b)
+    weights[:m] = np.exp(1.0 / (x * x - 1.0)) * (2.0 / m)
+    weights[0] *= 0.5
+    weights = weights.reshape(-1, b)
+    fine = np.outer(w, np.arange(b) / m)
+    coarse = np.outer(w, np.arange(len(weights)) * (b / m))
+    return (np.einsum("ka,ka->k", np.cos(fine) @ weights.T, np.cos(coarse))
+            - np.einsum("ka,ka->k", np.sin(fine) @ weights.T, np.sin(coarse)))
 
 
 def oracle_table(grid, eps):
@@ -106,7 +125,8 @@ def test_default_ladder_tables_match_quad(n):
 
 @pytest.mark.parametrize("n", [2**p for p in range(3, 13)])
 def test_half_spectrum_tables_equal_the_full_spectrum_rule(n):
-    # |eps xi| takes the same values over modes 0..N/2 as over all N modes
+    # |eps xi| takes the same values over modes 0..N/2 as over all N modes,
+    # and already in increasing order, so no unique pass is needed
     grid = Grid(n, 2.0 * np.pi)
     for eps in DEFAULT_EPS_LADDER:
         assert np.array_equal(build_mollifier(grid, eps), full_mollifier(grid, eps))
@@ -119,6 +139,16 @@ def test_angle_addition_matches_the_dense_rule_on_the_default_ladder(n):
         w = np.unique(np.abs(eps * grid.xi))
         want = dense_transform(w)
         assert np.abs(bump_transform_raw(w) - want).max() <= 1e-13 * want[0]
+
+
+def test_einsum_contractions_match_the_matrix_products():
+    # the doubled grid of the mollifier probe's N = 1024; relative to the
+    # zero-frequency value, the scale of every table entry
+    grid = Grid(2048, 2.0 * np.pi)
+    for eps in DEFAULT_EPS_LADDER:
+        w = np.abs(eps * grid.xi[: grid.n // 2 + 1])
+        want = matmul_transform(w)
+        assert np.abs(bump_transform_raw(w) - want).max() <= 1e-15 * want[0]
 
 
 @pytest.mark.parametrize("w", [

@@ -2,7 +2,9 @@
 
 Everything here is checkable by hand on one or two Fourier modes, so
 tolerances are at roundoff scale.  Frozen constants carry a short
-derivation note where the arithmetic is not obvious.
+derivation note where the arithmetic is not obvious.  The closed-form
+`line_fit` replaced np.polyfit in the Holder fit and the frequency
+sweep; np.polyfit stays here as its oracle.
 """
 
 import math
@@ -20,12 +22,14 @@ from chslab.spectral import (
     dealias_truncate,
     dx,
     helmholtz_inverse_dx,
+    line_fit,
     pad_to,
     product,
     product_exact,
     sobolev_norm,
     sup_norm,
 )
+from chslab.inequalities import product_negative_sweep
 from full_spectrum import inner, truncate_to
 
 
@@ -323,3 +327,29 @@ def test_norm_monotone_in_smoothness_index(circle):
     f = smooth_random(circle, seed=33)
     norms = [sobolev_norm(f, s) for s in (-2.0, 0.0, 1.0, 2.5, 4.0)]
     assert all(a <= b * (1.0 + 1e-12) for a, b in zip(norms, norms[1:]))
+
+
+# ---------------------------------------------------------------- line fit
+
+
+@pytest.mark.parametrize("live", range(3, 8))
+def test_line_fit_matches_polyfit_on_holder_ladders(live):
+    # the Holder ladder's 7 deltas; the noise-floor mask leaves 3 to 7 of them
+    logd = np.log10(np.geomspace(1e-2, 1e-5, 7))
+    rng = np.random.default_rng(live)
+    for beta in (0.5, 1.0, 1.5, 3.0):
+        for keep in (np.arange(live), np.sort(rng.choice(7, live, replace=False))):
+            x = logd[keep]
+            y = beta * x + 0.57 + 0.02 * rng.standard_normal(live)
+            slope, intercept = np.polyfit(x, y, 1)
+            assert line_fit(x, y) == pytest.approx((slope, intercept), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128, 256, 512])
+def test_line_fit_matches_polyfit_on_the_sweep_log_modes(n):
+    # 2 to 7 sweep modes fit on these grids
+    for triple in ((0.0, 1.0, 1.0), (1.0, 2.0, 3.0)):
+        modes, ratios, slope = product_negative_sweep(Grid(n, 2.0 * np.pi), *triple)
+        x, y = np.log(modes.astype(float)), np.log(ratios)
+        assert slope == line_fit(x, y)[0]
+        assert line_fit(x, y) == pytest.approx(tuple(np.polyfit(x, y, 1)), rel=1e-12)
