@@ -5,8 +5,9 @@ bump integrates to one, is nonnegative, even and smooth, so its Fourier
 transform jhat is real, even, equals 1 at the origin and satisfies
 |jhat| <= 1 everywhere.  Mollification at scale eps multiplies mode k by
 jhat(eps xi_k); tables of those samples are cached per (grid, eps).
-Over the half spectrum |eps xi_k| strictly increases, so each table
-transforms its frequencies as they are, each once.
+Over modes 0..N/2, |eps xi_k| strictly increases (the Nyquist entry
+-N/2 folds to +N/2), so a table transforms each of its frequencies once,
+in mode order, with no unique pass.
 
 jhat(w) = 2 int_0^1 exp(1/(x^2-1)) cos(w x) dx comes from the trapezoid
 rule on m uniform nodes, divided by the w = 0 entry of the rule so the zero
@@ -78,9 +79,7 @@ def build_mollifier(grid: Grid, eps: float) -> np.ndarray:
     The scale must pass `check_scale`.
     """
     check_scale(eps, grid.length)
-    # |eps xi_k| strictly increases over modes 0..N/2 (the Nyquist entry
-    # -N/2 folds to +N/2), and raw[0] is the zero frequency, so raw / raw[0]
-    # puts exactly 1 there
+    # raw[0] is the zero frequency, so raw / raw[0] puts exactly 1 there
     raw = bump_transform_raw(np.abs(eps * grid.xi[: grid.n // 2 + 1]))
     half = np.clip(raw / raw[0], -1.0, 1.0)
     half.flags.writeable = False

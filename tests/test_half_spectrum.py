@@ -4,7 +4,9 @@ A Field stores only its rfft half spectrum.  The oracle in
 `full_spectrum` works on full complex spectra, as the Field API did
 before: complex FFT in and out, the full-sum Sobolev norm, padding with
 the +-N/2 Nyquist split and truncation with its fold.  Transforms and
-norms agree to 1e-15 relative; padding and truncation are exact.
+norms agree to 1e-15 relative; padding and truncation are exact.  The
+stacked norms and commutators, which now work in buffers they own,
+keep the bytes of the expressions they replaced.
 """
 
 import ast
