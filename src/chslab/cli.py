@@ -154,12 +154,11 @@ def _run_solve(cfg: RunConfig):
 
 def _run_holder(cfg: RunConfig):
     grid = Grid(cfg.n, cfg.length)
-    deltas = np.geomspace(cfg.delta_max, cfg.delta_min, cfg.delta_count)
     reports = holder.sweep(
         cfg.cases, grid, _params(cfg), cfg.horizon, cfl=cfg.cfl, workers=cfg.parallelism,
         h=cfg.h, base_kind=cfg.base_kind, direction_kind=cfg.direction_kind,
-        deltas=deltas, seed=cfg.seed, base_amplitude=cfg.base_amplitude,
-        rho_trivial=cfg.rho_trivial)
+        delta_max=cfg.delta_max, delta_min=cfg.delta_min, delta_count=cfg.delta_count,
+        seed=cfg.seed, base_amplitude=cfg.base_amplitude, rho_trivial=cfg.rho_trivial)
     ok = all(r.verdict == "pass" for r in reports)
     return ok, {"verdict": "pass" if ok else "fail"}, _holder_artifacts(reports)
 
@@ -298,8 +297,7 @@ def _run_kernel(cfg: RunConfig):
         report = {"r": r, "j": j, "k": k, "divergent": True,
                   "reason": "kernel integral diverges for j <= 1/2"}
         return False, {"divergent": True}, {"kernel_report.json": _json(report)}
-    etas = np.concatenate([[0.0], np.geomspace(0.1, cfg.eta_max, cfg.eta_points - 1)])
-    scan = ineq.kernel_bound_scan(r, j, k, etas=etas)
+    scan = ineq.kernel_bound_scan(r, j, k, cfg.eta_max, cfg.eta_points)
     report = {
         "r": r, "j": j, "k": k,
         "sup_ratio": scan.sup, "argmax_eta": scan.argmax,

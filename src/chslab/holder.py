@@ -39,7 +39,6 @@ DIRECTION_KINDS = ("high-mode", "random-decay")
 class HolderCase:
     s: float
     r: float
-    rho_trivial: bool
     beta: float
     regime: str
 
@@ -74,7 +73,7 @@ def holder_exponent(s: float, r: float, rho_trivial: bool = False) -> HolderCase
         raise ValueError(
             f"inconsistent exponent clauses at (s, r) = ({s}, {r}): {candidates}")
     regime, beta = candidates[0]
-    return HolderCase(s=s, r=r, rho_trivial=rho_trivial, beta=beta, regime=regime)
+    return HolderCase(s=s, r=r, beta=beta, regime=regime)
 
 
 @dataclass(frozen=True)
@@ -131,34 +130,30 @@ def _direction_rows(grid, kind, s, seed, rho_trivial):
 
 
 def make_family(grid: Grid, s: float, h: float = 2.0, base_kind: str = "gaussian-bump",
-                direction_kind: str = "high-mode", deltas=None, seed: int = 0,
-                base_amplitude: float = 0.5,
-                rho_trivial: bool = False) -> PerturbationFamily:
+                direction_kind: str = "high-mode", delta_max: float = 1e-2,
+                delta_min: float = 1e-5, delta_count: int = 7, seed: int = 0,
+                base_amplitude: float = 0.5, rho_trivial: bool = False) -> PerturbationFamily:
     """Build the family's rows; a base too large for the ball B(0, h) is shrunk to fit.
 
+    The ladder is `np.geomspace(delta_max, delta_min, delta_count)`: at
+    least 4 points, 0 < delta_min, two decades or more, delta_max < h.
     A family that still leaves the ball (its norms overflow) raises DataError.
     `sweep` forwards its family keywords here, so these defaults are its too.
     """
-    if deltas is None:
-        deltas = np.geomspace(1e-2, 1e-5, 7)
-    deltas = np.asarray(deltas, dtype=float)
-    if len(deltas) < 4:
+    if delta_count < 4:
         raise ValueError("amplitude ladder needs at least 4 points")
-    if not np.all(np.diff(deltas) < 0):
-        raise ValueError("amplitude ladder must be strictly decreasing")
-    if deltas[0] / deltas[-1] < 100.0 * (1.0 - 1e-9):
+    if not 0.0 < delta_min:
+        raise ValueError(f"need 0 < delta_min, got delta_min = {delta_min}")
+    if not delta_max / delta_min >= 100.0 * (1.0 - 1e-9):
         raise ValueError("amplitude ladder must span at least two decades")
-    logr = np.diff(np.log(deltas))
-    if np.abs(logr - logr[0]).max() > 1e-2 * abs(logr[0]):
-        raise ValueError("amplitude ladder must be log-spaced")
+    if not delta_max < h:
+        raise ValueError(
+            f"largest perturbation {delta_max} cannot fit in a ball of radius {h}")
+    deltas = np.geomspace(delta_max, delta_min, delta_count)
 
     base = _base_rows(grid, base_kind, base_amplitude, seed, rho_trivial)
     direction = _direction_rows(grid, direction_kind, s, seed, rho_trivial)
 
-    delta_max = float(deltas.max())
-    if delta_max >= h:
-        raise ValueError(
-            f"largest perturbation {delta_max} cannot fit in a ball of radius {h}")
     y_base = float(y_norms(base, grid, s))
     if y_base + delta_max > h:
         base = (0.98 * (h - delta_max) / y_base) * base
@@ -205,7 +200,7 @@ def _run_cases(family: PerturbationFamily, params: SystemParams,
     dt = cfl_dt(grid, members[:2, 0], cfl)
     distances = np.zeros((len(cases), len(members) - 1))
 
-    def track(t, stack, rows):
+    def track(stack, rows):
         if len(rows) < len(members):
             return  # a member aborted: no case reports distances
         diff = stack[1:] - stack[:1]

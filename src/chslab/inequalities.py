@@ -401,9 +401,6 @@ def kernel_integral(r: float, j: float, k: float, eta: float) -> float:
 
 @dataclass(frozen=True)
 class KernelScanReport:
-    r: float
-    j: float
-    k: float
     etas: np.ndarray
     integrals: np.ndarray
     ratios: np.ndarray
@@ -413,18 +410,17 @@ class KernelScanReport:
     plateau: bool
 
 
-def kernel_bound_scan(r: float, j: float, k: float,
-                      etas=None) -> KernelScanReport:
-    """Scan I(eta)/(1+eta^2)^{r-k} on a log grid; the bound needs a plateau.
+def kernel_bound_scan(r: float, j: float, k: float, eta_max: float = 1e4,
+                      eta_points: int = 52) -> KernelScanReport:
+    """Scan I(eta)/(1+eta^2)^{r-k} at eta = 0 and on the log grid
+    `np.geomspace(0.1, eta_max, eta_points - 1)`; the bound needs a plateau.
 
     Hypotheses are enforced up front: outside them the ratio genuinely
     diverges (e.g. j < k - r makes it grow like a power of eta), so a
     violating triple is rejected rather than scanned.
     """
     check_negative_hypotheses(r, j, k)
-    if etas is None:
-        etas = np.concatenate([[0.0], np.geomspace(0.1, 1e4, 51)])
-    etas = np.asarray(etas, dtype=float)
+    etas = np.concatenate([[0.0], np.geomspace(0.1, eta_max, eta_points - 1)])
     integrals = np.array([kernel_integral(r, j, k, e) for e in etas])
     ratios = integrals / (1.0 + etas**2) ** (r - k)
     top = etas.max()
@@ -433,7 +429,7 @@ def kernel_bound_scan(r: float, j: float, k: float,
     growth = float(ratios[decade].max() / base - 1.0)
     best = int(np.argmax(ratios))
     return KernelScanReport(
-        r=r, j=j, k=k, etas=etas, integrals=integrals, ratios=ratios,
+        etas=etas, integrals=integrals, ratios=ratios,
         sup=float(ratios[best]), argmax=float(etas[best]),
         last_decade_growth=growth, plateau=bool(growth <= 0.02),
     )

@@ -137,7 +137,6 @@ class Trajectory:
     y: np.ndarray
     status: str
     s: float
-    params: SystemParams
 
     @property
     def grid(self) -> Grid:
@@ -158,8 +157,8 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class DifferenceTrajectory:
-    times: np.ndarray
-    r: float
+    """`diff_solve`'s result: the largest H^r x H^{r-2} gap over the stored times."""
+
     defect: float
 
 
@@ -398,7 +397,7 @@ def solve_stack(grid: Grid, rows: np.ndarray, params: SystemParams, s: float, t_
     then dealiased once.  Each row keeps its own ledger, stored states
     and watchdog; a row that aborts leaves the stack.  Rows never mix, so
     under a fixed dt each steps bit for bit as it would alone.
-    `observe(t, stack, rows)` sees the running rows and their indices in
+    `observe(stack, rows)` sees the running rows and their indices in
     the input at each ledger time, before the watchdog acts.
     """
     if not 0.0 <= t < t_end:
@@ -449,7 +448,7 @@ def solve_stack(grid: Grid, rows: np.ndarray, params: SystemParams, s: float, t_
             if keep:
                 stored[i].append(last[i])
         if observe is not None:
-            observe(t, stack, rows)
+            observe(stack, rows)
         y = nu + nr
         tail_fraction = energy[:, tail:].sum(axis=-1) / np.where(total != 0.0, total, np.inf)
         blown = ~(np.isfinite(y) & (y <= blowup_threshold))
@@ -481,7 +480,7 @@ def solve_stack(grid: Grid, rows: np.ndarray, params: SystemParams, s: float, t_
             stored[i].append(last[i])
         times, nus, nrs = np.array(row).T.copy()
         states = tuple(State(Field(grid, c[0]), Field(grid, c[1]), ts) for ts, c in stored[i])
-        trajs.append(Trajectory(states, times, nus, nrs, nus + nrs, status[i], s, params))
+        trajs.append(Trajectory(states, times, nus, nrs, nus + nrs, status[i], s))
     return trajs
 
 
@@ -614,7 +613,7 @@ def diff_solve(traj_u: Trajectory, traj_v: Trajectory, params: SystemParams,
         if bad[0] or not np.isfinite(gap).all():
             raise NonFiniteStateError(f"non-finite difference system at t = {b.t:g}")
         defect = max(defect, float(y_norms(gap, ops.grid, r)))
-    return DifferenceTrajectory(traj_u.times.copy(), r, defect)
+    return DifferenceTrajectory(defect)
 
 
 # -- snapshot format -----------------------------------------------------

@@ -111,7 +111,7 @@ def _same_float(a, b) -> bool:
 
 def assert_same_report(got: HolderReport, want: HolderReport):
     """Every field equal, NaN matching NaN, arrays bit for bit."""
-    for name in ("s", "r", "rho_trivial", "regime"):
+    for name in ("s", "r", "regime"):
         assert getattr(got.case, name) == getattr(want.case, name), name
     assert _same_float(got.case.beta, want.case.beta)
     assert got.verdict == want.verdict

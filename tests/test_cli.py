@@ -204,13 +204,17 @@ def test_kernel_divergence_yields_failure_code(tmp_path):
 
 
 def test_kernel_plateau_yields_success(tmp_path):
-    out = tmp_path / "k"
-    rc = main(["kernel", "--out", str(out), "--eta_points", "12",
-               "--eta_max", "100"])
-    assert rc == 0
-    report = json.loads((out / "kernel_report.json").read_text())
-    assert report["plateau"] is True
-    assert (out / "kernel_scan.csv").read_text().startswith("eta,integral,ratio")
+    for eta_max in (100.0, 1000.0):
+        out = tmp_path / f"k{eta_max:g}"
+        rc = main(["kernel", "--out", str(out), "--eta_points", "12",
+                   "--eta_max", repr(eta_max)])
+        assert rc == 0
+        report = json.loads((out / "kernel_report.json").read_text())
+        assert report["plateau"] is True
+        header, *rows = (out / "kernel_scan.csv").read_text().splitlines()
+        assert header == "eta,integral,ratio"
+        etas = [float(row.split(",")[0]) for row in rows]
+        assert etas == [0.0, *np.geomspace(0.1, eta_max, 11)]
 
 
 def test_t0probe_zero_data_passes_trivially(tmp_path):
@@ -312,12 +316,48 @@ def test_sweep_execute_returns_two_for_an_unusable_out(tmp_path, capsys):
 
 
 def test_holder_single_case_via_cli(tmp_path):
-    out = tmp_path / "h"
-    rc = main(["holder", "--out", str(out), "--cases", "4:2", "--T", "0.3"])
-    assert rc == 0
-    text = (out / "holder_reports.csv").read_text()
-    assert "s4-r2" in text and ",pass" in text
-    assert (out / "curves_s4-r2.csv").exists()
+    ladders = [
+        (["--T", "0.3"], np.geomspace(1e-2, 1e-5, 7)),
+        (["--N", "64", "--T", "0.1", "--delta_max", "1e-3", "--delta_min", "1e-6",
+          "--delta_count", "5"], np.geomspace(1e-3, 1e-6, 5)),
+    ]
+    for i, (extra, deltas) in enumerate(ladders):
+        out = tmp_path / f"h{i}"
+        rc = main(["holder", "--out", str(out), "--cases", "4:2", *extra])
+        assert rc == 0
+        text = (out / "holder_reports.csv").read_text()
+        assert "s4-r2" in text and ",pass" in text
+        assert (out / "curves_s4-r2.csv").exists()
+        [report] = json.loads((out / "holder_reports.json").read_text())
+        assert report["deltas"] == list(deltas)
+
+
+def test_ineq_probe_all_writes_what_the_single_probes_write(tmp_path):
+    def run(tag, *argv):
+        out = tmp_path / tag
+        # a verdict may fail at this size (the mollifier's ladder spread): exit 1
+        assert main(["ineq", "--N", "64", "--mollifier_N", "128", "--ensemble", "8",
+                     "--out", str(out), *argv]) in (0, 1)
+        summary = json.loads((out / "probe_summary.json").read_text())
+        probes = {p.name: p.read_bytes() for p in out.glob("probe_*.json")
+                  if p.name != "probe_summary.json"}
+        return probes, summary["sweeps"]
+
+    all_probes, all_sweeps = run("all", "--probe", "all")
+    singles, sweeps = {}, {}
+    names = ["algebra", "kato-ponce", "product-low", "calderon", "interpolation",
+             "mollifier"]
+    runs = [(name, ["--probe", name]) for name in names] + [
+        (f"neg{r}{j}{k}", ["--probe", "product-negative", "--r", r, "--j", j, "--k", k])
+        for r, j, k in (("0", "1", "1"), ("1", "2", "3"))]
+    for tag, argv in runs:
+        probes, sweep = run(tag, *argv)
+        assert not probes.keys() & singles.keys()
+        singles.update(probes)
+        sweeps.update(sweep)
+    assert len(singles) == 8
+    assert all_probes == singles
+    assert all_sweeps == sweeps
 
 
 def test_sweep_execute_parallel_matches_serial(tmp_path, pools):

@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chslab.cli import _holder_artifacts
+from chslab.config import ConfigError, parse_config
 from chslab.fields import gaussian_bump, random_field, sech2_bump
 from chslab.holder import (
     holder_exponent,
@@ -97,17 +99,48 @@ def test_family_fits_in_the_requested_ball(grid):
 
 def test_family_rejects_bad_ladders(grid):
     with pytest.raises(ValueError):
-        make_family(grid, 4.0, 2.0, deltas=np.array([1e-2, 1e-3, 1e-4]))  # short
+        make_family(grid, 4.0, 2.0, delta_max=1e-2, delta_min=1e-4, delta_count=3)  # short
     with pytest.raises(ValueError):
-        make_family(grid, 4.0, 2.0, deltas=np.array([1e-4, 1e-3, 1e-2, 1e-1]))
-    with pytest.raises(ValueError):
-        make_family(grid, 4.0, 2.0,
-                    deltas=np.geomspace(1e-2, 9e-3, 5))  # under two decades
-    with pytest.raises(ValueError):
-        make_family(grid, 4.0, 2.0,
-                    deltas=np.array([1e-1, 1e-2, 5e-3, 1e-4]))  # uneven spacing
+        make_family(grid, 4.0, 2.0, delta_max=1e-2, delta_min=9e-3,
+                    delta_count=5)  # under two decades
     with pytest.raises(ValueError):
         make_family(grid, 4.0, 0.005)  # ladder cannot fit in the ball
+
+
+def _config_accepts(h, **ladder) -> bool:
+    overrides = {key: repr(val) for key, val in dict(ladder, h=h).items()}
+    try:
+        parse_config("", "holder", "unused", overrides)
+    except ConfigError:
+        return False
+    return True
+
+
+_DECADES = st.floats(-8.0, 0.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=400)
+@given(delta_max=_DECADES, delta_min=_DECADES, delta_count=st.integers(1, 12),
+       h=st.floats(1e-3, 4.0))
+def test_every_ladder_the_config_accepts_builds(delta_max, delta_min, delta_count, h):
+    # config._cross_checks and make_family each hold the ladder rules
+    ladder = dict(delta_max=delta_max, delta_min=delta_min, delta_count=delta_count)
+    if _config_accepts(h, **ladder):
+        fam = make_family(Grid(64, 64.0), 4.0, h, **ladder)
+        assert np.array_equal(fam.deltas, np.geomspace(delta_max, delta_min, delta_count))
+
+
+@pytest.mark.parametrize("delta_min,accepted", [(1e-4, True), (0.0, False), (-1e-5, False)])
+def test_ladder_edges_agree_with_the_config(delta_min, accepted):
+    # exactly two decades passes both; delta_min <= 0 would give NaN members
+    ladder = dict(delta_max=1e-2, delta_min=delta_min, delta_count=7)
+    assert _config_accepts(2.0, **ladder) == accepted
+    if accepted:
+        fam = make_family(Grid(64, 64.0), 4.0, 2.0, **ladder)
+        assert np.array_equal(fam.deltas, np.geomspace(1e-2, 1e-4, 7))
+    else:
+        with pytest.raises(ValueError, match="delta_min"):
+            make_family(Grid(64, 64.0), 4.0, 2.0, **ladder)
 
 
 def test_family_kinds_are_checked(grid):
@@ -161,8 +194,7 @@ def test_run_holder_judges_at_the_familys_own_s(grid):
 
 
 def test_degenerate_ladder_is_flagged(grid):
-    deltas = np.geomspace(1e-12, 1e-15, 5)
-    fam = make_family(grid, 4.0, 2.0, deltas=deltas)
+    fam = make_family(grid, 4.0, 2.0, delta_max=1e-12, delta_min=1e-15, delta_count=5)
     rep = run_holder(fam, params(), 2.0, T=0.2)
     assert rep.verdict.startswith("degenerate")
     assert math.isnan(rep.slope)

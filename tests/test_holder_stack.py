@@ -255,12 +255,13 @@ def test_family_rows_are_the_field_arithmetic(base_kind, direction_kind, rho_tri
 # ------------------------------------------- grouped sweep against oracle
 
 SWEEP_SETUPS = [
-    # N, direction, rho_trivial, T, deltas, cases
+    # N, direction, rho_trivial, T, deltas (delta_max, delta_min, delta_count;
+    # None for make_family's default ladder), cases
     (64, "high-mode", False, 0.2, None,
      [(4.0, 1.0), (4.0, 3.5), (3.75, 1.0), (4.0, 2.0)]),
     (256, "random-decay", True, 0.3, None,
      [(4.0, 0.5), (4.5, 0.3), (4.0, 2.0), (3.75, 1.0)]),
-    (256, "high-mode", False, 0.2, np.geomspace(1e-12, 1e-15, 5),
+    (256, "high-mode", False, 0.2, (1e-12, 1e-15, 5),
      [(4.0, 2.0), (4.0, 3.5)]),
     (1024, "random-decay", False, 0.1, None,
      [(4.0, 1.0), (3.75, 1.0), (4.0, 1.5), (4.0, 3.5)]),
@@ -272,9 +273,9 @@ SWEEP_SETUPS = [
 def test_grouped_sweep_equals_per_member_oracle(n, direction, rho_trivial, T,
                                                 deltas, cases):
     grid = Grid(n, 64.0)
+    ladder = dict(zip(("delta_max", "delta_min", "delta_count"), deltas or ()))
     family_args = dict(h=2.0, base_kind="gaussian-bump", direction_kind=direction,
-                       deltas=deltas, seed=3, base_amplitude=0.5,
-                       rho_trivial=rho_trivial)
+                       seed=3, base_amplitude=0.5, rho_trivial=rho_trivial, **ladder)
     got = sweep(cases, grid, params(), T=T, **family_args)
     want = oracle_sweep(cases, grid, params(), T=T, **family_args)
     assert len(got) == len(want) == len(cases)
@@ -283,7 +284,7 @@ def test_grouped_sweep_equals_per_member_oracle(n, direction, rho_trivial, T,
 
 
 def test_degenerate_ladder_matches_the_oracle(line):
-    fam = make_family(line, 4.0, 2.0, deltas=np.geomspace(1e-12, 1e-15, 5))
+    fam = make_family(line, 4.0, 2.0, delta_max=1e-12, delta_min=1e-15, delta_count=5)
     got = run_holder(fam, params(), 2.0, T=0.2)
     assert got.verdict.startswith("degenerate")
     assert_same_report(got, oracle_run_holder(fam, params(), 2.0, T=0.2))

@@ -250,8 +250,7 @@ def test_kernel_scan_rejects_unsupported_triples():
 
 
 def test_kernel_scan_accepts_custom_offsets():
-    etas = np.array([0.0, 1.0, 10.0, 100.0, 1000.0])
-    scan = kernel_bound_scan(1.0, 2.0, 3.0, etas=etas)
-    assert np.array_equal(scan.etas, etas)
-    assert len(scan.integrals) == len(etas)
+    scan = kernel_bound_scan(1.0, 2.0, 3.0, eta_max=1000.0, eta_points=5)
+    assert np.array_equal(scan.etas, [0.0, *np.geomspace(0.1, 1000.0, 4)])
+    assert len(scan.integrals) == len(scan.etas)
     assert scan.sup >= scan.ratios[0]

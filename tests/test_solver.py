@@ -329,11 +329,11 @@ def test_window_is_unbounded_for_zero_data(line):
     assert math.isinf(t0_lower_bound(z, 4.0, default_params()))
 
 
-def _ledger(times, y, s=4.0, params=None, status=COMPLETED):
+def _ledger(times, y, s=4.0, status=COMPLETED):
     times = np.asarray(times, dtype=float)
     y = np.asarray(y, dtype=float)
     return Trajectory(states=(), times=times, norm_u=y, norm_rho=np.zeros_like(y),
-                      y=y, status=status, s=s, params=params or default_params())
+                      y=y, status=status, s=s)
 
 
 def test_size_bound_passes_below_the_envelope():
