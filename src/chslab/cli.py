@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
 import json
 import math
 import os
 import sys
 import time
 import traceback
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -35,10 +35,17 @@ __all__ = ["main", "execute", "sweep_execute"]
 
 
 def _git_blob_sha1(data: bytes) -> str:
+    import hashlib  # imported here so that `main` can keep it off OpenSSL
     h = hashlib.sha1()
     h.update(b"blob %d\x00" % len(data))
     h.update(data)
     return h.hexdigest()
+
+
+def _num(x: float) -> str:
+    """x in the short :g form when that reads back as x, else its full repr."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
 
 
 def _fmt(value) -> str:
@@ -47,7 +54,7 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, tuple):
-        return " ".join(f"{s:g}:{r:g}" for s, r in value)
+        return " ".join(f"{_num(s)}:{_num(r)}" for s, r in value)
     if value is None:
         return ""
     return str(value)
@@ -100,8 +107,8 @@ def _ledger(traj: solver.Trajectory) -> bytes:
 
 def _holder_artifacts(reports) -> dict:
     """The report table as CSV and JSON plus one curve per report."""
-    rows = [{"case": f"s{rep.case.s:g}-r{rep.case.r:g}", "s": rep.case.s, "r": rep.case.r,
-             "beta_theory": rep.case.beta, "slope": rep.slope,
+    rows = [{"case": f"s{_num(rep.case.s)}-r{_num(rep.case.r)}",
+             "s": rep.case.s, "r": rep.case.r, "beta_theory": rep.case.beta, "slope": rep.slope,
              "residual": rep.residual, "verdict": rep.verdict} for rep in reports]
     artifacts = {
         "holder_reports.csv": _csv("case,s,r,beta_theory,slope,residual,verdict",
@@ -189,7 +196,7 @@ def _run_ineq(cfg: RunConfig):
                "product-negative": ((cfg.r, cfg.j, cfg.k),)}.get(cfg.probe, ())
     sweeps = {}
     for r, j, k in triples:
-        stem = f"probe_product_negative_r{r:g}_j{j:g}_k{k:g}"
+        stem = f"probe_product_negative_r{_num(r)}_j{_num(j)}_k{_num(k)}"
         reports.append((stem, ineq.probe_product_negative(replace(pcfg, r=r, j=j, k=k))))
         modes, ratios, slope = ineq.product_negative_sweep(grid, r, j, k,
                                                            gamma=cfg.gamma,
@@ -408,6 +415,13 @@ gc.freeze()
 
 
 def main(argv=None) -> int:
+    # with CPython's own SHA-1 at hand, hashlib and hmac take their fallback for
+    # builds without OpenSSL: the same digests, without 3.5 MB of libcrypto RSS
+    try:
+        import _sha1  # only its presence matters
+        sys.modules.setdefault("_hashlib", None)
+    except ImportError:
+        pass
     args, extra = _PARSER.parse_known_args(argv)
     try:
         overrides = _parse_overrides(extra)
@@ -425,7 +439,14 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"chslab: {exc}", file=sys.stderr)
         return 2
-    return execute(cfg)
+    default = warnings.formatwarning  # a SeamWarning is one stderr line, as a fault is
+    warnings.formatwarning = lambda message, category, *where: (
+        f"chslab: warning: {message}\n" if issubclass(category, solver.SeamWarning)
+        else default(message, category, *where))
+    try:
+        return execute(cfg)
+    finally:
+        warnings.formatwarning = default
 
 
 if __name__ == "__main__":

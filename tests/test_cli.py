@@ -332,6 +332,28 @@ def test_holder_single_case_via_cli(tmp_path):
         assert report["deltas"] == list(deltas)
 
 
+def test_numbers_in_names_read_back_as_the_values():
+    assert [cli._num(x) for x in (4.0, 3.75, 3.5, 2.0, 1.0, 0.0, 1e-7, 0.1)] == [
+        "4", "3.75", "3.5", "2", "1", "0", "1e-07", "0.1"]
+    assert [cli._num(x) for x in (1.0000001, 1234567.0)] == ["1.0000001", "1234567.0"]
+
+
+def test_holder_case_values_keep_their_digits(tmp_path):
+    # :g alone keeps six digits: 4:1.0000001 echoed, labelled and named its
+    # curve as 4:1, as if the case were repeated
+    runs = {"4:1.0000001 4:1": (["s4-r1.0000001", "s4-r1"],
+                                ["curves_s4-r1.0000001.csv", "curves_s4-r1.csv"]),
+            "4:1 4:1": (["s4-r1", "s4-r1"], ["curves_s4-r1.csv", "curves_s4-r1_1.csv"])}
+    for i, (cases, (labels, curves)) in enumerate(runs.items()):
+        out = tmp_path / str(i)
+        assert main(["holder", "--N", "64", "--T", "0.1", "--cases", cases,
+                     "--out", str(out)]) == 0
+        assert f"cases = {cases}" in manifest_lines(out)
+        rows = (out / "holder_reports.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == labels
+        assert sorted(p.name for p in out.glob("curves_*")) == curves
+
+
 def test_ineq_probe_all_writes_what_the_single_probes_write(tmp_path):
     def run(tag, *argv):
         out = tmp_path / tag
@@ -442,15 +464,31 @@ def test_seam_error_exits_two_with_one_line_and_writes_nothing(tmp_path, capsys)
         assert list(out.iterdir()) == []
 
 
+def _cli_process(*argv):
+    """The chslab console command run as a fresh process of this tree."""
+    return subprocess.run(
+        [sys.executable, "-m", "chslab.cli", *map(str, argv)], capture_output=True,
+        text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__))))
+
+
 def test_data_fault_prints_one_stderr_line_from_a_real_process(tmp_path):
     out = tmp_path / "h"
-    done = subprocess.run(
-        [sys.executable, "-m", "chslab.cli", "holder", "--base_amplitude", "1e307",
-         "--out", str(out)], capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__))))
+    done = _cli_process("holder", "--base_amplitude", "1e307", "--out", out)
     assert done.returncode == 2
     assert done.stderr == "chslab: non-finite values in state fields\n"
     assert list(out.iterdir()) == []
+
+
+def test_seam_warning_prints_one_stderr_line_from_a_real_process(tmp_path):
+    # not Python's two lines: the checkout path of solver.py, then its source line
+    done = _cli_process("solve", "--N", "64", "--kind", "random", "--out", tmp_path / "s")
+    assert done.returncode == 1
+    assert done.stderr == (
+        "chslab: warning: initial data reaches 2.209e+00 within 10% of the domain edge "
+        "(tolerance 1.0e-10); periodic wrap-around will pollute the run\n")
+    assert sorted(p.name for p in (tmp_path / "s").iterdir()) == [
+        "ledger.csv", "manifest.txt", "state_final.chs2"]
 
 
 def test_json_artifacts_hold_no_nan_or_infinity_tokens(tmp_path):

@@ -10,7 +10,8 @@ name in a module's __all__ must be read in chslab/*.py or in the
 acceptance tests, or be named in bench/*.py, whose tracer names the
 functions it wraps by string: test-only public API does not grow back.
 A serial run with no config text loads neither the process pool nor
-the INI parser.  No CLI run pages in BLAS or LAPACK code.  No module
+the INI parser.  No CLI run pages in BLAS or LAPACK code or maps
+OpenSSL, and its built-in SHA-1 digests equal OpenSSL's.  No module
 reads the process environment: a run is configured by its key table
 alone.  The collector is the
 front end's business alone: `cli` freezes the import heap, and no other
@@ -27,6 +28,7 @@ import sys
 import pytest
 
 import chslab
+from chslab.cli import _git_blob_sha1, main
 
 
 def _unused_imports(tree):
@@ -265,9 +267,10 @@ def test_serial_run_loads_neither_the_process_pool_nor_the_ini_parser(tmp_path):
     assert done.stdout.split() == ["0"]
 
 
-# Rss in kB of the BLAS and LAPACK code mapped into this process, or None
-# when no such library is mapped; then each command's growth in it
-_LINALG_RSS = """
+# One interpreter runs each command once.  It records each command's growth
+# in the Rss (kB) of the BLAS and LAPACK code mapped into it, or None when no
+# such library is mapped, and then the OpenSSL libraries it maps
+_CLI_RUNS = """
 import json, sys
 import chslab.cli
 
@@ -287,27 +290,60 @@ def linalg_rss():
                 total = (total or 0) + int(head[1])
     return total
 
-grown = None
-if linalg_rss() is not None:
-    grown = {}
-    for i, argv in enumerate(RUNS):
-        before = linalg_rss()
-        code = chslab.cli.main(argv + ["--out", f"{sys.argv[1]}/{i}"])
-        grown[argv[0]] = (code, linalg_rss() - before)
-with open(f"{sys.argv[1]}/grown.json", "w") as fh:
-    json.dump(grown, fh)
+grown = {} if linalg_rss() is not None else None
+codes = []
+for i, argv in enumerate(RUNS):
+    before = linalg_rss()
+    codes.append(chslab.cli.main(argv + ["--out", f"{sys.argv[1]}/{i}"]))
+    if grown is not None:
+        grown[argv[0]] = linalg_rss() - before
+with open("/proc/self/maps") as fh:
+    openssl = sorted({line.split()[-1] for line in fh
+                      if "libcrypto" in line or "libssl" in line})
+with open(f"{sys.argv[1]}/runs.json", "w") as fh:
+    json.dump({"codes": codes, "grown": grown, "openssl": openssl,
+               "hashlib_blocked": sys.modules.get("_hashlib", False) is None}, fh)
 """
+
+
+def _manifest_digests(out):
+    """name -> digest of each `artifact <name> sha1 <digest>` line of out's manifest."""
+    return {line.split()[1]: line.split()[3]
+            for line in (out / "manifest.txt").read_text().splitlines()
+            if line.startswith("artifact ")}
 
 
 def test_cli_runs_page_in_no_blas_or_lapack_code(tmp_path):
     # one np.polyfit or one BLAS matrix product pages in about 1 MB of
-    # OpenBLAS code, which every CLI process then carries in its peak RSS
+    # OpenBLAS code, and OpenSSL's libcrypto maps about 3.5 MB, which every
+    # CLI process then carries in its peak RSS
     if not os.path.exists("/proc/self/smaps"):
         pytest.skip("no /proc/self/smaps on this platform")
-    done = _fresh_python(_LINALG_RSS, tmp_path, OPENBLAS_NUM_THREADS="1")
+    done = _fresh_python(_CLI_RUNS, tmp_path, OPENBLAS_NUM_THREADS="1")
     assert done.returncode == 0, done.stderr
-    grown = json.loads((tmp_path / "grown.json").read_text())
-    if grown is None:
+    runs = json.loads((tmp_path / "runs.json").read_text())
+    assert all(code in (0, 1) for code in runs["codes"]), runs["codes"]
+    assert runs["openssl"] == [] and runs["hashlib_blocked"]
+    # digests made by CPython's built-in SHA-1 against those of this
+    # process, whose hashlib hypothesis has already bound to OpenSSL
+    for i in range(len(runs["codes"])):
+        digests = _manifest_digests(tmp_path / str(i))
+        assert digests and digests == {
+            name: _git_blob_sha1((tmp_path / str(i) / name).read_bytes()) for name in digests}
+    if runs["grown"] is None:
         pytest.skip("numpy maps no BLAS or LAPACK library by these names")
-    assert all(code in (0, 1) for code, _ in grown.values()), grown
-    assert {cmd: kb for cmd, (_, kb) in grown.items() if kb > 0} == {}
+    assert {cmd: kb for cmd, kb in runs["grown"].items() if kb > 0} == {}
+
+
+def test_a_build_without_builtin_sha1_keeps_openssl_and_writes_the_same_digests(tmp_path):
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("no /proc/self/maps on this platform")
+    argv = ["solve", "--N", "64", "--t_end", "0.1"]
+    code = ("import sys\nsys.modules['_sha1'] = None\nfrom chslab.cli import main\n"
+            f"code = main({argv!r} + ['--out', sys.argv[1]])\n"
+            "print(code, any('libcrypto' in line for line in open('/proc/self/maps')))\n")
+    done = _fresh_python(code, tmp_path / "fallback")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "True"]
+    assert main(argv + ["--out", str(tmp_path / "here")]) == 0
+    assert _manifest_digests(tmp_path / "fallback") == _manifest_digests(tmp_path / "here")
