@@ -162,7 +162,7 @@ def _run_solve(cfg: RunConfig):
 def _run_holder(cfg: RunConfig):
     grid = Grid(cfg.n, cfg.length)
     reports = holder.sweep(
-        cfg.cases, grid, _params(cfg), cfg.horizon, cfl=cfg.cfl, workers=cfg.parallelism,
+        cfg.cases, grid, _params(cfg), cfg.horizon, cfl=cfg.cfl,
         h=cfg.h, base_kind=cfg.base_kind, direction_kind=cfg.direction_kind,
         delta_max=cfg.delta_max, delta_min=cfg.delta_min, delta_count=cfg.delta_count,
         seed=cfg.seed, base_amplitude=cfg.base_amplitude, rho_trivial=cfg.rho_trivial)

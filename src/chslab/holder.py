@@ -4,18 +4,17 @@ The exponent law beta(s, r) is piecewise: Lipschitz for low r with
 s + r >= 5, an interpolation exponent (2s-5)/(s-r) below that corner,
 and s - r once r climbs within one of s.  The experiment side perturbs
 a base datum along a fixed direction with a log-spaced amplitude ladder,
-steps the base and every member as one stack with one shared dt while
-taking each member's running-max distance to the base, and fits a
-least-squares line to log distance against log amplitude in closed form
-(`spectral.line_fit`, no LAPACK call); a sweep steps each family once
-per s.  The exponent law is an upper bound on distances, so a fitted slope
-above beta is consistent; verdicts only check slope >= beta - 0.1.
+one family per s, steps the families of a sweep that share a dt as one
+stack while taking each member's running-max distance to its base, and
+fits a least-squares line to log distance against log amplitude in
+closed form (`spectral.line_fit`, no LAPACK call).  The exponent law is
+an upper bound on distances, so a fitted slope above beta is
+consistent; verdicts only check slope >= beta - 0.1.
 A run reaches a verdict (pass, fail, no-verdict, degenerate) or raises.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,53 +180,61 @@ class HolderReport:
 def run_holder(family: PerturbationFamily, params: SystemParams,
                r: float, T: float, cfl: float = 0.3) -> HolderReport:
     """Solve the family, measure distances, regress, and judge the slope at (family.s, r)."""
-    return _run_cases(family, params, [r], T, cfl)[0]
+    case = holder_exponent(family.s, r, rho_trivial=family.rho_trivial)
+    return _run_stack([(family, [(0, case)])], params, T, _dt(family, cfl))[0]
 
 
-def _run_cases(family: PerturbationFamily, params: SystemParams,
-               rs, T: float, cfl: float) -> list:
-    """One report per r; holder_exponent raises on a bad (s, r) before any step.
+def _dt(family: PerturbationFamily, cfl: float) -> float:
+    """The family's fixed dt, the CFL step of its worst initial sup|u|: sup|u0 + delta d|
+    is convex in delta, so rows 0 and 1 (delta = 0 and the largest delta) hold it."""
+    return cfl_dt(family.grid, family.members()[:2, 0], cfl)
 
-    `family.members()` is the stack `solve_stack` steps, with one fixed
-    dt: the CFL step of the worst initial sup|u| in the family.  Each
-    member's H^r x H^{r-2} distance to the base row is a running max
-    over the ledger times, so no trajectory is stored.
+
+def _run_stack(jobs, params: SystemParams, T: float, dt: float) -> dict:
+    """Case number -> report, for (family, [(number, case), ...]) jobs that share dt.
+
+    All of the families' members step as one `solve_stack` stack, each
+    row under its family's s.  Each member's H^r x H^{r-2} distance to
+    its family's base row is a running max over the ledger times, so no
+    trajectory is stored; it is taken only while all of the family's
+    rows run, so a member that aborts stops its own family's distances.
     """
-    cases = [holder_exponent(family.s, r, rho_trivial=family.rho_trivial) for r in rs]
-    grid, members = family.grid, family.members()
-    # sup|u0 + delta d| is convex in delta, so its largest value over the
-    # ladder is at delta = 0 or at the largest delta: rows 0 and 1
-    dt = cfl_dt(grid, members[:2, 0], cfl)
-    distances = np.zeros((len(cases), len(members) - 1))
+    grid = jobs[0][0].grid
+    members = [family.members() for family, _ in jobs]
+    bounds = np.cumsum([0] + [len(m) for m in members])
+    distances = [np.zeros((len(cases), len(m) - 1)) for (_, cases), m in zip(jobs, members)]
 
     def track(stack, rows):
-        if len(rows) < len(members):
-            return  # a member aborted: no case reports distances
-        diff = stack[1:] - stack[:1]
-        for best, case in zip(distances, cases):
-            np.fmax(best, y_norms(diff, grid, case.r), out=best)
+        for (_, cases), best, lo, hi in zip(jobs, distances, bounds, bounds[1:]):
+            at, end = np.searchsorted(rows, (lo, hi))
+            if end - at == hi - lo:  # no member of this family has aborted
+                diff = stack[at + 1:end] - stack[at:at + 1]
+                for row, (_, case) in zip(best, cases):
+                    np.fmax(row, y_norms(diff, grid, case.r), out=row)
 
-    trajs = solve_stack(grid, members, params, family.s, T, dt_policy=dt, store_stride=0,
-                        seam_policy="ignore", observe=track)
-    statuses = tuple(traj.status for traj in trajs)
-    # keep regression points clear of accumulated roundoff
-    nsteps = len(trajs[0].times) - 1
-    floor = 1e3 * 2.22e-16 * max(1.0, float(trajs[0].y.max())) * max(nsteps, 1)
-    return [_fit(case, family.deltas, dist, floor, statuses, T, dt)
-            for case, dist in zip(cases, distances)]
+    s = np.repeat([family.s for family, _ in jobs], np.diff(bounds)).tolist()
+    trajs = solve_stack(grid, np.concatenate(members), params, s, T, dt_policy=dt,
+                        store_stride=0, seam_policy="ignore", observe=track)
+    return {i: _fit(case, family.deltas, dist, trajs[lo:hi], T, dt)
+            for (family, cases), best, lo, hi in zip(jobs, distances, bounds, bounds[1:])
+            for (i, case), dist in zip(cases, best)}
 
 
-def _fit(case, deltas, distances, floor, statuses, T, dt) -> HolderReport:
+def _fit(case, deltas, distances, trajs, T, dt) -> HolderReport:
     """Judge one case: the closed-form line through (log10 delta, log10 distance).
 
-    Only distances above the noise floor enter; fewer than 3 of them is
-    degenerate, and an aborted member leaves no verdict.
+    `trajs` is the family's, base row first.  Only distances above the noise
+    floor enter, and fewer than 3 is degenerate; an aborted member leaves no verdict.
     """
     nan = float("nan")
+    statuses = tuple(traj.status for traj in trajs)
     if any(st != COMPLETED for st in statuses):
         return HolderReport(case, deltas.copy(), np.full(len(deltas), nan),
                             nan, nan, nan, "no-verdict: member aborted",
                             statuses, T, dt)
+    # keep regression points clear of accumulated roundoff
+    nsteps = len(trajs[0].times) - 1
+    floor = 1e3 * 2.22e-16 * max(1.0, float(trajs[0].y.max())) * max(nsteps, 1)
     live = distances > floor
     if live.sum() < 3:
         return HolderReport(case, deltas.copy(), distances,
@@ -243,32 +250,23 @@ def _fit(case, deltas, distances, floor, statuses, T, dt) -> HolderReport:
                         "pass" if ok else "fail", statuses, T, dt)
 
 
-def _sweep_group(payload) -> list:
-    """Reports of one s-group: its family is built and stepped once for all of its r."""
-    grid, s, rs, params, T, cfl, family = payload
-    return _run_cases(make_family(grid, s, **family), params, rs, T, cfl)
-
-
-def sweep(cases, grid: Grid, params: SystemParams, T: float, cfl: float = 0.3,
-          workers: int = 1, **family):
+def sweep(cases, grid: Grid, params: SystemParams, T: float, cfl: float = 0.3, **family):
     """One report per (s, r) case, in input order; `family` goes to `make_family`.
 
-    Cases that share s share a family, built and stepped once for all of
-    their r.  Every exception propagates, from a worker process too; data
-    at fault (non-finite rows, a family outside the ball) raise DataError.
-    Workers > 1 fans the s-groups out to processes; each rebuilds its
-    family from the same seed, so results match the serial run.
+    Cases that share s share a family, built once for all of their r; a
+    bad (s, r) raises before any step.  Families that share a dt step as
+    one stack, and a case's numbers do not depend on the other cases of
+    its sweep.  Every exception propagates; data at fault (non-finite
+    rows, a family outside the ball) raise DataError.
     """
     groups = {}
-    for i, (s, _) in enumerate(cases):
-        groups.setdefault(float(s), []).append(i)
-    payloads = [(grid, s, [float(cases[i][1]) for i in idx], params, T, cfl, family)
-                for s, idx in groups.items()]
-    if workers > 1 and len(payloads) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool is built
-        with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
-            results = list(pool.map(_sweep_group, payloads))
-    else:
-        results = [_sweep_group(p) for p in payloads]
-    by_case = dict(zip(itertools.chain(*groups.values()), itertools.chain(*results)))
+    for i, (s, r) in enumerate(cases):
+        groups.setdefault(float(s), []).append((i, float(r)))
+    stacks = {}
+    for s, rs in groups.items():
+        fam = make_family(grid, s, **family)
+        stacks.setdefault(_dt(fam, cfl), []).append(
+            (fam, [(i, holder_exponent(s, r, rho_trivial=fam.rho_trivial)) for i, r in rs]))
+    by_case = {i: rep for dt, jobs in stacks.items()
+               for i, rep in _run_stack(jobs, params, T, dt).items()}
     return [by_case[i] for i in range(len(cases))]

@@ -382,8 +382,8 @@ def solve(initial: State, params: SystemParams, s: float, t_end: float,
     return solve_stack(initial.grid, stack, params, s, t_end, initial.t, **options)[0]
 
 
-def solve_stack(grid: Grid, rows: np.ndarray, params: SystemParams, s: float, t_end: float,
-                t: float = 0.0, dt_policy="cfl", cfl: float = 0.3,
+def solve_stack(grid: Grid, rows: np.ndarray, params: SystemParams, s: float | list[float],
+                t_end: float, t: float = 0.0, dt_policy="cfl", cfl: float = 0.3,
                 blowup_threshold: float = 1e6, tail_limit: float = 0.01,
                 store_stride: int = 1, seam_policy: str = "warn",
                 observe=None) -> list[Trajectory]:
@@ -395,7 +395,8 @@ def solve_stack(grid: Grid, rows: np.ndarray, params: SystemParams, s: float, t_
     rounded down so t_end is hit exactly.  A stack of the wrong shape
     raises ValueError, a non-finite one NonFiniteStateError; the data is
     then dealiased once.  Each row keeps its own ledger, stored states
-    and watchdog; a row that aborts leaves the stack.  Rows never mix, so
+    and watchdog, in the norm index `s` gives it (one for all rows, or
+    one per row); a row that aborts leaves the stack.  Rows never mix, so
     under a fixed dt each steps bit for bit as it would alone.
     `observe(stack, rows)` sees the running rows and their indices in
     the input at each ledger time, before the watchdog acts.
@@ -415,6 +416,7 @@ def solve_stack(grid: Grid, rows: np.ndarray, params: SystemParams, s: float, t_
     stack = np.asarray(rows, dtype=complex)
     if stack.shape[1:] != (2, grid.n // 2 + 1):
         raise ValueError(f"stack shape {stack.shape} is not (P, 2, {grid.n // 2 + 1})")
+    s = [float(x) for x in np.broadcast_to(s, len(stack))]
     if not np.isfinite(stack).all():
         raise NonFiniteStateError("non-finite values in state fields")
     _seam_check(grid, stack, seam_policy)
@@ -424,16 +426,16 @@ def solve_stack(grid: Grid, rows: np.ndarray, params: SystemParams, s: float, t_
     rows = np.arange(len(stack))
     status = np.full(len(rows), COMPLETED, dtype=object)
     ledger, stored, last = [[] for _ in rows], [[] for _ in rows], [None] * len(rows)
-    w_u, w_rho = half_weights(grid, s), half_weights(grid, s - 2.0)
+    w_u, w_rho = (np.array([half_weights(grid, x - d) for x in s]) for d in (0.0, 2.0))
     # the resolution test watches the top third of the retained band
     # |k| <= N//3 (the 2/3 rule empties the grid's own), from mode `tail` on
     tail = math.ceil(2.0 * (grid.n // 3) / 3.0)
 
     def drop_aborted():
-        nonlocal stack, rows
+        nonlocal stack, rows, w_u, w_rho
         running = status[rows] == COMPLETED
         if not running.all():
-            stack, rows = stack[running], rows[running]
+            stack, rows, w_u, w_rho = (a[running] for a in (stack, rows, w_u, w_rho))
 
     def record(step):
         """Ledger rows, stored states and the watchdog at the current t."""
@@ -480,7 +482,7 @@ def solve_stack(grid: Grid, rows: np.ndarray, params: SystemParams, s: float, t_
             stored[i].append(last[i])
         times, nus, nrs = np.array(row).T.copy()
         states = tuple(State(Field(grid, c[0]), Field(grid, c[1]), ts) for ts, c in stored[i])
-        trajs.append(Trajectory(states, times, nus, nrs, nus + nrs, status[i], s))
+        trajs.append(Trajectory(states, times, nus, nrs, nus + nrs, status[i], s[i]))
     return trajs
 
 

@@ -1,11 +1,13 @@
 """Stacked stepping: row independence, per-row watchdog, grouped sweeps.
 
-A stack of P states steps as one (P, 2, N/2+1) array, and `holder.sweep`
-steps each s-group's family once with streamed distances.  The oracles
+A stack of P states steps as one (P, 2, N/2+1) array, under one s or one
+s per row, and `holder.sweep` steps the families of all of its s that
+share a dt as one stack with streamed distances.  The oracles
 are one-row runs (`solve`, `step_rk4` on a one-row stack) and the per-member
 Holder experiment in `per_member_holder`.
 """
 
+import json
 import math
 import re
 import tracemalloc
@@ -64,6 +66,7 @@ def rows_of(states):
 
 def assert_same_trajectory(got, want):
     assert got.status == want.status
+    assert got.s == want.s
     for name in ("times", "norm_u", "norm_rho", "y"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert len(got.states) == len(want.states)
@@ -100,11 +103,13 @@ def test_stacked_step_equals_one_row_steps(log_n, rows, seed, dt, alpha):
 def test_stacked_solve_equals_one_row_solves(n):
     grid = Grid(n, 64.0)
     states = [bump(grid, a) for a in (0.5, 0.3, 0.7)]
-    # sup|u| < 1 on every row, so the CFL step is the same for all of them
-    for kw in ({"dt_policy": 0.02}, {"dt_policy": 0.013, "store_stride": 3}, {}):
-        for got, state in zip(solve_stack(grid, rows_of(states), params(), 4.0, 0.37, **kw),
-                              states):
-            assert_same_trajectory(got, solve(state, params(), 4.0, 0.37, **kw))
+    # sup|u| < 1 on every row, so the CFL step is the same for all of them;
+    # s is one number for the stack or one per row
+    for s in (4.0, (4.0, 3.75, 4.5)):
+        for kw in ({"dt_policy": 0.02}, {"dt_policy": 0.013, "store_stride": 3}, {}):
+            got = solve_stack(grid, rows_of(states), params(), s, 0.37, **kw)
+            for traj, state, own in zip(got, states, np.broadcast_to(s, 3)):
+                assert_same_trajectory(traj, solve(state, params(), float(own), 0.37, **kw))
 
 
 def test_stacked_cfl_step_follows_the_largest_row(line):
@@ -122,6 +127,10 @@ def test_stack_of_the_wrong_shape_is_rejected(line):
                 stack[0]):
         with pytest.raises(ValueError, match="stack shape"):
             solve_stack(line, bad, params(), 4.0, 0.1)
+    # s is one number or one per row, never some other count
+    for s in ((4.0, 3.75, 4.5), [[4.0, 3.75]]):
+        with pytest.raises(ValueError):
+            solve_stack(line, stack, params(), s, 0.1)
 
 
 @pytest.mark.parametrize("t", [-0.05, np.nan, 0.1, 0.2])
@@ -208,6 +217,18 @@ def test_watchdog_statuses_are_per_row():
     assert 1 < len(got[3].times) < len(solo.times)
     for g, state in zip(got, states):
         assert_same_trajectory(g, solve(state, params(), 2.5, 1.0, **kw))
+
+
+def test_watchdog_reads_each_row_in_its_own_s():
+    # one rough state twice: its top-band share of the H^s energy is 0.67
+    # at s = 3.75 and 0.86 at s = 4.5, on either side of the tail limit
+    grid = Grid(64, 2.0 * np.pi)
+    state = State(random_field(grid, 2.0, seed=3, amplitude=0.5), Field.zero(grid), 0.0)
+    kw = dict(dt_policy=0.01, seam_policy="ignore", tail_limit=0.7)
+    got = solve_stack(grid, rows_of([state, state]), params(), (3.75, 4.5), 0.3, **kw)
+    assert [t.status for t in got] == [COMPLETED, RESOLUTION_EXHAUSTED]
+    for traj, s in zip(got, (3.75, 4.5)):
+        assert_same_trajectory(traj, solve(state, params(), s, 0.3, **kw))
 
 
 def test_planted_family_statuses_match_their_own_solves():
@@ -304,7 +325,7 @@ def test_family_error_propagates_out_of_the_sweep(line, monkeypatch):
     real = holder.solve_stack
 
     def fails_at_375(grid, members, p, s, *args, **kw):
-        if s == 3.75:
+        if 3.75 in s:  # one s per row: the stack holds the s = 3.75 family
             raise ValueError("planted family failure")
         return real(grid, members, p, s, *args, **kw)
 
@@ -320,24 +341,99 @@ def test_programming_errors_propagate_out_of_the_sweep(line, monkeypatch, tmp_pa
 
     monkeypatch.setattr(holder, "solve_stack", broken)
     with pytest.raises(RuntimeError, match="not a rejected case"):
-        sweep([(4.0, 2.0), (3.4, 1.0)], line, params(), T=0.3)
+        sweep([(4.0, 2.0), (3.75, 1.0)], line, params(), T=0.3)
     # the command reports it as a failed run (exit 2), not a failed verdict
     cfg = parse_config("", "holder", str(tmp_path / "h"), {"N": "64", "T": "0.1"})
     assert execute(cfg) == 2
     assert "not a rejected case" in capsys.readouterr().err
 
 
-def test_parallel_sweep_writes_the_serial_bytes(pools):
-    grid = Grid(128, 64.0)
-    cases = [(4.0, 2.0), (3.75, 1.0), (4.0, 3.5), (4.0, 2.0), (4.5, 2.0)]
+def test_parallel_sweep_writes_the_serial_bytes(tmp_path, pools):
+    # holder reads no worker setting: at --parallelism 2 it builds no pool
+    # and writes the --parallelism 1 bytes, bar the manifest line echoing it
     outputs = {}
-    for workers in (1, 2):
-        reports = sweep(cases, grid, params(), T=0.3,
-                        direction_kind="random-decay", seed=5, workers=workers)
-        outputs[workers] = _holder_artifacts(reports)
-    assert pools == [2]  # three s-groups on two workers; the serial run built none
-    assert len(outputs[1]) == 2 + len(cases)
-    assert outputs[1] == outputs[2]
+    for workers in ("1", "2"):
+        cfg = parse_config("", "holder", str(tmp_path / workers), {
+            "N": "128", "T": "0.3", "direction_kind": "random-decay", "seed": "5",
+            "cases": "4:2 3.75:1 4:3.5 4:2 4.5:2", "parallelism": workers})
+        assert execute(cfg) == 0
+        outputs[workers] = {path.name: [line for line in path.read_text().splitlines()
+                                        if not line.startswith(("parallelism", "wall_time_s"))]
+                            for path in (tmp_path / workers).iterdir()}
+    assert pools == []
+    assert len(outputs["1"]) == 3 + 5
+    assert outputs["1"] == outputs["2"]
+
+
+def _counting_solve_stack(monkeypatch):
+    """Patch holder's solve_stack to record the row count of each call."""
+    real, calls = holder.solve_stack, []
+
+    def counting(grid, rows, *args, **kw):
+        calls.append(len(rows))
+        return real(grid, rows, *args, **kw)
+
+    monkeypatch.setattr(holder, "solve_stack", counting)
+    return calls
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, {"T": "1.5", "direction_kind": "random-decay", "seed": "3"}])
+def test_default_and_bench_holder_lines_make_one_solve_stack_call(tmp_path, monkeypatch,
+                                                                   overrides):
+    calls = _counting_solve_stack(monkeypatch)
+    assert execute(parse_config("", "holder", str(tmp_path / "h"), overrides)) == 0
+    assert calls == [2 * 8]  # the s = 4 and s = 3.75 families, base and 7 members each
+
+
+def _report_entries(tmp_path, name, overrides) -> dict:
+    """case label -> its entry of holder_reports.json, from one holder run."""
+    out = tmp_path / name
+    assert execute(parse_config("", "holder", str(out), overrides)) in (0, 1)
+    return {entry["case"]: entry
+            for entry in json.loads((out / "holder_reports.json").read_text())}
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"direction_kind": "random-decay", "cases": "4:2 3.75:1 4.5:2 5:2", "seed": "1"},
+    # the two families get different dts, so this sweep makes two stacks
+    {"h": "50", "base_amplitude": "5", "cases": "4:2 5:2"},
+])
+def test_a_case_does_not_depend_on_the_other_cases_of_its_sweep(tmp_path, overrides):
+    cfg = parse_config("", "holder", str(tmp_path / "cfg"), overrides)
+    together = _report_entries(tmp_path, "all", overrides)
+    assert len(together) == len(cfg.cases)
+    for i, (s, r) in enumerate(cfg.cases):
+        alone = _report_entries(tmp_path, str(i), {**overrides, "cases": f"{s!r}:{r!r}"})
+        assert list(alone.values()) == [together[next(iter(alone))]]
+    if "h" in overrides:
+        assert len({entry["dt"] for entry in together.values()}) == 2
+
+
+def test_an_aborting_family_leaves_the_other_families_of_its_stack_alone(line, monkeypatch):
+    # a planted s = 3.75 family whose largest member puts most of its
+    # H^s energy in the top band, so it runs out of resolution at t = 0;
+    # its sup|u| stays below 1, so it shares the healthy family's dt
+    real = holder.make_family
+    top = cosine_mode(line, 70).half
+    direction = np.array([top, np.zeros_like(top)])
+    direction /= float(solver.y_norms(direction, line, 3.75))
+    planted = PerturbationFamily(line, real(line, 3.75).base, direction,
+                                 np.geomspace(2.0, 2e-3, 4), 3.75)
+    healthy_cases = [(4.0, 2.0), (4.0, 3.5)]
+    want = sweep(healthy_cases, line, params(), T=0.3)
+
+    monkeypatch.setattr(holder, "make_family",
+                        lambda grid, s, **kw: planted if s == 3.75 else real(grid, s, **kw))
+    calls = _counting_solve_stack(monkeypatch)
+    got = sweep([(3.75, 1.0)] + healthy_cases, line, params(), T=0.3)
+    assert calls == [len(planted.members()) + 8]  # both families in one stack
+    assert got[0].verdict == "no-verdict: member aborted"
+    assert got[0].statuses[:2] == (COMPLETED, RESOLUTION_EXHAUSTED)
+    for g, w in zip(got[1:], want):
+        assert_same_report(g, w)
+    assert _holder_artifacts(got[1:]) == _holder_artifacts(want)
 
 
 # ---------------------------------------------------------- bounded memory

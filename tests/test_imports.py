@@ -10,7 +10,8 @@ name in a module's __all__ must be read in chslab/*.py or in the
 acceptance tests, or be named in bench/*.py, whose tracer names the
 functions it wraps by string: test-only public API does not grow back.
 A serial run with no config text loads neither the process pool nor
-the INI parser.  No CLI run pages in BLAS or LAPACK code or maps
+the INI parser, and no holder run loads a process pool, whatever its
+`parallelism`.  No CLI run pages in BLAS or LAPACK code or maps
 OpenSSL, and its built-in SHA-1 digests equal OpenSSL's.  No module
 reads the process environment: a run is configured by its key table
 alone.  The collector is the
@@ -269,13 +270,15 @@ def test_serial_run_loads_neither_the_process_pool_nor_the_ini_parser(tmp_path):
 
 # One interpreter runs each command once.  It records each command's growth
 # in the Rss (kB) of the BLAS and LAPACK code mapped into it, or None when no
-# such library is mapped, and then the OpenSSL libraries it maps
+# such library is mapped, then the OpenSSL libraries it maps and the process
+# pool modules it loaded; holder runs at parallelism 2, which it never reads
 _CLI_RUNS = """
 import json, sys
 import chslab.cli
 
 LIBS = ("openblas", "lapack", "gfortran", "_umath_linalg")
-RUNS = [["solve", "--N", "64", "--t_end", "0.1"], ["holder", "--N", "64", "--T", "0.1"],
+RUNS = [["solve", "--N", "64", "--t_end", "0.1"],
+        ["holder", "--N", "64", "--T", "0.1", "--parallelism", "2"],
         ["t0probe", "--N", "64"],
         ["ineq", "--N", "32", "--mollifier_N", "64", "--ensemble", "8"], ["kernel"]]
 
@@ -300,8 +303,9 @@ for i, argv in enumerate(RUNS):
 with open("/proc/self/maps") as fh:
     openssl = sorted({line.split()[-1] for line in fh
                       if "libcrypto" in line or "libssl" in line})
+pool = [m for m in ("concurrent.futures.process", "multiprocessing") if m in sys.modules]
 with open(f"{sys.argv[1]}/runs.json", "w") as fh:
-    json.dump({"codes": codes, "grown": grown, "openssl": openssl,
+    json.dump({"codes": codes, "grown": grown, "openssl": openssl, "pool": pool,
                "hashlib_blocked": sys.modules.get("_hashlib", False) is None}, fh)
 """
 
@@ -324,6 +328,7 @@ def test_cli_runs_page_in_no_blas_or_lapack_code(tmp_path):
     runs = json.loads((tmp_path / "runs.json").read_text())
     assert all(code in (0, 1) for code in runs["codes"]), runs["codes"]
     assert runs["openssl"] == [] and runs["hashlib_blocked"]
+    assert runs["pool"] == []
     # digests made by CPython's built-in SHA-1 against those of this
     # process, whose hashlib hypothesis has already bound to OpenSSL
     for i in range(len(runs["codes"])):
