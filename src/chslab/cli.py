@@ -178,19 +178,11 @@ def _run_ineq(cfg: RunConfig):
     pcfg = ineq.ProbeConfig(grid, ensemble=cfg.ensemble, gamma=cfg.gamma,
                             amplitude=cfg.amplitude, seed=cfg.seed, r=cfg.r,
                             s=cfg.s, sigma=cfg.sigma, s1=cfg.s1, s2=cfg.s2)
-    # probe name -> (function, config), in report order
-    probes = {
-        "algebra": (ineq.probe_algebra, pcfg),
-        "kato-ponce": (ineq.probe_kato_ponce, pcfg),
-        "product-low": (ineq.probe_product_low, pcfg),
-        "calderon": (ineq.probe_calderon, pcfg),
-        "interpolation": (ineq.probe_interpolation, pcfg),
-        "mollifier": (ineq.probe_mollifier_commutator,
-                      replace(pcfg, grid=Grid(cfg.mollifier_n, cfg.length))),
-    }
-    reports = [("probe_" + name.replace("-", "_"), fn(probe_cfg))
-               for name, (fn, probe_cfg) in probes.items()
-               if cfg.probe in ("all", name)]
+    mollifier_cfg = replace(pcfg, grid=Grid(cfg.mollifier_n, cfg.length))
+    reports = [("probe_" + name.replace("-", "_"),
+                probe(mollifier_cfg if name == "mollifier" else pcfg))
+               for name, probe in ineq.PROBES.items()
+               if cfg.probe in ("all", name) and name != "product-negative"]
 
     triples = {"all": _NEGATIVE_TRIPLES,
                "product-negative": ((cfg.r, cfg.j, cfg.k),)}.get(cfg.probe, ())

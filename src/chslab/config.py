@@ -8,7 +8,8 @@ list of problems instead of stopping at the first.
 
 Each key is one row of _KEYS: the RunConfig attribute it sets, its
 parser, and the check its value must pass.  DEFAULTS says which keys a
-command takes; rules that tie several keys together live in _cross_checks.
+command takes; rules that tie several keys together live in _cross_checks,
+which asks `holder` and `inequalities` for the ladder and probe rules.
 """
 
 from __future__ import annotations
@@ -17,10 +18,8 @@ import math
 from dataclasses import field, make_dataclass
 
 from .fields import INITIAL_KINDS
-from .holder import BASE_KINDS, DIRECTION_KINDS, holder_exponent
-from .inequalities import (DEFAULT_EPS_LADDER, check_indices, check_negative_hypotheses,
-                           check_sweep_grid)
-from .mollifier import check_scale
+from .holder import BASE_KINDS, DIRECTION_KINDS, holder_exponent, ladder_problems
+from .inequalities import PROBES, check_negative_hypotheses, probe_problems
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "COMMANDS", "command_keys"]
 
@@ -80,9 +79,6 @@ def _one_of(choices: tuple):
     return (lambda v: v in choices, f"{{key}} must be one of {choices}, got {{value!r}}")
 
 
-_PROBES = ("all", "algebra", "kato-ponce", "mollifier", "calderon",
-           "product-low", "product-negative", "interpolation")
-
 # key -> (RunConfig attribute, parser, check)
 _KEYS = {
     # grid
@@ -118,11 +114,11 @@ _KEYS = {
     "direction_kind": ("direction_kind", str, _one_of(DIRECTION_KINDS)),
     "delta_max": ("delta_max", _real, _ANY),
     "delta_min": ("delta_min", _real, _ANY),
-    "delta_count": ("delta_count", int, (lambda v: v >= 4, "{key} must be at least 4")),
+    "delta_count": ("delta_count", int, _ANY),
     "base_amplitude": ("base_amplitude", _real, _ANY),
     "rho_trivial": ("rho_trivial", _parse_bool, _ANY),
     # inequality probes
-    "probe": ("probe", str, _one_of(_PROBES)),
+    "probe": ("probe", str, _one_of(("all", *PROBES))),
     "ensemble": ("ensemble", int, _POSITIVE),
     "gamma": ("gamma", _real, (lambda v: v > 0.5, "{key} must exceed 1/2, got {value!r}")),
     "mollifier_N": ("mollifier_n", int, _POWER_OF_TWO),
@@ -187,12 +183,7 @@ def _cross_checks(cfg) -> list:
     """Rules that tie several keys together or hold for one command only."""
     errors = []
     if cfg.command == "holder":
-        if not 0 < cfg.delta_min < cfg.delta_max:
-            errors.append("need 0 < delta_min < delta_max")
-        if cfg.delta_min > 0 < cfg.delta_max and not cfg.delta_max / cfg.delta_min >= 100:
-            errors.append("delta ladder must span at least two decades")
-        if cfg.h > 0 and not cfg.delta_max < cfg.h:
-            errors.append(f"need delta_max < h = {cfg.h:g}, got delta_max = {cfg.delta_max:g}")
+        errors += ladder_problems(cfg.h, cfg.delta_max, cfg.delta_min, cfg.delta_count)
         for s, r in cfg.cases:
             try:
                 holder_exponent(s, r, rho_trivial=cfg.rho_trivial)
@@ -201,25 +192,7 @@ def _cross_checks(cfg) -> list:
     if cfg.command == "ineq":
         if not cfg.amplitude > 0:
             errors.append(f"amplitude must be positive for ineq, got {cfg.amplitude}")
-        # "all" runs the product-negative probe on fixed, valid (r, j, k) triples
-        selected = ([p for p in _PROBES if p not in ("all", "product-negative")]
-                    if cfg.probe == "all" else [cfg.probe])
-        for name in selected:
-            try:
-                if name == "mollifier":
-                    for eps in DEFAULT_EPS_LADDER:
-                        check_scale(eps, cfg.length)
-                elif name == "product-negative":
-                    check_negative_hypotheses(cfg.r, cfg.j, cfg.k)
-                else:
-                    check_indices(name, cfg)
-            except ValueError as exc:
-                errors.append(f"{name} probe invalid: {exc}")
-        if cfg.probe in ("all", "product-negative"):
-            try:
-                check_sweep_grid(cfg.n)
-            except ValueError as exc:
-                errors.append(f"product-negative sweep invalid: {exc}")
+        errors += probe_problems(cfg.probe, cfg)
     if cfg.command == "kernel" and cfg.j > 0.5:  # j <= 1/2 is reported as divergent
         try:
             check_negative_hypotheses(cfg.r, cfg.j, cfg.k)
@@ -273,11 +246,12 @@ def parse_config(text: str, command: str, out: str,
                 parsed[key] = _KEYS[key][1](text_val)
             except (ValueError, TypeError) as exc:
                 errors.append(f"key {key!r}: {exc}")
-    errors += [msg for key, val in parsed.items() if (msg := _check(key, val))]
+    failed = {key: msg for key, val in parsed.items() if (msg := _check(key, val))}
+    errors += failed.values()
 
-    # cross-key rules run even when some keys failed (those keep their
-    # defaults here) so one run reports every problem at once
-    values = {**DEFAULTS[command], **parsed}
+    # cross-key rules run even when keys failed to parse or failed their own
+    # check (those keep their defaults here), so one run reports every problem
+    values = {**DEFAULTS[command], **{k: v for k, v in parsed.items() if k not in failed}}
     cfg = RunConfig(command=command, out=out,
                     **{_KEYS[key][0]: val for key, val in values.items()})
     errors += _cross_checks(cfg)

@@ -24,7 +24,7 @@ from .solver import COMPLETED, DataError, SystemParams, cfl_dt, solve_stack, y_n
 from .spectral import Grid, line_fit, sobolev_norms
 
 __all__ = [
-    "HolderCase", "holder_exponent", "PerturbationFamily", "make_family",
+    "HolderCase", "holder_exponent", "PerturbationFamily", "ladder_problems", "make_family",
     "HolderReport", "run_holder", "sweep",
 ]
 
@@ -128,26 +128,32 @@ def _direction_rows(grid, kind, s, seed, rho_trivial):
     return (1.0 / scale) * rows
 
 
+def ladder_problems(h: float, delta_max: float, delta_min: float, delta_count: int) -> list:
+    """Each rule that the ladder `np.geomspace(delta_max, delta_min, delta_count)` breaks:
+    at least 4 points, 0 < delta_min < delta_max, two decades (with a 1e-9
+    relative slack, so that 0.011 down to 0.00011 passes) and delta_max < h."""
+    ordered = 0.0 < delta_min < delta_max
+    rules = [(delta_count >= 4, f"need delta_count >= 4, got delta_count = {delta_count}"),
+             (ordered, f"need 0 < delta_min < delta_max, got {delta_min:g} and {delta_max:g}"),
+             (not ordered or delta_max / delta_min >= 100.0 * (1.0 - 1e-9),
+              "delta ladder must span at least two decades"),
+             (delta_max < h, f"need delta_max < h = {h:g}, got delta_max = {delta_max:g}")]
+    return [message for holds, message in rules if not holds]
+
+
 def make_family(grid: Grid, s: float, h: float = 2.0, base_kind: str = "gaussian-bump",
                 direction_kind: str = "high-mode", delta_max: float = 1e-2,
                 delta_min: float = 1e-5, delta_count: int = 7, seed: int = 0,
                 base_amplitude: float = 0.5, rho_trivial: bool = False) -> PerturbationFamily:
     """Build the family's rows; a base too large for the ball B(0, h) is shrunk to fit.
 
-    The ladder is `np.geomspace(delta_max, delta_min, delta_count)`: at
-    least 4 points, 0 < delta_min, two decades or more, delta_max < h.
-    A family that still leaves the ball (its norms overflow) raises DataError.
+    The ladder is `np.geomspace(delta_max, delta_min, delta_count)`; ValueError
+    names every rule of `ladder_problems` it breaks.  A family that still
+    leaves the ball (its norms overflow) raises DataError.
     `sweep` forwards its family keywords here, so these defaults are its too.
     """
-    if delta_count < 4:
-        raise ValueError("amplitude ladder needs at least 4 points")
-    if not 0.0 < delta_min:
-        raise ValueError(f"need 0 < delta_min, got delta_min = {delta_min}")
-    if not delta_max / delta_min >= 100.0 * (1.0 - 1e-9):
-        raise ValueError("amplitude ladder must span at least two decades")
-    if not delta_max < h:
-        raise ValueError(
-            f"largest perturbation {delta_max} cannot fit in a ball of radius {h}")
+    if problems := ladder_problems(h, delta_max, delta_min, delta_count):
+        raise ValueError("; ".join(problems))
     deltas = np.geomspace(delta_max, delta_min, delta_count)
 
     base = _base_rows(grid, base_kind, base_amplitude, seed, rho_trivial)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import cosine_mode, random_halves
-from .mollifier import build_mollifier
+from .mollifier import build_mollifier, check_scale
 from .spectral import (
     Grid,
     commutator_half,
@@ -43,7 +43,7 @@ from .spectral import (
 )
 
 __all__ = [
-    "ProbeConfig", "ProbeReport",
+    "ProbeConfig", "ProbeReport", "PROBES", "probe_problems",
     "probe_algebra", "probe_kato_ponce", "probe_mollifier_commutator",
     "probe_calderon", "probe_product_low", "probe_product_negative",
     "probe_interpolation", "product_negative_sweep", "check_indices",
@@ -91,13 +91,9 @@ class ProbeConfig:
 
 def _need(cfg, *names: str) -> list[float]:
     """The named indices of cfg as floats; ValueError if one is unset."""
-    vals = []
-    for name in names:
-        v = getattr(cfg, name)
-        if v is None:
-            raise ValueError(f"probe requires index parameter {name!r}")
-        vals.append(float(v))
-    return vals
+    if unset := [name for name in names if getattr(cfg, name) is None]:
+        raise ValueError(f"probe requires index parameter {unset[0]!r}")
+    return [float(getattr(cfg, name)) for name in names]
 
 
 # probe -> (the indices it reads, their hypotheses in words and as a test)
@@ -112,10 +108,17 @@ _HYPOTHESES = {
 
 
 def check_indices(probe: str, cfg) -> list[float]:
-    """The indices `probe` reads from cfg, a ProbeConfig or a run's config.
+    """The indices `probe`, a name of PROBES, reads from cfg, a ProbeConfig or a run's config.
 
-    ValueError unless each is set and they meet the probe's hypotheses.
+    ValueError unless each is set and they meet the probe's hypotheses.  The
+    mollifier reads none, but each of its scales must pass `check_scale`.
     """
+    if probe == "mollifier":
+        for eps in DEFAULT_EPS_LADDER:
+            check_scale(eps, cfg.grid.length if isinstance(cfg, ProbeConfig) else cfg.length)
+        return []
+    if probe == "product-negative":
+        return check_negative_hypotheses(*_need(cfg, "r", "j", "k"))
     names, rule, holds = _HYPOTHESES[probe]
     vals = _need(cfg, *names)
     if not holds(*vals):
@@ -275,8 +278,8 @@ def probe_product_low(cfg: ProbeConfig) -> ProbeReport:
     return _report(cfg, "product-low", _product_ratios(cfg, r, r - 1.0), {"r": r})
 
 
-def check_negative_hypotheses(r: float, j: float, k: float):
-    """Raise ValueError unless (r, j, k) meet the negative-index product hypotheses."""
+def check_negative_hypotheses(r: float, j: float, k: float) -> list[float]:
+    """[r, j, k]; ValueError unless they meet the negative-index product hypotheses."""
     if not (float(k).is_integer() and k >= 1):
         raise ValueError(f"k must be a positive integer, got {k}")
     if not 0.0 <= r <= k:
@@ -285,12 +288,12 @@ def check_negative_hypotheses(r: float, j: float, k: float):
         raise ValueError(f"need j > 1/2, got j={j}")
     if not j >= k - r:
         raise ValueError(f"need j >= k - r, got j={j}, k-r={k - r}")
+    return [r, j, k]
 
 
 def probe_product_negative(cfg: ProbeConfig) -> ProbeReport:
     """||fg||_{H^{r-k}} against ||f||_{H^j} ||g||_{H^{r-k}} (negative index)."""
-    r, j, k = _need(cfg, "r", "j", "k")
-    check_negative_hypotheses(r, j, k)
+    r, j, k = check_indices("product-negative", cfg)
     return _report(cfg, "product-negative", _product_ratios(cfg, j, r - k),
                    {"r": r, "j": j, "k": k})
 
@@ -345,6 +348,31 @@ def probe_interpolation(cfg: ProbeConfig) -> ProbeReport:
     return _report(cfg, "interpolation", ratios,
                    {"s1": s1, "s2": s2, "thetas": list(_THETAS)},
                    violations=violations)
+
+
+# the probes `--probe` names, in the order a run reports them
+PROBES = {"algebra": probe_algebra, "kato-ponce": probe_kato_ponce,
+          "product-low": probe_product_low, "calderon": probe_calderon,
+          "interpolation": probe_interpolation, "mollifier": probe_mollifier_commutator,
+          "product-negative": probe_product_negative}
+
+
+def probe_problems(probe: str, cfg) -> list[str]:
+    """Each rule that `--probe probe` breaks on cfg, a run's config.  "all" runs product-negative
+    on fixed triples that meet its hypotheses; its sweep runs on the config's N either way."""
+    problems = []
+    for name in PROBES:
+        if probe == name or (probe == "all" and name != "product-negative"):
+            try:
+                check_indices(name, cfg)
+            except ValueError as exc:
+                problems.append(f"{name} probe invalid: {exc}")
+    if probe in ("all", "product-negative"):
+        try:
+            check_sweep_grid(cfg.n)
+        except ValueError as exc:
+            problems.append(f"product-negative sweep invalid: {exc}")
+    return problems
 
 
 # -- kernel integral ----------------------------------------------------

@@ -11,7 +11,8 @@ import pytest
 
 from chslab import cli, solver
 from chslab.cli import _cell, _csv, _git_blob_sha1, execute, main, sweep_execute
-from chslab.config import parse_config
+from chslab.config import _ANY, _KEYS, DEFAULTS, ConfigError, _check, parse_config
+from chslab.inequalities import PROBES
 
 
 def manifest_lines(out_dir, drop_wall=True):
@@ -115,6 +116,9 @@ def test_bad_config_exits_two_and_names_every_problem(tmp_path, capsys):
     (["t0probe", "--kind", "zero", "--normalize", "true"], "normalize"),
     (["holder", "--h", "0.005"], "delta_max"),
     (["holder", "--h", "0.01"], "delta_max"),
+    (["ineq", "--probe", "kato"], "probe"),
+    (["ineq", "--N", "12"], "N"),
+    (["ineq", "--amplitude", "-1"], "amplitude"),
 ])
 def test_bad_values_are_config_errors_not_failed_runs(tmp_path, capsys, argv, key):
     out = tmp_path / "x"
@@ -124,6 +128,44 @@ def test_bad_values_are_config_errors_not_failed_runs(tmp_path, capsys, argv, ke
     lines = [l for l in err.splitlines() if l.startswith("config error")]
     assert len(lines) == 1 and key in lines[0]
     assert not out.exists()  # nothing ran
+
+
+def _own_check_failures():
+    """(command, key, text) for each text of a small pool that parses as a value of
+    the key and fails the key's own check, over every key of every command."""
+    cases = []
+    for command, defaults in DEFAULTS.items():
+        for key in defaults:
+            for text in ("-1", "0", "1", "12", "bogus"):
+                try:
+                    value = _KEYS[key][1](text)
+                except ValueError:
+                    continue
+                if _check(key, value):
+                    cases.append((command, key, text))
+    return cases
+
+
+OWN_CHECK_FAILURES = _own_check_failures()
+
+
+def test_the_pool_fails_every_key_that_has_a_check():
+    checked = {key for key, (_, _, check) in _KEYS.items() if check is not _ANY}
+    assert {key for _, key, _ in OWN_CHECK_FAILURES} == checked
+
+
+@pytest.mark.parametrize("command, key, text", OWN_CHECK_FAILURES)
+def test_a_value_that_fails_its_own_check_is_one_config_error(tmp_path, capsys,
+                                                             command, key, text):
+    # the key keeps its default for the cross-key rules, so no second line
+    # judges the rejected value again
+    out = tmp_path / "x"
+    assert main([command, f"--{key}", text, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [f"config error: {_check(key, _KEYS[key][1](text))}"]
+    assert err.startswith(f"config error: {key} ")
+    assert not out.exists()
 
 
 def test_sweep_grid_rule_binds_only_when_the_sweep_runs(tmp_path):
@@ -320,6 +362,9 @@ def test_holder_single_case_via_cli(tmp_path):
         (["--T", "0.3"], np.geomspace(1e-2, 1e-5, 7)),
         (["--N", "64", "--T", "0.1", "--delta_max", "1e-3", "--delta_min", "1e-6",
           "--delta_count", "5"], np.geomspace(1e-3, 1e-6, 5)),
+        # two decades up to roundoff: 0.011 / 0.00011 is 99.99999999999999
+        (["--N", "64", "--T", "0.1", "--delta_max", "0.011", "--delta_min", "0.00011"],
+         np.geomspace(0.011, 0.00011, 7)),
     ]
     for i, (extra, deltas) in enumerate(ladders):
         out = tmp_path / f"h{i}"
@@ -365,10 +410,14 @@ def test_ineq_probe_all_writes_what_the_single_probes_write(tmp_path):
                   if p.name != "probe_summary.json"}
         return probes, summary["sweeps"]
 
+    # --probe takes "all" and exactly the names of the probe table
+    with pytest.raises(ConfigError) as err:
+        parse_config("probe = bogus\n", "ineq", "x")
+    assert err.value.errors == [f"probe must be one of {('all', *PROBES)}, got 'bogus'"]
+
     all_probes, all_sweeps = run("all", "--probe", "all")
     singles, sweeps = {}, {}
-    names = ["algebra", "kato-ponce", "product-low", "calderon", "interpolation",
-             "mollifier"]
+    names = [name for name in PROBES if name != "product-negative"]
     runs = [(name, ["--probe", name]) for name in names] + [
         (f"neg{r}{j}{k}", ["--probe", "product-negative", "--r", r, "--j", j, "--k", k])
         for r, j, k in (("0", "1", "1"), ("1", "2", "3"))]

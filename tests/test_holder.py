@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chslab.cli import _holder_artifacts
 from chslab.config import ConfigError, parse_config
@@ -122,11 +122,21 @@ _DECADES = st.floats(-8.0, 0.0).map(lambda e: 10.0 ** e)
 @settings(max_examples=400)
 @given(delta_max=_DECADES, delta_min=_DECADES, delta_count=st.integers(1, 12),
        h=st.floats(1e-3, 4.0))
+# two decades exactly, whose ratio rounds to 100 or just below it, and a ladder just short
+@example(delta_max=0.011, delta_min=0.00011, delta_count=7, h=2.0)
+@example(delta_max=1e-2, delta_min=1e-4, delta_count=7, h=2.0)
+@example(delta_max=1e-3, delta_min=1e-5, delta_count=4, h=2.0)
+@example(delta_max=0.011, delta_min=0.000111, delta_count=7, h=2.0)
 def test_every_ladder_the_config_accepts_builds(delta_max, delta_min, delta_count, h):
-    # config._cross_checks and make_family each hold the ladder rules
+    # config._cross_checks asks holder.ladder_problems, the rule make_family
+    # raises on, so config accepts exactly the ladders make_family builds
     ladder = dict(delta_max=delta_max, delta_min=delta_min, delta_count=delta_count)
-    if _config_accepts(h, **ladder):
+    try:
         fam = make_family(Grid(64, 64.0), 4.0, h, **ladder)
+    except ValueError:
+        assert not _config_accepts(h, **ladder)
+    else:
+        assert _config_accepts(h, **ladder)
         assert np.array_equal(fam.deltas, np.geomspace(delta_max, delta_min, delta_count))
 
 
