@@ -170,36 +170,19 @@ def _run_holder(cfg: RunConfig):
     return ok, {"verdict": "pass" if ok else "fail"}, _holder_artifacts(reports)
 
 
-_NEGATIVE_TRIPLES = ((0.0, 1.0, 1.0), (1.0, 2.0, 3.0))
-
-
 def _run_ineq(cfg: RunConfig):
-    grid = Grid(cfg.n, cfg.length)
-    pcfg = ineq.ProbeConfig(grid, ensemble=cfg.ensemble, gamma=cfg.gamma,
-                            amplitude=cfg.amplitude, seed=cfg.seed, r=cfg.r,
-                            s=cfg.s, sigma=cfg.sigma, s1=cfg.s1, s2=cfg.s2)
-    mollifier_cfg = replace(pcfg, grid=Grid(cfg.mollifier_n, cfg.length))
-    reports = [("probe_" + name.replace("-", "_"),
-                probe(mollifier_cfg if name == "mollifier" else pcfg))
-               for name, probe in ineq.PROBES.items()
-               if cfg.probe in ("all", name) and name != "product-negative"]
+    reports, sweeps = [], {}
+    for name, pcfg in ineq.probe_runs(cfg)[0]:  # the runs config checked
+        stem = "probe_" + name.replace("-", "_")
+        if name == "product-negative":
+            stem += f"_r{_num(pcfg.r)}_j{_num(pcfg.j)}_k{_num(pcfg.k)}"
+            modes, ratios, slope = ineq.product_negative_sweep(
+                pcfg.grid, pcfg.r, pcfg.j, pcfg.k, gamma=pcfg.gamma, seed=pcfg.seed)
+            sweeps[stem] = dict(modes=modes.tolist(), ratios=ratios.tolist(), slope=float(slope))
+        # through the module's own binding, which the bench tracer wraps
+        reports.append((stem, getattr(ineq, ineq.PROBES[name].__name__)(pcfg)))
 
-    triples = {"all": _NEGATIVE_TRIPLES,
-               "product-negative": ((cfg.r, cfg.j, cfg.k),)}.get(cfg.probe, ())
-    sweeps = {}
-    for r, j, k in triples:
-        stem = f"probe_product_negative_r{_num(r)}_j{_num(j)}_k{_num(k)}"
-        reports.append((stem, ineq.probe_product_negative(replace(pcfg, r=r, j=j, k=k))))
-        modes, ratios, slope = ineq.product_negative_sweep(grid, r, j, k,
-                                                           gamma=cfg.gamma,
-                                                           seed=cfg.seed)
-        sweeps[stem] = {"modes": [int(m) for m in modes],
-                        "ratios": [float(x) for x in ratios],
-                        "slope": float(slope)}
-
-    artifacts = {}
-    problems = []
-    constants = {}
+    artifacts, problems, constants = {}, [], {}
     for stem, rep in reports:
         artifacts[stem + ".json"] = _json(_probe_json(rep))
         if cfg.ratios_csv:
@@ -292,7 +275,7 @@ def _run_t0probe(cfg: RunConfig):
 
 def _run_kernel(cfg: RunConfig):
     r, j, k = cfg.r, cfg.j, cfg.k
-    if j <= 0.5:
+    if ineq.kernel_diverges(j):
         report = {"r": r, "j": j, "k": k, "divergent": True,
                   "reason": "kernel integral diverges for j <= 1/2"}
         return False, {"divergent": True}, {"kernel_report.json": _json(report)}

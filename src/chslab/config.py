@@ -6,10 +6,10 @@ win, command-line overrides win over the file).  Every key a command
 does not understand is an error, and validation reports the complete
 list of problems instead of stopping at the first.
 
-Each key is one row of _KEYS: the RunConfig attribute it sets, its
-parser, and the check its value must pass.  DEFAULTS says which keys a
-command takes; rules that tie several keys together live in _cross_checks,
-which asks `holder` and `inequalities` for the ladder and probe rules.
+Each key is one row of _KEYS: the RunConfig attribute it sets, its parser and its
+own check.  DEFAULTS says which keys a command takes.  _cross_checks reports the rest,
+asking the modules that own them: `holder.ladder_problems`, `inequalities.probe_runs`
+(whose runs are the ones `ineq` executes) and `inequalities.kernel_diverges`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import field, make_dataclass
 
 from .fields import INITIAL_KINDS
 from .holder import BASE_KINDS, DIRECTION_KINDS, holder_exponent, ladder_problems
-from .inequalities import PROBES, check_negative_hypotheses, probe_problems
+from .inequalities import PROBES, check_negative_hypotheses, kernel_diverges, probe_runs
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "COMMANDS", "command_keys"]
 
@@ -119,8 +119,8 @@ _KEYS = {
     "rho_trivial": ("rho_trivial", _parse_bool, _ANY),
     # inequality probes
     "probe": ("probe", str, _one_of(("all", *PROBES))),
-    "ensemble": ("ensemble", int, _POSITIVE),
-    "gamma": ("gamma", _real, (lambda v: v > 0.5, "{key} must exceed 1/2, got {value!r}")),
+    "ensemble": ("ensemble", int, _ANY),
+    "gamma": ("gamma", _real, _ANY),
     "mollifier_N": ("mollifier_n", int, _POWER_OF_TWO),
     "ratios_csv": ("ratios_csv", _parse_bool, _ANY),
     # kernel scan
@@ -190,10 +190,8 @@ def _cross_checks(cfg) -> list:
             except ValueError as exc:
                 errors.append(f"case {s:g}:{r:g} invalid: {exc}")
     if cfg.command == "ineq":
-        if not cfg.amplitude > 0:
-            errors.append(f"amplitude must be positive for ineq, got {cfg.amplitude}")
-        errors += probe_problems(cfg.probe, cfg)
-    if cfg.command == "kernel" and cfg.j > 0.5:  # j <= 1/2 is reported as divergent
+        errors += probe_runs(cfg)[1]
+    if cfg.command == "kernel" and not kernel_diverges(cfg.j):  # the run reports those
         try:
             check_negative_hypotheses(cfg.r, cfg.j, cfg.k)
         except ValueError as exc:

@@ -24,7 +24,7 @@ the line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -43,11 +43,11 @@ from .spectral import (
 )
 
 __all__ = [
-    "ProbeConfig", "ProbeReport", "PROBES", "probe_problems",
+    "ProbeConfig", "ProbeReport", "PROBES", "probe_runs", "ensemble_problems",
     "probe_algebra", "probe_kato_ponce", "probe_mollifier_commutator",
     "probe_calderon", "probe_product_low", "probe_product_negative",
     "probe_interpolation", "product_negative_sweep", "check_indices",
-    "check_negative_hypotheses", "check_sweep_grid", "kernel_integral",
+    "check_negative_hypotheses", "check_sweep_grid", "kernel_diverges", "kernel_integral",
     "kernel_bound_scan", "KernelScanReport", "DEFAULT_EPS_LADDER",
 ]
 
@@ -63,9 +63,18 @@ _SWEEP_MODES = (2, 4, 8, 16, 32, 64, 128)
 BLOCK = 8192
 
 
+def ensemble_problems(ensemble: int, gamma: float, amplitude: float) -> list[str]:
+    """Each rule the ensemble knobs of a probe break."""
+    return [rule for holds, rule in (
+        (ensemble >= 1, f"ensemble size must be positive, got {ensemble}"),
+        (gamma > 0.5, f"decay exponent gamma must exceed 1/2, got {gamma}"),
+        (amplitude > 0.0, f"amplitude must be positive, got {amplitude}")) if not holds]
+
+
 @dataclass(frozen=True)
 class ProbeConfig:
-    """Ensemble knobs plus whichever Sobolev indices the probe needs."""
+    """Ensemble knobs plus whichever Sobolev indices the probe needs (which the probe
+    judges); ValueError naming each rule of `ensemble_problems` the knobs break."""
 
     grid: Grid
     ensemble: int = 200
@@ -81,12 +90,8 @@ class ProbeConfig:
     s2: float | None = None
 
     def __post_init__(self):
-        if self.ensemble < 1:
-            raise ValueError(f"ensemble size must be positive, got {self.ensemble}")
-        if not self.gamma > 0.5:
-            raise ValueError(f"decay exponent gamma must exceed 1/2, got {self.gamma}")
-        if not self.amplitude > 0.0:
-            raise ValueError(f"amplitude must be positive, got {self.amplitude}")
+        if problems := ensemble_problems(self.ensemble, self.gamma, self.amplitude):
+            raise ValueError("; ".join(problems))
 
 
 def _need(cfg, *names: str) -> list[float]:
@@ -107,15 +112,13 @@ _HYPOTHESES = {
 }
 
 
-def check_indices(probe: str, cfg) -> list[float]:
-    """The indices `probe`, a name of PROBES, reads from cfg, a ProbeConfig or a run's config.
-
-    ValueError unless each is set and they meet the probe's hypotheses.  The
-    mollifier reads none, but each of its scales must pass `check_scale`.
-    """
+def check_indices(probe: str, cfg: ProbeConfig) -> list[float]:
+    """The indices `probe`, a name of PROBES, reads from cfg; ValueError unless each is set
+    and they meet the probe's hypotheses.  The mollifier reads none, but each of its scales
+    must pass `check_scale` on cfg's grid."""
     if probe == "mollifier":
         for eps in DEFAULT_EPS_LADDER:
-            check_scale(eps, cfg.grid.length if isinstance(cfg, ProbeConfig) else cfg.length)
+            check_scale(eps, cfg.grid.length)
         return []
     if probe == "product-negative":
         return check_negative_hypotheses(*_need(cfg, "r", "j", "k"))
@@ -284,7 +287,7 @@ def check_negative_hypotheses(r: float, j: float, k: float) -> list[float]:
         raise ValueError(f"k must be a positive integer, got {k}")
     if not 0.0 <= r <= k:
         raise ValueError(f"need 0 <= r <= k, got r={r}, k={k}")
-    if not j > 0.5:
+    if kernel_diverges(j):
         raise ValueError(f"need j > 1/2, got j={j}")
     if not j >= k - r:
         raise ValueError(f"need j >= k - r, got j={j}, k-r={k - r}")
@@ -355,32 +358,52 @@ PROBES = {"algebra": probe_algebra, "kato-ponce": probe_kato_ponce,
           "product-low": probe_product_low, "calderon": probe_calderon,
           "interpolation": probe_interpolation, "mollifier": probe_mollifier_commutator,
           "product-negative": probe_product_negative}
+# the (r, j, k) product-negative runs on under `--probe all`; both meet its hypotheses
+NEGATIVE_TRIPLES = ((0.0, 1.0, 1.0), (1.0, 2.0, 3.0))
 
 
-def probe_problems(probe: str, cfg) -> list[str]:
-    """Each rule that `--probe probe` breaks on cfg, a run's config.  "all" runs product-negative
-    on fixed triples that meet its hypotheses; its sweep runs on the config's N either way."""
-    problems = []
-    for name in PROBES:
-        if probe == name or (probe == "all" and name != "product-negative"):
-            try:
-                check_indices(name, cfg)
-            except ValueError as exc:
-                problems.append(f"{name} probe invalid: {exc}")
-    if probe in ("all", "product-negative"):
+def probe_runs(cfg) -> tuple[list[tuple[str, ProbeConfig]], list[str]]:
+    """The (probe name, ProbeConfig) runs that `--probe` makes for cfg, a run's config, in
+    report order, and every rule they break.  The mollifier runs on mollifier_N points, and
+    product-negative on the config's (r, j, k) when selected alone, on NEGATIVE_TRIPLES under
+    "all".  Broken ensemble knobs keep their defaults here, so the indices are still judged."""
+    knobs = {"ensemble": cfg.ensemble, "gamma": cfg.gamma, "amplitude": cfg.amplitude}
+    problems = ensemble_problems(**knobs)
+    base = ProbeConfig(Grid(cfg.n, cfg.length), seed=cfg.seed, r=cfg.r, s=cfg.s, sigma=cfg.sigma,
+                       j=cfg.j, k=cfg.k, s1=cfg.s1, s2=cfg.s2, **({} if problems else knobs))
+    runs = []
+    for name in PROBES if cfg.probe == "all" else (cfg.probe,):
+        if name == "mollifier":
+            runs.append((name, replace(base, grid=Grid(cfg.mollifier_n, cfg.length))))
+        elif name == "product-negative" and cfg.probe == "all":
+            runs += [(name, replace(base, r=r, j=j, k=k)) for r, j, k in NEGATIVE_TRIPLES]
+        else:
+            runs.append((name, base))
+    for name, pcfg in runs:
+        try:
+            check_indices(name, pcfg)
+        except ValueError as exc:
+            problems.append(f"{name} probe invalid: {exc}")
+    if cfg.probe in ("all", "product-negative"):
         try:
             check_sweep_grid(cfg.n)
         except ValueError as exc:
             problems.append(f"product-negative sweep invalid: {exc}")
-    return problems
+    return runs, problems
 
 
 # -- kernel integral ----------------------------------------------------
 
+def kernel_diverges(j: float) -> bool:
+    """Whether j <= 1/2: then the kernel ratio grows at least like eta^{1-2j} (log eta at 1/2),
+    `kernel_integral` is inf, and `kernel` reports divergence instead of scanning."""
+    return not j > 0.5
+
+
 def kernel_integral(r: float, j: float, k: float, eta: float) -> float:
     """I(eta) = integral over the line of (1+xi^2)^{r-k} (1+(xi-eta)^2)^{-j}.
 
-    Returns math.inf when j <= 1/2, and when the integrand's tail
+    Returns math.inf when `kernel_diverges(j)`, and when the integrand's tail
     exponent alpha = 2(j - r + k) - 1 is not positive (the tail is not
     integrable).  Fixed double-exponential rules do the work (Takahasi &
     Mori, Publ. RIMS 9, 1974).  I is even in eta, so take eta >= 0.
@@ -397,7 +420,7 @@ def kernel_integral(r: float, j: float, k: float, eta: float) -> float:
     """
     p = r - k
     alpha = 2.0 * (j - p) - 1.0
-    if j <= 0.5 or not alpha > 0.0:
+    if kernel_diverges(j) or not alpha > 0.0:
         return math.inf
     eta = abs(float(eta))
 

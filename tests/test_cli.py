@@ -9,10 +9,10 @@ import warnings
 import numpy as np
 import pytest
 
-from chslab import cli, solver
+from chslab import cli, config, inequalities, solver
 from chslab.cli import _cell, _csv, _git_blob_sha1, execute, main, sweep_execute
 from chslab.config import _ANY, _KEYS, DEFAULTS, ConfigError, _check, parse_config
-from chslab.inequalities import PROBES
+from chslab.inequalities import NEGATIVE_TRIPLES, PROBES
 
 
 def manifest_lines(out_dir, drop_wall=True):
@@ -119,6 +119,12 @@ def test_bad_config_exits_two_and_names_every_problem(tmp_path, capsys):
     (["ineq", "--probe", "kato"], "probe"),
     (["ineq", "--N", "12"], "N"),
     (["ineq", "--amplitude", "-1"], "amplitude"),
+    # the ensemble rules of inequalities.ensemble_problems
+    (["ineq", "--ensemble", "-1"], "ensemble"),
+    (["ineq", "--ensemble", "0"], "ensemble"),
+    (["ineq", "--gamma", "-1"], "gamma"),
+    (["ineq", "--gamma", "0"], "gamma"),
+    (["ineq", "--gamma", "0.5"], "gamma"),
 ])
 def test_bad_values_are_config_errors_not_failed_runs(tmp_path, capsys, argv, key):
     out = tmp_path / "x"
@@ -166,6 +172,68 @@ def test_a_value_that_fails_its_own_check_is_one_config_error(tmp_path, capsys,
     assert err.splitlines() == [f"config error: {_check(key, _KEYS[key][1](text))}"]
     assert err.startswith(f"config error: {key} ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, errors", [
+    (["--ensemble", "0", "--r", "-1"],
+     ["ensemble size must be positive, got 0",
+      "algebra probe invalid: need r > 0, got r=-1",
+      "kato-ponce probe invalid: need r >= 0, got r=-1",
+      "product-low probe invalid: need r > 1/2, got r=-1"]),
+    (["--ensemble", "0", "--gamma", "0.5", "--amplitude", "0"],
+     ["ensemble size must be positive, got 0",
+      "decay exponent gamma must exceed 1/2, got 0.5",
+      "amplitude must be positive, got 0.0"]),
+    (["--gamma", "0.5", "--amplitude", "0", "--probe", "calderon", "--s", "1"],
+     ["decay exponent gamma must exceed 1/2, got 0.5",
+      "amplitude must be positive, got 0.0",
+      "calderon probe invalid: need s > 3/2 and 0 <= sigma+1 <= s, got s=1, sigma=1"]),
+])
+def test_broken_ensemble_knobs_do_not_hide_the_index_problems(tmp_path, capsys, argv, errors):
+    out = tmp_path / "x"
+    assert main(["ineq", *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {e}" for e in errors]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("probe", ["all", *PROBES])
+def test_ineq_runs_what_config_validated(tmp_path, monkeypatch, probe):
+    validated, ran = [], []
+
+    def checked(cfg):
+        runs, problems = inequalities.probe_runs(cfg)
+        validated.extend(runs)
+        return runs, problems
+
+    def recording(name, fn):
+        def probe_fn(pcfg):
+            ran.append((name, pcfg))
+            return fn(pcfg)
+        return probe_fn
+
+    monkeypatch.setattr(config, "probe_runs", checked)
+    # cli calls each probe through the module's binding, as the bench tracer expects
+    for name, fn in PROBES.items():
+        monkeypatch.setattr(inequalities, fn.__name__, recording(name, fn))
+    triple = ["--r", "1", "--j", "2", "--k", "3"] if probe == "product-negative" else []
+    out = tmp_path / "q"
+    # a verdict may fail at this ensemble size: exit 1
+    argv = ["ineq", "--probe", probe, "--ensemble", "4", *triple, "--out", str(out)]
+    assert main(argv) in (0, 1)
+    assert ran == validated
+
+    # spelled out from the ineq defaults: N = 256, mollifier_N = 1024, L = 2 pi and
+    # (r, j, k) = (2, 1, 1)
+    def run(name, r=2.0, j=1.0, k=1.0):
+        return name, 1024 if name == "mollifier" else 256, 2.0 * np.pi, (r, j, k)
+
+    if probe == "all":
+        want = [run(name) for name in PROBES if name != "product-negative"]
+        want += [run("product-negative", *rjk) for rjk in NEGATIVE_TRIPLES]
+    else:
+        want = [run(probe, *((1.0, 2.0, 3.0) if triple else ()))]
+    assert [(name, p.grid.n, p.grid.length, (p.r, p.j, p.k)) for name, p in ran] == want
+    assert all(p.ensemble == 4 for _, p in ran)
 
 
 def test_sweep_grid_rule_binds_only_when_the_sweep_runs(tmp_path):

@@ -19,7 +19,10 @@ from chslab.inequalities import (
     DEFAULT_EPS_LADDER,
     KernelScanReport,
     ProbeConfig,
+    check_negative_hypotheses,
+    ensemble_problems,
     kernel_bound_scan,
+    kernel_diverges,
     kernel_integral,
     probe_algebra,
     probe_calderon,
@@ -60,6 +63,15 @@ def test_config_rejects_bad_ensemble_knobs(circle256):
         ProbeConfig(circle256, gamma=0.5)
     with pytest.raises(ValueError):
         ProbeConfig(circle256, amplitude=0.0)
+    # every broken knob is named at once
+    assert ensemble_problems(200, 0.6, 1.0) == []
+    problems = ensemble_problems(0, 0.5, -1.0)
+    assert problems == ["ensemble size must be positive, got 0",
+                        "decay exponent gamma must exceed 1/2, got 0.5",
+                        "amplitude must be positive, got -1.0"]
+    with pytest.raises(ValueError) as err:
+        ProbeConfig(circle256, ensemble=0, gamma=0.5, amplitude=-1.0)
+    assert str(err.value) == "; ".join(problems)
 
 
 def test_probes_demand_their_indices(circle256):
@@ -224,6 +236,18 @@ def test_kernel_integral_matches_cauchy_convolution():
     for eta in (0.0, 1.0, 10.0, 300.0):
         assert kernel_integral(0.0, 1.0, 1.0, eta) == pytest.approx(
             2.0 * math.pi / (4.0 + eta * eta), rel=1e-8)
+
+
+def test_one_predicate_says_where_the_kernel_bound_diverges():
+    for j in (-1.0, 0.25, 0.5):
+        assert kernel_diverges(j)
+        assert math.isinf(kernel_integral(0.0, j, 1.0, 1.0))
+        with pytest.raises(ValueError, match="need j > 1/2"):
+            check_negative_hypotheses(1.0, j, 1.0)
+    for j in (0.5000001, 1.0):
+        assert not kernel_diverges(j)
+        assert math.isfinite(kernel_integral(0.0, j, 1.0, 1.0))
+        assert check_negative_hypotheses(1.0, j, 1.0) == [1.0, j, 1.0]
 
 
 def test_kernel_integral_flags_divergence():
