@@ -22,7 +22,6 @@ import sys
 import time
 import traceback
 import warnings
-from dataclasses import replace
 
 import numpy as np
 
@@ -147,7 +146,7 @@ def _run_solve(cfg: RunConfig):
     grid = Grid(cfg.n, cfg.length)
     state = _initial_state(cfg, grid)
     traj = solver.solve(state, _params(cfg), cfg.s, cfg.t_end, cfl=cfg.cfl,
-                        store_stride=0, seam_policy=cfg.seam)
+                        dense=False, seam_policy=cfg.seam)
     results = {
         "status": traj.status,
         "ledger_rows": len(traj.times),
@@ -210,7 +209,7 @@ def _run_ineq(cfg: RunConfig):
 
 def _run_t0probe(cfg: RunConfig):
     grid = Grid(cfg.n, cfg.length)
-    params = replace(_params(cfg), c_s=cfg.c_s)
+    params = solver.SystemParams(b=cfg.b, kappa=cfg.kappa, alpha=cfg.alpha, c_s=cfg.c_s)
     state = _initial_state(cfg, grid)
     y_raw = float(solver.y_norms(np.array([state.u.half, state.rho.half]), grid, cfg.s))
     if not math.isfinite(y_raw):
@@ -228,13 +227,12 @@ def _run_t0probe(cfg: RunConfig):
         # CFL-limited, but never fewer than 24 steps so the rate fit has
         # enough interior ledger points to work with
         dt = min(solver.cfl_dt(grid, state.u.half, cfg.cfl), window / 24.0)
-        return solver.solve(state, params, cfg.s, window, dt_policy=dt, store_stride=0)
+        return solver.solve(state, params, cfg.s, window, dt_policy=dt, dense=False)
 
     if math.isinf(t0_config):
         # zero data: no finite window, just confirm the solution stays zero
-        traj = solver.solve(state, params, cfg.s, 1.0, cfl=cfg.cfl,
-                            store_stride=0)
-        check = solver.size_bound_check(traj, params)
+        traj = solver.solve(state, params, cfg.s, 1.0, cfl=cfg.cfl, dense=False)
+        check = solver.size_bound_check(traj, params.c_s)
         fitted = 0.0
     else:
         traj = run(t0_config)
@@ -247,8 +245,7 @@ def _run_t0probe(cfg: RunConfig):
                 # so the window of the refitted T0 stays inside what just ran
                 fitted = max(solver.fit_min_cs(traj), fitted)
         # an aborted run is judged at the constant that set its window
-        check = solver.size_bound_check(
-            traj, params if fitted is None else replace(params, c_s=fitted))
+        check = solver.size_bound_check(traj, params.c_s if fitted is None else fitted)
 
     report = {
         "y0": float(traj.y[0]),
@@ -277,7 +274,7 @@ def _run_kernel(cfg: RunConfig):
     r, j, k = cfg.r, cfg.j, cfg.k
     if ineq.kernel_diverges(j):
         report = {"r": r, "j": j, "k": k, "divergent": True,
-                  "reason": "kernel integral diverges for j <= 1/2"}
+                  "reason": "ratio I(eta)/(1+eta^2)^(r-k) is unbounded in eta for j <= 1/2"}
         return False, {"divergent": True}, {"kernel_report.json": _json(report)}
     scan = ineq.kernel_bound_scan(r, j, k, cfg.eta_max, cfg.eta_points)
     report = {

@@ -9,7 +9,7 @@ list of problems instead of stopping at the first.
 Each key is one row of _KEYS: the RunConfig attribute it sets, its parser and its
 own check.  DEFAULTS says which keys a command takes.  _cross_checks reports the rest,
 asking the modules that own them: `holder.ladder_problems`, `inequalities.probe_runs`
-(whose runs are the ones `ineq` executes) and `inequalities.kernel_diverges`.
+(whose runs are the ones `ineq` executes) and the kernel rules beside `kernel_diverges`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from dataclasses import field, make_dataclass
 
 from .fields import INITIAL_KINDS
 from .holder import BASE_KINDS, DIRECTION_KINDS, holder_exponent, ladder_problems
-from .inequalities import PROBES, check_negative_hypotheses, kernel_diverges, probe_runs
+from .inequalities import (PROBES, check_kernel_range, check_negative_hypotheses,
+                           kernel_diverges, probe_runs)
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "COMMANDS", "command_keys"]
 
@@ -194,6 +195,7 @@ def _cross_checks(cfg) -> list:
     if cfg.command == "kernel" and not kernel_diverges(cfg.j):  # the run reports those
         try:
             check_negative_hypotheses(cfg.r, cfg.j, cfg.k)
+            check_kernel_range(cfg.r, cfg.k, cfg.eta_max)
         except ValueError as exc:
             errors.append(f"kernel scan invalid: {exc}")
     if cfg.command == "t0probe" and not cfg.s > 2.0:

@@ -26,32 +26,26 @@ __all__ = ["gaussian_bump", "sech2_bump", "cosine_mode", "random_field",
 INITIAL_KINDS = ("gaussian", "sech2", "random", "zero")
 
 
-def gaussian_bump(grid: Grid, amplitude: float = 1.0, width: float | None = None,
-                  center: float | None = None) -> Field:
-    """amplitude * exp(-((x - center)/width)^2), centered by default.
+def gaussian_bump(grid: Grid, amplitude: float = 1.0, width: float | None = None) -> Field:
+    """amplitude * exp(-((x - L/2)/width)^2), centred on the domain.
 
     Default width L/16 leaves the edge values at ~1e-18 * amplitude.
     """
     if width is None:
         width = grid.length / 16.0
-    if center is None:
-        center = grid.length / 2.0
-    vals = amplitude * np.exp(-(((grid.x - center) / width) ** 2))
+    vals = amplitude * np.exp(-(((grid.x - grid.length / 2.0) / width) ** 2))
     return Field.from_values(grid, vals)
 
 
-def sech2_bump(grid: Grid, amplitude: float = 1.0, width: float | None = None,
-               center: float | None = None) -> Field:
-    """amplitude * sech^2((x - center)/width).
+def sech2_bump(grid: Grid, amplitude: float = 1.0, width: float | None = None) -> Field:
+    """amplitude * sech^2((x - L/2)/width), centred on the domain.
 
     sech^2 has fat exponential tails; the default width L/32 is the
     widest that keeps the edge values under 1e-10 * amplitude.
     """
     if width is None:
         width = grid.length / 32.0
-    if center is None:
-        center = grid.length / 2.0
-    vals = amplitude / np.cosh((grid.x - center) / width) ** 2
+    vals = amplitude / np.cosh((grid.x - grid.length / 2.0) / width) ** 2
     return Field.from_values(grid, vals)
 
 

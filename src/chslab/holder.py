@@ -220,7 +220,7 @@ def _run_stack(jobs, params: SystemParams, T: float, dt: float) -> dict:
 
     s = np.repeat([family.s for family, _ in jobs], np.diff(bounds)).tolist()
     trajs = solve_stack(grid, np.concatenate(members), params, s, T, dt_policy=dt,
-                        store_stride=0, seam_policy="ignore", observe=track)
+                        dense=False, seam_policy="ignore", observe=track)
     return {i: _fit(case, family.deltas, dist, trajs[lo:hi], T, dt)
             for (family, cases), best, lo, hi in zip(jobs, distances, bounds, bounds[1:])
             for (i, case), dist in zip(cases, best)}

@@ -47,8 +47,8 @@ __all__ = [
     "probe_algebra", "probe_kato_ponce", "probe_mollifier_commutator",
     "probe_calderon", "probe_product_low", "probe_product_negative",
     "probe_interpolation", "product_negative_sweep", "check_indices",
-    "check_negative_hypotheses", "check_sweep_grid", "kernel_diverges", "kernel_integral",
-    "kernel_bound_scan", "KernelScanReport", "DEFAULT_EPS_LADDER",
+    "check_negative_hypotheses", "check_sweep_grid", "kernel_diverges", "check_kernel_range",
+    "kernel_integral", "kernel_bound_scan", "KernelScanReport", "DEFAULT_EPS_LADDER",
 ]
 
 DEFAULT_EPS_LADDER = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625)
@@ -113,9 +113,9 @@ _HYPOTHESES = {
 
 
 def check_indices(probe: str, cfg: ProbeConfig) -> list[float]:
-    """The indices `probe`, a name of PROBES, reads from cfg; ValueError unless each is set
-    and they meet the probe's hypotheses.  The mollifier reads none, but each of its scales
-    must pass `check_scale` on cfg's grid."""
+    """The indices `probe`, a name of PROBES, reads from cfg; ValueError unless each is set and
+    they meet the probe's hypotheses.  The mollifier gives [] for its one index, s (f smoothness,
+    2.5 if unset), which has no hypothesis; each of its scales must pass `check_scale`."""
     if probe == "mollifier":
         for eps in DEFAULT_EPS_LADDER:
             check_scale(eps, cfg.grid.length)
@@ -396,17 +396,27 @@ def probe_runs(cfg) -> tuple[list[tuple[str, ProbeConfig]], list[str]]:
 
 def kernel_diverges(j: float) -> bool:
     """Whether j <= 1/2: then the kernel ratio grows at least like eta^{1-2j} (log eta at 1/2),
-    `kernel_integral` is inf, and `kernel` reports divergence instead of scanning."""
+    `kernel_integral` flags it with inf, and `kernel` reports divergence instead of scanning."""
     return not j > 0.5
+
+
+def check_kernel_range(r: float, k: float, eta_max: float) -> None:
+    """ValueError if (k - r) log10(1 + eta_max^2) > 300 in doubles: past that, the scan's
+    (1+eta^2)^{r-k} and I(eta) leave the normal doubles and its ratio is nan, inf or subnormal."""
+    if (k - r) * math.log10(1.0 + eta_max * eta_max) > 300.0:  # at k = r, 0 * inf is nan
+        raise ValueError(f"need (k - r) log10(1 + eta_max^2) <= 300 to stay in double range, "
+                         f"got r={r:g}, k={k:g}, eta_max={eta_max:g}")
 
 
 def kernel_integral(r: float, j: float, k: float, eta: float) -> float:
     """I(eta) = integral over the line of (1+xi^2)^{r-k} (1+(xi-eta)^2)^{-j}.
 
-    Returns math.inf when `kernel_diverges(j)`, and when the integrand's tail
-    exponent alpha = 2(j - r + k) - 1 is not positive (the tail is not
-    integrable).  Fixed double-exponential rules do the work (Takahasi &
-    Mori, Publ. RIMS 9, 1974).  I is even in eta, so take eta >= 0.
+    math.inf flags an unbounded ratio I(eta)/(1+eta^2)^{r-k} when
+    `kernel_diverges(j)` (criterion 09 asserts the flag; I itself is
+    finite, e.g. I(0) = 2.13 at (0, 0.4, 1)), and a tail exponent
+    alpha = 2(j - r + k) - 1 that is not positive (I is infinite).
+    Fixed double-exponential rules do the work (Takahasi & Mori, Publ.
+    RIMS 9, 1974).  I is even in eta, so take eta >= 0.
     Each tail goes through its log-distance s = e^u from the nearer
     peak, u = sinh t, t in [-asinh 40, asinh(40/alpha + 40)] with step
     1/32: the integrand times s decays like s^{-alpha}, so the rule ends
@@ -468,9 +478,10 @@ def kernel_bound_scan(r: float, j: float, k: float, eta_max: float = 1e4,
 
     Hypotheses are enforced up front: outside them the ratio genuinely
     diverges (e.g. j < k - r makes it grow like a power of eta), so a
-    violating triple is rejected rather than scanned.
+    violating triple, or a scan out of `check_kernel_range`, is rejected.
     """
     check_negative_hypotheses(r, j, k)
+    check_kernel_range(r, k, eta_max)
     etas = np.concatenate([[0.0], np.geomspace(0.1, eta_max, eta_points - 1)])
     integrals = np.array([kernel_integral(r, j, k, e) for e in etas])
     ratios = integrals / (1.0 + etas**2) ** (r - k)

@@ -33,9 +33,9 @@ what `observe` saw stay as they were.
 
 Status/ledger conventions: a trajectory records (t, ||u||_{H^s},
 ||rho||_{H^{s-2}}, y = sum) every step.  Integration stops early either
-when y explodes past a threshold (or values go non-finite), or when the
-top third of the retained spectral band carries more than a set fraction
-of the H^s energy, meaning the grid can no longer represent the
+when y explodes past `_BLOWUP_THRESHOLD` (or values go non-finite), or
+when the top third of the retained spectral band carries more than
+`_TAIL_LIMIT` of the H^s energy: the grid can no longer represent the
 solution.  In a stack each row has its own ledger and status.  Ledger
 entries are finite unless the run aborted.  Only a non-finite state
 counts as a blow-up; any other error inside a step propagates.
@@ -71,6 +71,9 @@ RESOLUTION_EXHAUSTED = "resolution-exhausted"
 _SEAM_TOL = 1e-10
 # steps between refreshes of the CFL step's sup|u|
 _CFL_REFRESH_STEPS = 16
+# the watchdog's limits on y and on the top band's share of the H^s energy
+_BLOWUP_THRESHOLD = 1e6
+_TAIL_LIMIT = 0.01
 
 
 class SeamWarning(UserWarning):
@@ -128,7 +131,7 @@ class State:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Solver output: thinned states plus the per-step norm ledger."""
+    """Solver output: the stored states plus the per-step norm ledger."""
 
     states: tuple
     times: np.ndarray
@@ -383,16 +386,16 @@ def solve(initial: State, params: SystemParams, s: float, t_end: float,
 
 
 def solve_stack(grid: Grid, rows: np.ndarray, params: SystemParams, s: float | list[float],
-                t_end: float, t: float = 0.0, dt_policy="cfl", cfl: float = 0.3,
-                blowup_threshold: float = 1e6, tail_limit: float = 0.01,
-                store_stride: int = 1, seam_policy: str = "warn",
+                t_end: float, t: float = 0.0, dt_policy: float | None = None,
+                cfl: float = 0.3, dense: bool = True, seam_policy: str = "warn",
                 observe=None) -> list[Trajectory]:
     """Integrate each (u, rho) row of a (P, 2, N/2+1) stack of half spectra from t to t_end.
 
-    dt_policy is either "cfl" (dt = cfl * dx / max(1, sup|u|) over the
-    running rows, refreshed every `_CFL_REFRESH_STEPS` steps) or a
-    positive float requesting that fixed dt; either way the step is
-    rounded down so t_end is hit exactly.  A stack of the wrong shape
+    dt_policy None asks for the CFL step (dt = cfl * dx / max(1, sup|u|)
+    over the running rows, refreshed every `_CFL_REFRESH_STEPS` steps), a
+    positive float for that fixed dt; either way the step is rounded down
+    so t_end is hit exactly.  A dense run stores the state of every step,
+    any other only the first and the last.  A stack of the wrong shape
     raises ValueError, a non-finite one NonFiniteStateError; the data is
     then dealiased once.  Each row keeps its own ledger, stored states
     and watchdog, in the norm index `s` gives it (one for all rows, or
@@ -405,14 +408,9 @@ def solve_stack(grid: Grid, rows: np.ndarray, params: SystemParams, s: float | l
         raise ValueError(f"need 0 <= t < t_end, got t = {t}, t_end = {t_end}")
     if seam_policy not in ("warn", "error", "ignore"):
         raise ValueError(f"unknown seam policy {seam_policy!r}")
-    if isinstance(dt_policy, str):
-        if dt_policy != "cfl":
-            raise ValueError(f"unknown dt policy {dt_policy!r}")
-        fixed_dt = None
-    else:
-        fixed_dt = float(dt_policy)
-        if not (fixed_dt > 0.0 and math.isfinite(fixed_dt)):
-            raise ValueError(f"fixed dt must be a positive real, got {dt_policy!r}")
+    fixed_dt = None if dt_policy is None else float(dt_policy)
+    if fixed_dt is not None and not (fixed_dt > 0.0 and math.isfinite(fixed_dt)):
+        raise ValueError(f"fixed dt must be a positive real, got {dt_policy!r}")
     stack = np.asarray(rows, dtype=complex)
     if stack.shape[1:] != (2, grid.n // 2 + 1):
         raise ValueError(f"stack shape {stack.shape} is not (P, 2, {grid.n // 2 + 1})")
@@ -443,19 +441,18 @@ def solve_stack(grid: Grid, rows: np.ndarray, params: SystemParams, s: float | l
         total = energy.sum(axis=-1)
         nu = np.sqrt(grid.length * total)
         nr = np.sqrt(grid.length * np.sum(w_rho * np.abs(stack[:, 1]) ** 2, axis=-1))
-        keep = step == 0 or (store_stride > 0 and (step % store_stride == 0 or t >= t_end))
         for k, i in enumerate(rows):
             ledger[i].append((t, nu[k], nr[k]))
             last[i] = (t, stack[k])
-            if keep:
+            if dense or step == 0:
                 stored[i].append(last[i])
         if observe is not None:
             observe(stack, rows)
         y = nu + nr
         tail_fraction = energy[:, tail:].sum(axis=-1) / np.where(total != 0.0, total, np.inf)
-        blown = ~(np.isfinite(y) & (y <= blowup_threshold))
+        blown = ~(np.isfinite(y) & (y <= _BLOWUP_THRESHOLD))
         status[rows[blown]] = BLOWUP
-        status[rows[~blown & (tail_fraction > tail_limit)]] = RESOLUTION_EXHAUSTED
+        status[rows[~blown & (tail_fraction > _TAIL_LIMIT)]] = RESOLUTION_EXHAUSTED
         drop_aborted()
 
     step = start = nsteps = 0
@@ -518,15 +515,15 @@ class SizeBoundReport:
     first_violation: float | None
 
 
-def size_bound_check(traj: Trajectory, params: SystemParams) -> SizeBoundReport:
+def size_bound_check(traj: Trajectory, c_s: float) -> SizeBoundReport:
     """Check y(t) <= 2 exp(c_s T0) y(0) on the ledger window [0, T0].
 
-    y(0) is the ledger's first entry, in the trajectory's own norm index.
-    Note exp(c_s T0) = sqrt(1 + 1/y0), so the bound value itself does
-    not depend on c_s; only the length of the checked window does.  An
-    aborted trajectory (status != COMPLETED) certifies nothing: it fails
-    with the ratio over its whole ledger, t0 = nan and no first
-    violation.
+    T0 = existence_time(y(0), c_s), with y(0) the ledger's first entry in
+    the trajectory's own norm index.  Note exp(c_s T0) = sqrt(1 + 1/y0),
+    so the bound value itself does not depend on c_s; only the length of
+    the checked window does.  An aborted trajectory (status != COMPLETED)
+    certifies nothing: it fails with the ratio over its whole ledger,
+    t0 = nan and no first violation.
     """
     initial_y = float(traj.y[0])
     if initial_y == 0.0:
@@ -534,8 +531,8 @@ def size_bound_check(traj: Trajectory, params: SystemParams) -> SizeBoundReport:
         ok = bool(np.all(traj.y <= 1e-14))
         return SizeBoundReport(ok, 0.0 if ok else math.inf, 0.0, math.inf,
                                None if ok else float(traj.times[np.argmax(traj.y > 1e-14)]))
-    t0 = existence_time(initial_y, params.c_s)
-    bound = 2.0 * math.exp(params.c_s * t0) * initial_y
+    t0 = existence_time(initial_y, c_s)
+    bound = 2.0 * math.exp(c_s * t0) * initial_y
     if traj.status != COMPLETED:
         return SizeBoundReport(False, float(traj.y.max()) / bound, bound, math.nan, None)
     horizon = traj.times[-1] - traj.times[0]
@@ -589,7 +586,7 @@ def diff_solve(traj_u: Trajectory, traj_v: Trajectory, params: SystemParams,
     if traj_u.grid != traj_v.grid:
         raise ValueError("trajectories live on different grids")
     if not (traj_u.is_dense() and traj_v.is_dense()):
-        raise ValueError("diff_solve needs dense trajectories (store_stride = 1)")
+        raise ValueError("diff_solve needs dense trajectories (dense = True)")
     if len(traj_u.times) != len(traj_v.times) or np.max(
             np.abs(traj_u.times - traj_v.times)) > 1e-12:
         raise ValueError("trajectories must share their time grid")

@@ -82,10 +82,11 @@ class Field:
     """Real periodic function stored as its rfft half spectrum.
 
     `half` (modes 0..N/2) is canonical; values and the full spectrum are
-    derived.  Instances are immutable: every operation returns a new Field.
+    derived on each read, one irfft for the values.  Instances are
+    immutable: every operation returns a new Field.
     """
 
-    __slots__ = ("grid", "half", "_values")
+    __slots__ = ("grid", "half")
 
     def __init__(self, grid: Grid, half: np.ndarray):
         if np.shape(half) != (grid.n // 2 + 1,):
@@ -94,7 +95,6 @@ class Field:
         self.grid = grid
         self.half = np.asarray(half, dtype=complex)
         self.half.flags.writeable = False
-        self._values = None
 
     @classmethod
     def from_values(cls, grid: Grid, values: np.ndarray) -> "Field":
@@ -114,10 +114,7 @@ class Field:
 
     @property
     def values(self) -> np.ndarray:
-        if self._values is None:
-            self._values = half_values(self.half)
-            self._values.flags.writeable = False
-        return self._values
+        return half_values(self.half)
 
     def __add__(self, other: "Field") -> "Field":
         _check_same_grid(self, other)

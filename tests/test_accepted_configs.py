@@ -3,15 +3,20 @@
 Hypothesis draws override values for the keys those commands take in
 `config.DEFAULTS`, on small grids, ensembles and scans, and keeps the values
 at the edges of the rules: out-of-range indices, j around 1/2, non-integer
-k, short domains and broken ensemble knobs.  An accepted config must exit 0
-or 1 and write a manifest, without a traceback; a rejected one must exit 2
-and write nothing.
+k, short domains and broken ensemble knobs.  Kernel scans reach k = 120
+and a log-uniform eta_max up to 1e300, past where their ratios leave
+double range.  An accepted config must exit 0 or 1 and write a manifest,
+without a traceback, and an accepted kernel scan must report a finite
+sup_ratio from normal doubles; a rejected config must exit 2 and write
+nothing.
 """
 
 import contextlib
 import io
+import json
 import math
 import os
+import sys
 import tempfile
 
 from hypothesis import event, example, given, settings, strategies as st
@@ -46,11 +51,12 @@ _ANYWHERE = {
     "r": _reals(0.0, 0.5, 1.0, 2.0, lo=-2.0, hi=5.0),
     "s": _reals(1.5, 2.0, 2.5, lo=-1.0, hi=6.0),
     "sigma": _reals(-1.0, 0.0, 1.0, lo=-3.0, hi=6.0),
-    "j": _reals(0.49, 0.5, 0.5000001, 0.51, 1.0, 2.0, lo=-1.0, hi=5.0),
-    "k": _reals(0.5, 1.0, 1.5, 2.0, 3.0, lo=-1.0, hi=5.0),
+    "j": _reals(0.49, 0.5, 0.5000001, 0.51, 1.0, 2.0, 40.0, 100.0, lo=-1.0, hi=125.0),
+    "k": st.one_of(_reals(0.5, 1.5, lo=-1.0, hi=120.0), _ints(1, 120, 1, 2, 3, 40, 100)),
     "s1": _reals(0.0, 1.0, 3.0, lo=-2.0, hi=5.0),
     "s2": _reals(0.0, 3.0, lo=-2.0, hi=5.0),
-    "eta_max": _reals(10.0, 10.5, 1e4, lo=1.0, hi=1e5),
+    "eta_max": st.one_of(st.sampled_from((10.0, 10.5, 1e4, 1e75, 1e76, 1e155)),
+                         st.floats(0.0, 300.0).map(lambda e: 10.0 ** e)).map(repr),
 }
 
 
@@ -73,6 +79,11 @@ def test_the_strategies_cover_every_key_of_both_commands():
 @example(("ineq", {"N": "8", "mollifier_N": "8", "ensemble": "1", "probe": "calderon"}))
 @example(("kernel", {"eta_points": "10", "j": "0.5", "k": "1.5"}))
 @example(("kernel", {"eta_points": "10", "j": "0.5000001", "k": "1.0", "r": "0.5"}))
+@example(("kernel", {"eta_points": "10", "r": "0.0", "j": "100.0", "k": "100.0"}))
+@example(("kernel", {"eta_points": "10", "r": "0.0", "j": "40.0", "k": "40.0"}))
+@example(("kernel", {"eta_points": "10", "r": "1.0", "j": "2.0", "k": "3.0", "eta_max": "1e76"}))
+@example(("kernel", {"eta_points": "10", "eta_max": "1e155"}))
+@example(("kernel", {"eta_points": "10", "r": "2.0", "j": "3.0", "k": "2.0", "eta_max": "1e300"}))
 def test_an_accepted_config_runs_to_a_verdict_and_a_rejected_one_writes_nothing(case):
     command, overrides = case
     try:
@@ -91,6 +102,16 @@ def test_an_accepted_config_runs_to_a_verdict_and_a_rejected_one_writes_nothing(
         if accepted:
             assert code in (0, 1), argv
             assert os.path.isfile(os.path.join(out, "manifest.txt")), argv
+            if command == "kernel":
+                with open(os.path.join(out, "kernel_report.json")) as fh:
+                    report = json.load(fh)
+                if not report.get("divergent"):
+                    assert report["sup_ratio"] is not None, argv
+                    assert math.isfinite(report["sup_ratio"]), argv
+                    # integrals and ratios keep full precision: normal doubles
+                    with open(os.path.join(out, "kernel_scan.csv")) as fh:
+                        rows = [line.split(",")[1:] for line in fh.read().splitlines()[1:]]
+                    assert min(float(v) for row in rows for v in row) >= sys.float_info.min, argv
         else:
             assert code == 2, argv
             assert not os.path.exists(out), argv

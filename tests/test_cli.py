@@ -125,6 +125,10 @@ def test_bad_config_exits_two_and_names_every_problem(tmp_path, capsys):
     (["ineq", "--gamma", "-1"], "gamma"),
     (["ineq", "--gamma", "0"], "gamma"),
     (["ineq", "--gamma", "0.5"], "gamma"),
+    # kernel scans whose ratio leaves double range (inequalities.check_kernel_range)
+    (["kernel", "--r", "0", "--j", "100", "--k", "100"], "double range"),
+    (["kernel", "--r", "1", "--j", "2", "--k", "3", "--eta_max", "1e81"], "double range"),
+    (["kernel", "--eta_max", "1e155"], "double range"),
 ])
 def test_bad_values_are_config_errors_not_failed_runs(tmp_path, capsys, argv, key):
     out = tmp_path / "x"
@@ -311,6 +315,8 @@ def test_kernel_divergence_yields_failure_code(tmp_path):
     assert rc == 1
     report = json.loads((out / "kernel_report.json").read_text())
     assert report["divergent"] is True
+    # I(eta) itself is finite there; the ratio is what grows without bound
+    assert "unbounded in eta" in report["reason"]
 
 
 def test_kernel_plateau_yields_success(tmp_path):

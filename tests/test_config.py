@@ -1,10 +1,13 @@
 """Configuration parsing: defaults, overrides, and aggregated errors."""
 
+import dataclasses
+import inspect
 import math
 import pickle
 
 import pytest
 
+from chslab import holder, inequalities, solver
 from chslab.cli import _fmt
 from chslab.config import (
     _KEYS,
@@ -16,6 +19,7 @@ from chslab.config import (
     effective_items,
     parse_config,
 )
+from chslab.spectral import Grid
 
 
 def test_defaults_without_any_input():
@@ -250,3 +254,32 @@ def test_ineq_index_rules_apply_to_the_selected_probes_only():
     assert parse_config("probe = calderon\nL = 1.5\n", "ineq", "x").length == 1.5
     with pytest.raises(ConfigError, match="mollifier probe invalid"):
         parse_config("probe = mollifier\nL = 1.5\n", "ineq", "x")
+
+
+def _keyword_defaults(fn) -> dict:
+    return {name: p.default for name, p in inspect.signature(fn).parameters.items()
+            if p.default is not inspect.Parameter.empty}
+
+
+def test_cli_defaults_are_the_library_defaults():
+    # criterion 10 runs holder.sweep on library defaults, `chslab holder` on DEFAULTS
+    family = _keyword_defaults(holder.make_family)
+    assert family == {key: DEFAULTS["holder"][key] for key in family}
+    assert _keyword_defaults(holder.sweep)["cfl"] == DEFAULTS["holder"]["cfl"]
+    probe = {f.name: f.default for f in dataclasses.fields(inequalities.ProbeConfig)}
+    for key in ("ensemble", "gamma", "amplitude", "seed"):
+        assert probe[key] == DEFAULTS["ineq"][key], key
+    params = {f.name: f.default for f in dataclasses.fields(solver.SystemParams)}
+    for command, defaults in DEFAULTS.items():
+        for key in set(params) & set(defaults):
+            assert params[key] == defaults[key], (command, key)
+    assert {key for command in ("solve", "t0probe") for key in params
+            if key in DEFAULTS[command]} == {"b", "kappa", "alpha", "c_s"}
+    scan = _keyword_defaults(inequalities.kernel_bound_scan)
+    assert scan == {key: DEFAULTS["kernel"][key] for key in ("eta_max", "eta_points")}
+    cfl = _keyword_defaults(solver.solve_stack)["cfl"]
+    assert [defaults["cfl"] for defaults in DEFAULTS.values() if "cfl" in defaults] == [cfl] * 3
+    # the mollifier probe draws f at its own smoothness when s is unset
+    rep = inequalities.probe_mollifier_commutator(
+        inequalities.ProbeConfig(Grid(64, 2.0 * math.pi), ensemble=1))
+    assert rep.params["f_smoothness"] == DEFAULTS["ineq"]["s"]

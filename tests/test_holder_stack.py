@@ -106,7 +106,7 @@ def test_stacked_solve_equals_one_row_solves(n):
     # sup|u| < 1 on every row, so the CFL step is the same for all of them;
     # s is one number for the stack or one per row
     for s in (4.0, (4.0, 3.75, 4.5)):
-        for kw in ({"dt_policy": 0.02}, {"dt_policy": 0.013, "store_stride": 3}, {}):
+        for kw in ({"dt_policy": 0.02}, {"dt_policy": 0.013, "dense": False}, {}):
             got = solve_stack(grid, rows_of(states), params(), s, 0.37, **kw)
             for traj, state, own in zip(got, states, np.broadcast_to(s, 3)):
                 assert_same_trajectory(traj, solve(state, params(), float(own), 0.37, **kw))
@@ -178,10 +178,12 @@ def test_stacked_seam_check_judges_every_row(line):
 
 # ------------------------------------------------------ per-row watchdog
 
-def test_non_finite_row_leaves_the_stack_alone(line):
+def test_non_finite_row_leaves_the_stack_alone(line, monkeypatch):
     # the 1e5 bump overflows inside an RK stage; its neighbours do not notice
     states = [bump(line, 0.5), bump(line, 1e5), bump(line, 0.45)]
-    kw = dict(dt_policy=0.05, blowup_threshold=math.inf, tail_limit=1.0)
+    monkeypatch.setattr(solver, "_BLOWUP_THRESHOLD", math.inf)
+    monkeypatch.setattr(solver, "_TAIL_LIMIT", 1.0)
+    kw = dict(dt_policy=0.05)
     with np.errstate(over="ignore", invalid="ignore"):
         got = solve_stack(line, rows_of(states), params(), 4.0, 1.0, **kw)
         want = [solve(s, params(), 4.0, 1.0, **kw) for s in states]
@@ -191,7 +193,7 @@ def test_non_finite_row_leaves_the_stack_alone(line):
     assert np.isfinite(got[1].y).all()
 
 
-def test_watchdog_statuses_are_per_row():
+def test_watchdog_statuses_are_per_row(monkeypatch):
     grid = Grid(64, 2.0 * np.pi)
 
     def bump_state(amp, rho_amp):
@@ -200,7 +202,8 @@ def test_watchdog_statuses_are_per_row():
 
     smooth = State(cosine_mode(grid, 1, 0.3), Field.zero(grid), 0.0)
     rough = State(random_field(grid, 2.0, seed=3, amplitude=0.5), Field.zero(grid), 0.0)
-    kw = dict(dt_policy=0.01, seam_policy="ignore", tail_limit=1e-3)
+    monkeypatch.setattr(solver, "_TAIL_LIMIT", 1e-3)
+    kw = dict(dt_policy=0.01, seam_policy="ignore")
     # y grows along this run before it runs out of resolution, so a
     # threshold between its first and largest ledger values stops it
     # mid-run as a blow-up
@@ -208,7 +211,7 @@ def test_watchdog_statuses_are_per_row():
     solo = solve(growing, params(), 2.5, 1.0, **kw)
     threshold = 0.5 * (solo.y[0] + solo.y.max())
     states = [smooth, rough, bump_state(0.9, 0.3), growing, bump_state(50.0, 0.0), smooth]
-    kw["blowup_threshold"] = threshold
+    monkeypatch.setattr(solver, "_BLOWUP_THRESHOLD", threshold)
     got = solve_stack(grid, rows_of(states), params(), 2.5, 1.0, **kw)
     assert [t.status for t in got] == [COMPLETED, RESOLUTION_EXHAUSTED, RESOLUTION_EXHAUSTED,
                                        BLOWUP, BLOWUP, COMPLETED]
@@ -219,12 +222,13 @@ def test_watchdog_statuses_are_per_row():
         assert_same_trajectory(g, solve(state, params(), 2.5, 1.0, **kw))
 
 
-def test_watchdog_reads_each_row_in_its_own_s():
+def test_watchdog_reads_each_row_in_its_own_s(monkeypatch):
     # one rough state twice: its top-band share of the H^s energy is 0.67
     # at s = 3.75 and 0.86 at s = 4.5, on either side of the tail limit
     grid = Grid(64, 2.0 * np.pi)
     state = State(random_field(grid, 2.0, seed=3, amplitude=0.5), Field.zero(grid), 0.0)
-    kw = dict(dt_policy=0.01, seam_policy="ignore", tail_limit=0.7)
+    monkeypatch.setattr(solver, "_TAIL_LIMIT", 0.7)
+    kw = dict(dt_policy=0.01, seam_policy="ignore")
     got = solve_stack(grid, rows_of([state, state]), params(), (3.75, 4.5), 0.3, **kw)
     assert [t.status for t in got] == [COMPLETED, RESOLUTION_EXHAUSTED]
     for traj, s in zip(got, (3.75, 4.5)):

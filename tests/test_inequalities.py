@@ -19,6 +19,7 @@ from chslab.inequalities import (
     DEFAULT_EPS_LADDER,
     KernelScanReport,
     ProbeConfig,
+    check_kernel_range,
     check_negative_hypotheses,
     ensemble_problems,
     kernel_bound_scan,
@@ -271,6 +272,27 @@ def test_kernel_scan_plateaus_at_known_levels():
 def test_kernel_scan_rejects_unsupported_triples():
     with pytest.raises(ValueError):
         kernel_bound_scan(0.5, 1.0, 2.0)
+
+
+def test_kernel_scan_stays_in_double_range():
+    # past (k - r) log10(1 + eta_max^2) = 300 the ratio came out nan (the
+    # first three) or from subnormal integrals (the last two)
+    for r, j, k, eta_max in ((0.0, 100.0, 100.0, 1e4), (1.0, 2.0, 3.0, 1e81),
+                             (0.0, 1.0, 1.0, 1e155), (0.0, 40.0, 40.0, 1e4),
+                             (1.0, 2.0, 3.0, 1e76)):
+        with pytest.raises(ValueError, match="double range"):
+            check_kernel_range(r, k, eta_max)
+        with pytest.raises(ValueError, match="double range"):
+            kernel_bound_scan(r, j, k, eta_max, eta_points=10)
+    # at the edge, and k = r at any eta_max (1 + eta^2 overflows, its power 0 does not)
+    for r, j, k, eta_max in ((1.0, 2.0, 3.0, 1e75), (0.0, 37.0, 37.0, 1e4),
+                             (2.0, 3.0, 2.0, 1e300)):
+        check_kernel_range(r, k, eta_max)
+        with np.errstate(over="ignore"):
+            scan = kernel_bound_scan(r, j, k, eta_max, eta_points=10)
+        assert scan.plateau
+        assert (np.abs(scan.integrals) >= np.finfo(float).tiny).all()
+        assert np.isfinite(scan.ratios).all()
 
 
 def test_kernel_scan_accepts_custom_offsets():

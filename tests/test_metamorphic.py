@@ -80,7 +80,7 @@ def test_rhs_commutes_with_reflection_at_alpha_zero(n, length, seed):
 
 def _final_halves(grid: Grid, params: SystemParams, stack: np.ndarray) -> np.ndarray:
     """The (P, 2, N/2+1) final stack of 10 fixed steps, after checking every row completed."""
-    trajs = solve_stack(grid, stack, params, 4.0, 0.05, dt_policy=0.005, store_stride=0,
+    trajs = solve_stack(grid, stack, params, 4.0, 0.05, dt_policy=0.005, dense=False,
                         seam_policy="ignore")
     assert [tr.status for tr in trajs] == [COMPLETED] * len(stack)
     assert all(len(tr.times) == 11 for tr in trajs)

@@ -122,7 +122,7 @@ def test_energy_drift_at_b_two_is_the_rk4_error_alone(line):
     u, rho = initial_pair(line, "gaussian", 1.0, 0.3, 0)
     drifts = []
     for dt in (0.02, 0.01, 0.005):
-        traj = solve(State(u, rho, 0.0), p, 2.0, 2.0, dt_policy=dt, store_stride=0)
+        traj = solve(State(u, rho, 0.0), p, 2.0, 2.0, dt_policy=dt, dense=False)
         energy = traj.norm_u ** 2 + p.kappa * traj.norm_rho ** 2
         drifts.append(np.abs(energy - energy[0]).max() / energy[0])
     orders = np.log2(np.array(drifts[:-1]) / drifts[1:])
@@ -197,19 +197,17 @@ def test_horizon_is_hit_exactly(line):
 
 def test_store_stride_thins_states_but_not_ledger(line):
     dense = solve(bump_state(line), default_params(), 4.0, 0.4)
-    # stride 0 keeps only the initial and the final state
-    for stride in (4, 0):
-        thin = solve(bump_state(line), default_params(), 4.0, 0.4,
-                     store_stride=stride)
-        assert np.array_equal(thin.times, dense.times)
-        assert np.array_equal(thin.y, dense.y)
-        assert len(thin.states) < len(dense.states)
-        assert not thin.is_dense()
-        # the last state is always kept
-        assert thin.final.t == 0.4
-        assert np.array_equal(thin.final.u.coefficients, dense.final.u.coefficients)
-        assert np.array_equal(thin.final.rho.coefficients,
-                              dense.final.rho.coefficients)
+    # a run that is not dense keeps only the initial and the final state
+    thin = solve(bump_state(line), default_params(), 4.0, 0.4, dense=False)
+    assert np.array_equal(thin.times, dense.times)
+    assert np.array_equal(thin.y, dense.y)
+    assert len(thin.states) < len(dense.states)
+    assert not thin.is_dense()
+    # the last state is always kept
+    assert thin.final.t == 0.4
+    assert np.array_equal(thin.final.u.coefficients, dense.final.u.coefficients)
+    assert np.array_equal(thin.final.rho.coefficients,
+                          dense.final.rho.coefficients)
     assert len(thin.states) == 2
 
 
@@ -227,23 +225,27 @@ def test_solve_rejects_bad_horizon(line):
 
 # ------------------------------------------------------------ seam rules
 
+def edge_bump(grid):
+    """gaussian_bump's shape centred at the origin, so it wraps around the seam."""
+    return Field.from_values(grid, 0.5 * np.exp(-((grid.x / (grid.length / 16.0)) ** 2)))
+
+
 def test_seam_violation_warns_by_default(line):
-    # bump centered at the origin wraps around the seam
-    u0 = gaussian_bump(line, amplitude=0.5, center=0.0)
+    u0 = edge_bump(line)
     st = State(u0, Field.zero(line), 0.0)
     with pytest.warns(SeamWarning):
         solve(st, default_params(), 4.0, 0.01)
 
 
 def test_seam_violation_can_be_fatal(line):
-    u0 = gaussian_bump(line, amplitude=0.5, center=0.0)
+    u0 = edge_bump(line)
     st = State(u0, Field.zero(line), 0.0)
     with pytest.raises(ValueError):
         solve(st, default_params(), 4.0, 0.01, seam_policy="error")
 
 
 def test_seam_violation_can_be_ignored(recwarn, line):
-    u0 = gaussian_bump(line, amplitude=0.5, center=0.0)
+    u0 = edge_bump(line)
     st = State(u0, Field.zero(line), 0.0)
     solve(st, default_params(), 4.0, 0.01, seam_policy="ignore")
     assert not any(isinstance(w.message, SeamWarning) for w in recwarn.list)
@@ -251,28 +253,30 @@ def test_seam_violation_can_be_ignored(recwarn, line):
 
 # -------------------------------------------------------- abort statuses
 
-def test_blowup_threshold_aborts_the_run(line):
-    traj = solve(bump_state(line, amp=0.8), default_params(), 4.0, 2.0,
-                 blowup_threshold=1.0)
+def test_blowup_threshold_aborts_the_run(line, monkeypatch):
+    monkeypatch.setattr(solver, "_BLOWUP_THRESHOLD", 1.0)
+    traj = solve(bump_state(line, amp=0.8), default_params(), 4.0, 2.0)
     assert traj.status == BLOWUP
     assert traj.times[-1] < 2.0
 
 
-def test_spectral_tail_exhaustion_aborts_the_run():
+def test_spectral_tail_exhaustion_aborts_the_run(monkeypatch):
+    monkeypatch.setattr(solver, "_TAIL_LIMIT", 1e-8)
     grid = Grid(64, 2.0 * np.pi)
     u0 = random_field(grid, 2.0, seed=3, amplitude=0.5)
     traj = solve(State(u0, Field.zero(grid), 0.0), default_params(), 2.5, 1.0,
-                 tail_limit=1e-8, seam_policy="ignore")
+                 seam_policy="ignore")
     assert traj.status == RESOLUTION_EXHAUSTED
     assert traj.times[-1] < 1.0
 
 
-def test_non_finite_state_mid_run_is_a_blowup(line):
+def test_non_finite_state_mid_run_is_a_blowup(line, monkeypatch):
     # an unstable fixed step overflows inside an RK stage; no norm or
     # resolution limit stops the run before that
+    monkeypatch.setattr(solver, "_BLOWUP_THRESHOLD", math.inf)
+    monkeypatch.setattr(solver, "_TAIL_LIMIT", 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        traj = solve(bump_state(line, amp=1e5), default_params(), 4.0, 1.0,
-                     dt_policy=0.05, blowup_threshold=math.inf, tail_limit=1.0)
+        traj = solve(bump_state(line, amp=1e5), default_params(), 4.0, 1.0, dt_policy=0.05)
     assert traj.status == BLOWUP
     # the non-finite stage state never reached the ledger
     assert np.isfinite(traj.y).all()
@@ -340,7 +344,7 @@ def test_size_bound_passes_below_the_envelope():
     y0 = 1.0
     t0 = 0.5 * math.log(2.0)
     t = np.linspace(0.0, t0, 50)
-    rep = size_bound_check(_ledger(t, y0 * np.exp(t)), default_params())
+    rep = size_bound_check(_ledger(t, y0 * np.exp(t)), 1.0)
     assert rep.passed
     # bound is 2 sqrt(y0^2 + y0) whatever the rate constant
     assert rep.bound == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-14)
@@ -353,7 +357,7 @@ def test_size_bound_flags_the_first_excursion():
     t = np.linspace(0.0, t0, 50)
     y = y0 * np.exp(t)
     y[30:] = 5.0  # jump above 2 sqrt 2 inside the window
-    rep = size_bound_check(_ledger(t, y), default_params())
+    rep = size_bound_check(_ledger(t, y), 1.0)
     assert not rep.passed
     assert rep.first_violation == pytest.approx(t[30], rel=1e-12)
     assert rep.max_ratio > 1.0
@@ -362,7 +366,7 @@ def test_size_bound_flags_the_first_excursion():
 def test_size_bound_needs_full_window_coverage():
     t = np.linspace(0.0, 0.1, 20)  # window for y0 = 1 is ln(2)/2 = 0.346
     with pytest.raises(ValueError):
-        size_bound_check(_ledger(t, np.ones_like(t)), default_params())
+        size_bound_check(_ledger(t, np.ones_like(t)), 1.0)
 
 
 def test_size_bound_fails_an_aborted_ledger():
@@ -370,7 +374,7 @@ def test_size_bound_fails_an_aborted_ledger():
     # bound; the ratio covers the whole ledger, past any window
     t = np.linspace(0.0, 0.01, 3)  # far short of the window ln(2)/2
     traj = _ledger(t, [1.0, 1.5, 2.0], status=RESOLUTION_EXHAUSTED)
-    rep = size_bound_check(traj, default_params())
+    rep = size_bound_check(traj, 1.0)
     assert not rep.passed
     assert math.isnan(rep.t0)
     assert rep.first_violation is None
@@ -380,12 +384,12 @@ def test_size_bound_fails_an_aborted_ledger():
 
 def test_size_bound_zero_datum_degenerates():
     t = np.linspace(0.0, 1.0, 20)
-    ok = size_bound_check(_ledger(t, np.zeros_like(t)), default_params())
+    ok = size_bound_check(_ledger(t, np.zeros_like(t)), 1.0)
     assert ok.passed and math.isinf(ok.t0)
     # zero data that drifts off zero
     drift = 1e-3 * np.ones_like(t)
     drift[0] = 0.0
-    bad = size_bound_check(_ledger(t, drift), default_params())
+    bad = size_bound_check(_ledger(t, drift), 1.0)
     assert not bad.passed
     assert bad.first_violation == t[1]
 
@@ -467,8 +471,8 @@ def test_difference_defect_shrinks_at_second_order(line):
 
 def test_difference_solver_requires_dense_trajectories(line):
     p = default_params()
-    a = solve(bump_state(line), p, 4.0, 0.2, store_stride=4)
-    b = solve(bump_state(line, amp=0.45), p, 4.0, 0.2, store_stride=4)
+    a = solve(bump_state(line), p, 4.0, 0.2, dense=False)
+    b = solve(bump_state(line, amp=0.45), p, 4.0, 0.2, dense=False)
     with pytest.raises(ValueError):
         diff_solve(a, b, p)
 

@@ -11,6 +11,7 @@ buffers, and a warm one-row step must not allocate its stages.
 import sys
 import threading
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -109,9 +110,9 @@ def _aborting_run(params):
     grid = Grid(64, 2.0 * np.pi)
     rho = gaussian_bump(grid, amplitude=0.3, width=0.5).half
     stack = np.array([[gaussian_bump(grid, amplitude=a, width=0.8).half, rho] for a in ABORTING])
-    with np.errstate(all="ignore"):
-        return solve_stack(grid, stack, params, 2.5, 0.5, dt_policy=0.01, seam_policy="ignore",
-                           tail_limit=1e-3, blowup_threshold=np.inf)
+    with (np.errstate(all="ignore"), patch.object(solver, "_TAIL_LIMIT", 1e-3),
+          patch.object(solver, "_BLOWUP_THRESHOLD", np.inf)):
+        return solve_stack(grid, stack, params, 2.5, 0.5, dt_policy=0.01, seam_policy="ignore")
 
 
 @settings(max_examples=10)
@@ -140,7 +141,7 @@ def test_two_threads_solving_at_once_give_the_serial_bytes():
     states = [State(gaussian_bump(grid, amplitude=a),
                     gaussian_bump(grid, amplitude=0.2, width=grid.length / 20.0), 0.0)
               for a in (0.5, 0.9, 0.7, 0.3)]
-    kw = dict(dt_policy=0.01, store_stride=0)
+    kw = dict(dt_policy=0.01, dense=False)
     serial = [solve(s, params, 4.0, 0.6, **kw) for s in states]
     results = [None] * len(states)
     barrier = threading.Barrier(len(states))
