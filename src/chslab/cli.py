@@ -1,19 +1,23 @@
-"""Command line front end.
+"""chslab: spectral laboratory for a two-component higher-order Camassa-Holm system.
 
-    chslab <command> [--config FILE] [--key value ...] --out DIR
+usage: chslab <command> [--config FILE] [--key value | --key=value ...] --out DIR
+       chslab -h | --help
 
-Commands: solve, holder, ineq, t0probe, kernel.  Each runner returns
-its artifacts as file name -> bytes and writes nothing; `execute` writes
-them plus a manifest.txt that echoes the effective configuration and
-hashes the same bytes, so identical configs can be diffed byte for byte
-and a run that raises leaves no artifact.  Exit code 0 means the run's
-verdict passed, 1 means it ran but the verdict failed, 2 means the run
-itself could not proceed.
+The command comes first: solve, holder, ineq, t0probe or kernel.  FILE
+is flat key = value text, and each --key value or --key=value pair
+overrides one of its keys; names are never abbreviated (--h is the
+Holder key h).  DIR, created if missing, gets the run's artifacts and a
+manifest.txt that echoes the effective configuration and hashes each
+artifact, so identical configs can be diffed byte for byte; a run that
+raises leaves no artifact.
+
+Exit codes: 0 the run's verdict passed, 1 it ran and the verdict failed,
+2 the run could not proceed (a usage or config error, data at fault, an
+unusable DIR).
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import math
@@ -27,7 +31,7 @@ import numpy as np
 
 from . import fields, holder, solver
 from . import inequalities as ineq
-from .config import COMMANDS, ConfigError, RunConfig, effective_items, parse_config
+from .config import ConfigError, RunConfig, effective_items, parse_config
 from .spectral import Grid
 
 __all__ = ["main", "execute", "sweep_execute"]
@@ -290,6 +294,7 @@ def _run_kernel(cfg: RunConfig):
         "kernel_report.json": _json(report)}
 
 
+# each runner returns (ok, results, file name -> bytes) and writes nothing itself
 _RUNNERS = {
     "solve": _run_solve,
     "holder": _run_holder,
@@ -364,20 +369,6 @@ def _parse_overrides(tokens) -> dict:
     return out
 
 
-# Built once, at import: its gettext lookups load the locale module, which
-# is start-up work for every command, not part of a run.  No abbreviations:
-# "--h" is the Holder key h, not a prefix of --help.
-_PARSER = argparse.ArgumentParser(
-    prog="chslab", allow_abbrev=False,
-    description="Spectral laboratory for a higher-order two-component "
-                "shallow water system.",
-    epilog="Any extra --key value pairs override config file entries.")
-_PARSER.add_argument("command", choices=COMMANDS)
-_PARSER.add_argument("--config", metavar="FILE", default=None,
-                     help="flat key = value configuration file")
-_PARSER.add_argument("--out", metavar="DIR", required=True,
-                     help="artifact directory (created if missing)")
-
 # The import heap (numpy, the standard library, this package) lives until
 # the process exits.  Moving it into the permanent generation spares every
 # collection, the one at interpreter shutdown above all, from walking and
@@ -394,17 +385,27 @@ def main(argv=None) -> int:
         sys.modules.setdefault("_hashlib", None)
     except ImportError:
         pass
-    args, extra = _PARSER.parse_known_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(__doc__)
+        return 0
+    if not argv:
+        sys.stderr.write(__doc__)
+        return 2
     try:
-        overrides = _parse_overrides(extra)
+        overrides = _parse_overrides(argv[1:])
+        path, out = overrides.pop("config", None), overrides.pop("out", None)
         text = ""
-        if args.config is not None:
+        if path is not None:
             try:
-                with open(args.config) as fh:
+                with open(path) as fh:
                     text = fh.read()
             except OSError as exc:
                 raise ValueError(f"cannot read config: {exc}") from exc
-        cfg = parse_config(text, args.command, args.out, overrides)
+        # the command is judged first, so `chslab bogus` names it and not --out
+        cfg = parse_config(text, argv[0], out, overrides)
+        if out is None:
+            raise ValueError("missing --out DIR")
     except ConfigError as exc:
         print(exc.report(), file=sys.stderr)
         return 2

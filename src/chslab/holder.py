@@ -43,11 +43,14 @@ class HolderCase:
 
 
 def holder_exponent(s: float, r: float, rho_trivial: bool = False) -> HolderCase:
-    """Piecewise exponent of the continuity modulus.
+    """Exponent of the continuity modulus: the first of three clauses that holds.
 
-    Candidates from every clause whose conditions hold are collected;
-    overlapping clauses agree on the shared boundary (checked, never
-    silently preferred), and (s, r) matching no clause is an error.
+    r > s - 1: interpolation-high, beta = s - r; s + r >= 5: Lipschitz,
+    beta = 1; else interpolation-low, beta = (2s - 5)/(s - r).  No valid (s, r)
+    falls through: interpolation-low needs s < 4 (s < 5 when rho is trivial),
+    which r >= 1 (r >= 0) and s + r < 5 imply, and for s > 7/2 the two
+    interpolation clauses are disjoint.  On the seam r = 5 - s both lower
+    clauses give beta = 1.
     """
     lower = 0.0 if rho_trivial else 1.0
     if not s > 3.5:
@@ -55,24 +58,11 @@ def holder_exponent(s: float, r: float, rho_trivial: bool = False) -> HolderCase
     if not lower <= r < s:
         raise ValueError(
             f"need {lower:g} <= r < s for this data class, got r={r}, s={s}")
-
-    candidates = []
-    if r <= s - 1.0 and s + r >= 5.0:
-        candidates.append(("lipschitz", 1.0))
-    s_cap = 5.0 if rho_trivial else 4.0
-    if s < s_cap and r <= 5.0 - s:
-        candidates.append(("interpolation-low", (2.0 * s - 5.0) / (s - r)))
-    if s - 1.0 < r < s:
-        candidates.append(("interpolation-high", s - r))
-
-    if not candidates:
-        raise ValueError(f"(s, r) = ({s}, {r}) falls outside every exponent clause")
-    betas = [b for _, b in candidates]
-    if max(betas) - min(betas) > 1e-9:
-        raise ValueError(
-            f"inconsistent exponent clauses at (s, r) = ({s}, {r}): {candidates}")
-    regime, beta = candidates[0]
-    return HolderCase(s=s, r=r, beta=beta, regime=regime)
+    if r > s - 1.0:
+        return HolderCase(s=s, r=r, beta=s - r, regime="interpolation-high")
+    if s + r >= 5.0:
+        return HolderCase(s=s, r=r, beta=1.0, regime="lipschitz")
+    return HolderCase(s=s, r=r, beta=(2.0 * s - 5.0) / (s - r), regime="interpolation-low")
 
 
 @dataclass(frozen=True)

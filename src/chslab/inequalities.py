@@ -484,7 +484,8 @@ def kernel_bound_scan(r: float, j: float, k: float, eta_max: float = 1e4,
     check_kernel_range(r, k, eta_max)
     etas = np.concatenate([[0.0], np.geomspace(0.1, eta_max, eta_points - 1)])
     integrals = np.array([kernel_integral(r, j, k, e) for e in etas])
-    ratios = integrals / (1.0 + etas**2) ** (r - k)
+    # at k = r the weight is exactly 1, and 1 + eta^2 may overflow on the way to it
+    ratios = integrals if k == r else integrals / (1.0 + etas**2) ** (r - k)
     top = etas.max()
     decade = (etas >= top / 10.0) & (etas > 0)
     base = ratios[decade][0]

@@ -1,5 +1,6 @@
 """End-to-end command runs, manifests, and reproducibility."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -129,6 +130,8 @@ def test_bad_config_exits_two_and_names_every_problem(tmp_path, capsys):
     (["kernel", "--r", "0", "--j", "100", "--k", "100"], "double range"),
     (["kernel", "--r", "1", "--j", "2", "--k", "3", "--eta_max", "1e81"], "double range"),
     (["kernel", "--eta_max", "1e155"], "double range"),
+    (["t0probe", "--s", "2"], "s must exceed 2"),
+    (["holder", "--cases", ""], "empty case list"),
 ])
 def test_bad_values_are_config_errors_not_failed_runs(tmp_path, capsys, argv, key):
     out = tmp_path / "x"
@@ -240,6 +243,21 @@ def test_ineq_runs_what_config_validated(tmp_path, monkeypatch, probe):
     assert all(p.ensemble == 4 for _, p in ran)
 
 
+@pytest.mark.parametrize("change, problem", [
+    ({"constant": float("nan")}, "probe_algebra: constant is not finite"),
+    ({"violations": 3}, "probe_algebra: 3 pointwise violations"),
+])
+def test_a_probe_problem_fails_the_ineq_verdict(tmp_path, monkeypatch, change, problem):
+    real = inequalities.probe_algebra
+    monkeypatch.setattr(inequalities, "probe_algebra",
+                        lambda pcfg: dataclasses.replace(real(pcfg), **change))
+    out = tmp_path / "q"
+    assert main(["ineq", "--probe", "algebra", "--ensemble", "4", "--out", str(out)]) == 1
+    summary = json.loads((out / "probe_summary.json").read_text())
+    assert summary["verdict"] == "fail" and summary["problems"] == [problem]
+    assert "verdict = fail" in manifest_lines(out)
+
+
 def test_sweep_grid_rule_binds_only_when_the_sweep_runs(tmp_path):
     out = tmp_path / "x"
     rc = main(["ineq", "--N", "8", "--probe", "calderon", "--ensemble", "4", "--out", str(out)])
@@ -285,6 +303,60 @@ def test_holder_ball_key_h_reaches_the_config(tmp_path, monkeypatch):
 def test_malformed_override_tokens_exit_two(tmp_path, capsys):
     assert main(["solve", "--out", str(tmp_path / "x"), "stray"]) == 2
     assert main(["solve", "--out", str(tmp_path / "x"), "--N"]) == 2
+    assert main(["solve", "--out", str(tmp_path / "x"), "--=3"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "chslab: expected --key, got 'stray'", "chslab: missing value for --N",
+        "chslab: empty key in '--=3'"]
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_prints_the_synopsis_anywhere_in_argv(tmp_path, capsys, flag):
+    for argv in ([flag], ["solve", flag], ["holder", "--h", "3", flag, "--out", str(tmp_path)]):
+        assert main(argv) == 0
+        assert capsys.readouterr() == (cli.__doc__, "")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, err", [
+    ([], cli.__doc__),
+    (["bogus", "--out", "x"], "config error: unknown command 'bogus'; choose from "
+                              "('solve', 'holder', 'ineq', 't0probe', 'kernel')\n"),
+    # the command is judged before the missing --out
+    (["bogus"], "config error: unknown command 'bogus'; choose from "
+                "('solve', 'holder', 'ineq', 't0probe', 'kernel')\n"),
+    (["solve"], "chslab: missing --out DIR\n"),
+    (["solve", "--N", "64"], "chslab: missing --out DIR\n"),
+    # the command comes first
+    (["--out", "x", "solve"], "chslab: expected --key, got 'x'\n"),
+    (["--out=x", "solve"], "chslab: expected --key, got 'solve'\n"),
+    (["--out=x"], "config error: unknown command '--out=x'; choose from "
+                  "('solve', 'holder', 'ineq', 't0probe', 'kernel')\n"),
+])
+def test_usage_errors_exit_two_and_run_nothing(tmp_path, monkeypatch, capsys, argv, err):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", err)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_and_config_take_the_equals_form(tmp_path):
+    cfile = tmp_path / "run.cfg"
+    cfile.write_text("N = 64\nt_end = 0.05\n")
+    out = tmp_path / "run"
+    assert main(["solve", f"--config={cfile}", f"--out={out}"]) == 0
+    assert "N = 64" in manifest_lines(out)
+
+
+def test_unparsable_config_text_is_a_config_error(tmp_path, capsys):
+    cfile = tmp_path / "run.cfg"
+    cfile.write_text("N = 64\nt_end 0.05\n")  # a line with no "="
+    out = tmp_path / "x"
+    assert main(["solve", "--config", str(cfile), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot parse config text: ") and "t_end 0.05" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_missing_config_file_exits_two(tmp_path, capsys):

@@ -258,11 +258,12 @@ def test_cli_import_freezes_its_heap_and_leaves_the_collector_working(tmp_path):
 
 def test_serial_run_loads_neither_the_process_pool_nor_the_ini_parser(tmp_path):
     # the fixed cost of every CLI process: a run with one worker and no
-    # --config text has no use for either module
+    # --config text has no use for either module, and `main` reads its
+    # argv without argparse, whose messages load gettext and locale
     code = ("import sys\nfrom chslab.cli import main\n"
             "code = main(['solve', '--N', '64', '--t_end', '0.05', '--out', sys.argv[1]])\n"
-            "print(code, *[m for m in ('concurrent.futures', 'multiprocessing', 'configparser')"
-            " if m in sys.modules])\n")
+            "print(code, *[m for m in ('concurrent.futures', 'multiprocessing', 'configparser',"
+            " 'argparse', 'gettext', 'locale') if m in sys.modules])\n")
     done = _fresh_python(code, tmp_path / "run")
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["0"]

@@ -9,6 +9,7 @@ kernel integrals that reduce to textbook contour integrals.
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -293,6 +294,14 @@ def test_kernel_scan_stays_in_double_range():
         assert scan.plateau
         assert (np.abs(scan.integrals) >= np.finfo(float).tiny).all()
         assert np.isfinite(scan.ratios).all()
+
+
+def test_kernel_scan_at_k_equal_r_raises_no_overflow_warning():
+    # the weight (1 + eta^2)^0 is exactly 1, so 1 + eta^2 is never formed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scan = kernel_bound_scan(2, 3, 2, 1e300, eta_points=10)
+    assert np.array_equal(scan.ratios, scan.integrals) and np.isfinite(scan.ratios).all()
 
 
 def test_kernel_scan_accepts_custom_offsets():
