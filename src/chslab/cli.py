@@ -147,7 +147,7 @@ def _params(cfg: RunConfig) -> solver.SystemParams:
 
 
 def _run_solve(cfg: RunConfig):
-    grid = Grid(cfg.n, cfg.length)
+    grid = Grid(cfg.N, cfg.L)
     state = _initial_state(cfg, grid)
     traj = solver.solve(state, _params(cfg), cfg.s, cfg.t_end, cfl=cfg.cfl,
                         dense=False, seam_policy=cfg.seam)
@@ -163,9 +163,9 @@ def _run_solve(cfg: RunConfig):
 
 
 def _run_holder(cfg: RunConfig):
-    grid = Grid(cfg.n, cfg.length)
+    grid = Grid(cfg.N, cfg.L)
     reports = holder.sweep(
-        cfg.cases, grid, _params(cfg), cfg.horizon, cfl=cfg.cfl,
+        cfg.cases, grid, _params(cfg), cfg.T, cfl=cfg.cfl,
         h=cfg.h, base_kind=cfg.base_kind, direction_kind=cfg.direction_kind,
         delta_max=cfg.delta_max, delta_min=cfg.delta_min, delta_count=cfg.delta_count,
         seed=cfg.seed, base_amplitude=cfg.base_amplitude, rho_trivial=cfg.rho_trivial)
@@ -212,7 +212,7 @@ def _run_ineq(cfg: RunConfig):
 
 
 def _run_t0probe(cfg: RunConfig):
-    grid = Grid(cfg.n, cfg.length)
+    grid = Grid(cfg.N, cfg.L)
     params = solver.SystemParams(b=cfg.b, kappa=cfg.kappa, alpha=cfg.alpha, c_s=cfg.c_s)
     state = _initial_state(cfg, grid)
     y_raw = float(solver.y_norms(np.array([state.u.half, state.rho.half]), grid, cfg.s))

@@ -1,13 +1,13 @@
-"""Run configuration: flat key = value files plus CLI overrides.
+"""Run configuration: flat key = value text plus CLI overrides.
 
-The format is line-oriented INI: optional [section] headers group keys
-for humans, but all keys live in one flat namespace (later duplicates
-win, command-line overrides win over the file).  Every key a command
-does not understand is an error, and validation reports the complete
-list of problems instead of stopping at the first.
+The text is read line by line: blank, `#` and `;` comment and [section] lines are
+skipped, and every other line is split at its first `=`.  All keys share one flat
+namespace (later duplicates win, command-line overrides win over the file).  A line
+that does not split, a key the command does not take and a bad value are each an
+error, and validation reports the complete list of problems, not the first.
 
-Each key is one row of _KEYS: the RunConfig attribute it sets, its parser and its
-own check.  DEFAULTS says which keys a command takes.  _cross_checks reports the rest,
+Each key is one row of _KEYS, its parser and its own check, and the RunConfig field
+it sets.  DEFAULTS says which keys a command takes.  _cross_checks reports the rest,
 asking the modules that own them: `holder.ladder_problems`, `inequalities.probe_runs`
 (whose runs are the ones `ineq` executes) and the kernel rules beside `kernel_diverges`.
 """
@@ -22,11 +22,7 @@ from .holder import BASE_KINDS, DIRECTION_KINDS, holder_exponent, ladder_problem
 from .inequalities import (PROBES, check_kernel_range, check_negative_hypotheses,
                            kernel_diverges, probe_runs)
 
-__all__ = ["RunConfig", "ConfigError", "parse_config", "COMMANDS", "command_keys"]
-
-COMMANDS = ("solve", "holder", "ineq", "t0probe", "kernel")
-
-_IMPLICIT_SECTION = "chslab-toplevel"
+__all__ = ["RunConfig", "ConfigError", "parse_config", "COMMANDS"]
 
 
 class ConfigError(Exception):
@@ -80,62 +76,62 @@ def _one_of(choices: tuple):
     return (lambda v: v in choices, f"{{key}} must be one of {choices}, got {{value!r}}")
 
 
-# key -> (RunConfig attribute, parser, check)
+# key (the RunConfig field it sets) -> (parser, check)
 _KEYS = {
     # grid
-    "N": ("n", int, _POWER_OF_TWO),
-    "L": ("length", _real, _POSITIVE),
+    "N": (int, _POWER_OF_TWO),
+    "L": (_real, _POSITIVE),
     # system parameters
-    "b": ("b", _real, (lambda v: v != 1.0, "b = 1 is excluded (the system requires b != 1)")),
-    "kappa": ("kappa", _real, _ANY),
-    "alpha": ("alpha", _real, _ANY),
-    "c_s": ("c_s", _real, _POSITIVE),
+    "b": (_real, (lambda v: v != 1.0, "b = 1 is excluded (the system requires b != 1)")),
+    "kappa": (_real, _ANY),
+    "alpha": (_real, _ANY),
+    "c_s": (_real, _POSITIVE),
     # initial data (width 0 means the kind's default width)
-    "kind": ("kind", str, _one_of(INITIAL_KINDS)),
-    "amplitude": ("amplitude", _real, _NONNEGATIVE),
-    "width": ("width", _real, _NONNEGATIVE),
-    "rho_amplitude": ("rho_amplitude", _real, _ANY),
-    "normalize": ("normalize", _parse_bool, _ANY),
+    "kind": (str, _one_of(INITIAL_KINDS)),
+    "amplitude": (_real, _NONNEGATIVE),
+    "width": (_real, _NONNEGATIVE),
+    "rho_amplitude": (_real, _ANY),
+    "normalize": (_parse_bool, _ANY),
     # indices and horizons
-    "s": ("s", _real, _ANY),
-    "r": ("r", _real, _ANY),
-    "sigma": ("sigma", _real, _ANY),
-    "j": ("j", _real, _ANY),
-    "k": ("k", _real, _ANY),
-    "s1": ("s1", _real, _ANY),
-    "s2": ("s2", _real, _ANY),
-    "t_end": ("t_end", _real, _POSITIVE),
-    "T": ("horizon", _real, _POSITIVE),
-    "cfl": ("cfl", _real, _POSITIVE),
-    "seam": ("seam", str, _one_of(("warn", "error", "ignore"))),
+    "s": (_real, _ANY),
+    "r": (_real, _ANY),
+    "sigma": (_real, _ANY),
+    "j": (_real, _ANY),
+    "k": (_real, _ANY),
+    "s1": (_real, _ANY),
+    "s2": (_real, _ANY),
+    "t_end": (_real, _POSITIVE),
+    "T": (_real, _POSITIVE),
+    "cfl": (_real, _POSITIVE),
+    "seam": (str, _one_of(("warn", "error", "ignore"))),
     # holder experiment
-    "cases": ("cases", _parse_cases, _ANY),
-    "h": ("h", _real, _POSITIVE),
-    "base_kind": ("base_kind", str, _one_of(BASE_KINDS)),
-    "direction_kind": ("direction_kind", str, _one_of(DIRECTION_KINDS)),
-    "delta_max": ("delta_max", _real, _ANY),
-    "delta_min": ("delta_min", _real, _ANY),
-    "delta_count": ("delta_count", int, _ANY),
-    "base_amplitude": ("base_amplitude", _real, _ANY),
-    "rho_trivial": ("rho_trivial", _parse_bool, _ANY),
+    "cases": (_parse_cases, _ANY),
+    "h": (_real, _POSITIVE),
+    "base_kind": (str, _one_of(BASE_KINDS)),
+    "direction_kind": (str, _one_of(DIRECTION_KINDS)),
+    "delta_max": (_real, _ANY),
+    "delta_min": (_real, _ANY),
+    "delta_count": (int, _ANY),
+    "base_amplitude": (_real, _ANY),
+    "rho_trivial": (_parse_bool, _ANY),
     # inequality probes
-    "probe": ("probe", str, _one_of(("all", *PROBES))),
-    "ensemble": ("ensemble", int, _ANY),
-    "gamma": ("gamma", _real, _ANY),
-    "mollifier_N": ("mollifier_n", int, _POWER_OF_TWO),
-    "ratios_csv": ("ratios_csv", _parse_bool, _ANY),
+    "probe": (str, _one_of(("all", *PROBES))),
+    "ensemble": (int, _ANY),
+    "gamma": (_real, _ANY),
+    "mollifier_N": (int, _POWER_OF_TWO),
+    "ratios_csv": (_parse_bool, _ANY),
     # kernel scan
-    "eta_max": ("eta_max", _real, (lambda v: v > 10, "{key} must exceed 10")),
-    "eta_points": ("eta_points", int, (lambda v: v >= 10, "{key} must be at least 10")),
+    "eta_max": (_real, (lambda v: v > 10, "{key} must exceed 10")),
+    "eta_points": (int, (lambda v: v >= 10, "{key} must be at least 10")),
     # orchestration
-    "seed": ("seed", int, _NONNEGATIVE),
-    "parallelism": ("parallelism", int, _POSITIVE),
+    "seed": (int, _NONNEGATIVE),
+    "parallelism": (int, _POSITIVE),
 }
 
 RunConfig = make_dataclass(
     "RunConfig",
     [("command", str), ("out", str)]
-    + [(attr, object, field(default=None)) for attr, _, _ in _KEYS.values()],
+    + [(key, object, field(default=None)) for key in _KEYS],
     frozen=True)
 RunConfig.__module__ = __name__  # so worker processes can unpickle it
 RunConfig.__doc__ = "Effective settings for one command invocation (unused fields None)."
@@ -160,23 +156,19 @@ DEFAULTS = {
                "delta_min": 1e-5, "delta_count": 7, "T": 0.5,
                "base_amplitude": 0.5, "rho_trivial": False, "cfl": 0.3},
     "ineq": {**_COMMON, "L": 2.0 * math.pi, "probe": "all", "ensemble": 200,
-             "gamma": 0.6, "amplitude": 1.0, "mollifier_N": 1024,
-             "ratios_csv": False, "r": 2.0, "s": 2.5, "sigma": 1.0,
-             "j": 1.0, "k": 1.0, "s1": 0.0, "s2": 3.0},
+             "gamma": 0.6, "mollifier_N": 1024, "ratios_csv": False, "r": 2.0,
+             "s": 2.5, "sigma": 1.0, "j": 1.0, "k": 1.0, "s1": 0.0, "s2": 3.0},
     "t0probe": {**_COMMON, **_PHYSICS, **_DATA,
                 "c_s": 1.0, "s": 4.0, "normalize": False, "cfl": 0.3},
     "kernel": {"r": 0.0, "j": 1.0, "k": 1.0, "eta_max": 1e4, "eta_points": 52,
                "parallelism": 1, "seed": 0},
 }
-
-
-def command_keys(command: str) -> tuple:
-    return tuple(DEFAULTS[command])
+COMMANDS = tuple(DEFAULTS)
 
 
 def _check(key: str, value) -> str | None:
     """The key's own check on one value: None if it passes, else the message."""
-    ok, message = _KEYS[key][2]
+    ok, message = _KEYS[key][1]
     return None if ok(value) else message.format(key=key, value=value)
 
 
@@ -210,27 +202,24 @@ def parse_config(text: str, command: str, out: str,
                  overrides: dict | None = None) -> RunConfig:
     """Merge defaults, file text, and override pairs into a RunConfig.
 
-    Raises ConfigError carrying every problem found: unknown keys, bad
-    values, and constraint violations are all collected in one pass.
-    Each parsed value meets its own key's check; defaults are trusted.
+    Raises ConfigError carrying every problem found: malformed lines, unknown
+    keys, bad values, and constraint violations are all collected in one
+    pass.  Each parsed value meets its own key's check; defaults are trusted.
     """
     if command not in COMMANDS:
         raise ConfigError([f"unknown command {command!r}; choose from {COMMANDS}"])
     errors: list = []
-    allowed = set(command_keys(command))
 
     raw: dict = {}
-    if text.strip():  # blank text has nothing to parse, so the INI parser stays unloaded
-        import configparser
-        body = text if text.lstrip().startswith("[") else f"[{_IMPLICIT_SECTION}]\n{text}"
-        parser = configparser.ConfigParser(interpolation=None, strict=False)
-        parser.optionxform = str  # keys are case-sensitive (N, L, T)
-        try:
-            parser.read_string(body)
-        except configparser.Error as exc:
-            raise ConfigError([f"cannot parse config text: {exc}"]) from None
-        for section in parser.sections():
-            raw.update(parser.items(section))
+    for number, line in enumerate(text.split("\n"), 1):
+        line = line.strip()
+        if not line or line[0] in "#;" or (line[0] == "[" and line[-1] == "]"):
+            continue
+        key, eq, value = line.partition("=")
+        if eq and key.strip():
+            raw[key.strip()] = value.strip()
+        else:
+            errors.append(f"line {number}: expected key = value, got {line!r}")
 
     if overrides:
         raw.update({str(k): str(v) for k, v in overrides.items()})
@@ -239,11 +228,11 @@ def parse_config(text: str, command: str, out: str,
     for key, text_val in raw.items():
         if key not in _KEYS:
             errors.append(f"unknown key {key!r}")
-        elif key not in allowed:
+        elif key not in DEFAULTS[command]:
             errors.append(f"key {key!r} does not apply to command {command!r}")
         else:
             try:
-                parsed[key] = _KEYS[key][1](text_val)
+                parsed[key] = _KEYS[key][0](text_val)
             except (ValueError, TypeError) as exc:
                 errors.append(f"key {key!r}: {exc}")
     failed = {key: msg for key, val in parsed.items() if (msg := _check(key, val))}
@@ -252,8 +241,7 @@ def parse_config(text: str, command: str, out: str,
     # cross-key rules run even when keys failed to parse or failed their own
     # check (those keep their defaults here), so one run reports every problem
     values = {**DEFAULTS[command], **{k: v for k, v in parsed.items() if k not in failed}}
-    cfg = RunConfig(command=command, out=out,
-                    **{_KEYS[key][0]: val for key, val in values.items()})
+    cfg = RunConfig(command=command, out=out, **values)
     errors += _cross_checks(cfg)
     if errors:
         raise ConfigError(errors)
@@ -262,5 +250,5 @@ def parse_config(text: str, command: str, out: str,
 
 def effective_items(cfg: RunConfig):
     """(config key, value) pairs for every key the command accepts."""
-    for key in sorted(command_keys(cfg.command)):
-        yield key, getattr(cfg, _KEYS[key][0])
+    for key in sorted(DEFAULTS[cfg.command]):
+        yield key, getattr(cfg, key)

@@ -63,12 +63,11 @@ _SWEEP_MODES = (2, 4, 8, 16, 32, 64, 128)
 BLOCK = 8192
 
 
-def ensemble_problems(ensemble: int, gamma: float, amplitude: float) -> list[str]:
+def ensemble_problems(ensemble: int, gamma: float) -> list[str]:
     """Each rule the ensemble knobs of a probe break."""
     return [rule for holds, rule in (
         (ensemble >= 1, f"ensemble size must be positive, got {ensemble}"),
-        (gamma > 0.5, f"decay exponent gamma must exceed 1/2, got {gamma}"),
-        (amplitude > 0.0, f"amplitude must be positive, got {amplitude}")) if not holds]
+        (gamma > 0.5, f"decay exponent gamma must exceed 1/2, got {gamma}")) if not holds]
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,6 @@ class ProbeConfig:
     grid: Grid
     ensemble: int = 200
     gamma: float = 0.6
-    amplitude: float = 1.0
     seed: int = 0
     r: float | None = None
     s: float | None = None
@@ -90,7 +88,7 @@ class ProbeConfig:
     s2: float | None = None
 
     def __post_init__(self):
-        if problems := ensemble_problems(self.ensemble, self.gamma, self.amplitude):
+        if problems := ensemble_problems(self.ensemble, self.gamma):
             raise ValueError("; ".join(problems))
 
 
@@ -174,10 +172,8 @@ def _blocks(cfg: ProbeConfig):
 
 def _pairs(cfg: ProbeConfig, idx: range, sf: float, sg: float):
     """Half-spectrum stacks (f, g) of samples idx, from seeds seed + 2i and seed + 2i + 1."""
-    return (random_halves(cfg.grid, sf, [cfg.seed + 2 * i for i in idx], cfg.gamma,
-                          cfg.amplitude),
-            random_halves(cfg.grid, sg, [cfg.seed + 2 * i + 1 for i in idx], cfg.gamma,
-                          cfg.amplitude))
+    return (random_halves(cfg.grid, sf, [cfg.seed + 2 * i for i in idx], cfg.gamma),
+            random_halves(cfg.grid, sg, [cfg.seed + 2 * i + 1 for i in idx], cfg.gamma))
 
 
 def _sup(c: np.ndarray) -> np.ndarray:
@@ -338,8 +334,7 @@ def probe_interpolation(cfg: ProbeConfig) -> ProbeReport:
     violations = 0
     ratios = []
     for idx in _blocks(cfg):
-        f = random_halves(cfg.grid, s2, [cfg.seed + 2 * i for i in idx], cfg.gamma,
-                          cfg.amplitude)
+        f = random_halves(cfg.grid, s2, [cfg.seed + 2 * i for i in idx], cfg.gamma)
         n1, n2 = sobolev_norms(f, cfg.grid, s1), sobolev_norms(f, cfg.grid, s2)
         best = np.zeros(len(idx))
         for th in _THETAS:
@@ -367,14 +362,14 @@ def probe_runs(cfg) -> tuple[list[tuple[str, ProbeConfig]], list[str]]:
     report order, and every rule they break.  The mollifier runs on mollifier_N points, and
     product-negative on the config's (r, j, k) when selected alone, on NEGATIVE_TRIPLES under
     "all".  Broken ensemble knobs keep their defaults here, so the indices are still judged."""
-    knobs = {"ensemble": cfg.ensemble, "gamma": cfg.gamma, "amplitude": cfg.amplitude}
+    knobs = {"ensemble": cfg.ensemble, "gamma": cfg.gamma}
     problems = ensemble_problems(**knobs)
-    base = ProbeConfig(Grid(cfg.n, cfg.length), seed=cfg.seed, r=cfg.r, s=cfg.s, sigma=cfg.sigma,
+    base = ProbeConfig(Grid(cfg.N, cfg.L), seed=cfg.seed, r=cfg.r, s=cfg.s, sigma=cfg.sigma,
                        j=cfg.j, k=cfg.k, s1=cfg.s1, s2=cfg.s2, **({} if problems else knobs))
     runs = []
     for name in PROBES if cfg.probe == "all" else (cfg.probe,):
         if name == "mollifier":
-            runs.append((name, replace(base, grid=Grid(cfg.mollifier_n, cfg.length))))
+            runs.append((name, replace(base, grid=Grid(cfg.mollifier_N, cfg.L))))
         elif name == "product-negative" and cfg.probe == "all":
             runs += [(name, replace(base, r=r, j=j, k=k)) for r, j, k in NEGATIVE_TRIPLES]
         else:
@@ -386,7 +381,7 @@ def probe_runs(cfg) -> tuple[list[tuple[str, ProbeConfig]], list[str]]:
             problems.append(f"{name} probe invalid: {exc}")
     if cfg.probe in ("all", "product-negative"):
         try:
-            check_sweep_grid(cfg.n)
+            check_sweep_grid(cfg.N)
         except ValueError as exc:
             problems.append(f"product-negative sweep invalid: {exc}")
     return runs, problems

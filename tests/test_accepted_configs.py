@@ -46,7 +46,6 @@ _ANYWHERE = {
     "parallelism": _ints(0, 2, 1),
     "probe": st.sampled_from(("all", *PROBES)),
     "gamma": _reals(0.5, 0.5000001, 0.6, lo=-1.0, hi=3.0),
-    "amplitude": _reals(0.0, 1e-9, 1.0, lo=-1.0, hi=5.0),
     "ratios_csv": st.sampled_from(("true", "false")),
     "r": _reals(0.0, 0.5, 1.0, 2.0, lo=-2.0, hi=5.0),
     "s": _reals(1.5, 2.0, 2.5, lo=-1.0, hi=6.0),

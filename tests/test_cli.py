@@ -104,7 +104,7 @@ def test_bad_config_exits_two_and_names_every_problem(tmp_path, capsys):
     (["solve", "--kind", "random", "--seed", "-1"], "seed"),
     (["ineq", "--seed", "-1"], "seed"),
     (["solve", "--width", "-1"], "width"),
-    (["ineq", "--amplitude", "0"], "amplitude"),
+    (["ineq", "--amplitude", "1"], "amplitude"),  # the probe ratios do not read it
     (["ineq", "--probe", "product-negative"], "product-negative"),
     (["kernel", "--r", "0.5", "--k", "2"], "kernel"),
     (["ineq", "--r", "0.3"], "product-low"),
@@ -119,7 +119,7 @@ def test_bad_config_exits_two_and_names_every_problem(tmp_path, capsys):
     (["holder", "--h", "0.01"], "delta_max"),
     (["ineq", "--probe", "kato"], "probe"),
     (["ineq", "--N", "12"], "N"),
-    (["ineq", "--amplitude", "-1"], "amplitude"),
+    (["solve", "--amplitude", "-1"], "amplitude"),
     # the ensemble rules of inequalities.ensemble_problems
     (["ineq", "--ensemble", "-1"], "ensemble"),
     (["ineq", "--ensemble", "0"], "ensemble"),
@@ -151,7 +151,7 @@ def _own_check_failures():
         for key in defaults:
             for text in ("-1", "0", "1", "12", "bogus"):
                 try:
-                    value = _KEYS[key][1](text)
+                    value = _KEYS[key][0](text)
                 except ValueError:
                     continue
                 if _check(key, value):
@@ -163,7 +163,7 @@ OWN_CHECK_FAILURES = _own_check_failures()
 
 
 def test_the_pool_fails_every_key_that_has_a_check():
-    checked = {key for key, (_, _, check) in _KEYS.items() if check is not _ANY}
+    checked = {key for key, (_, check) in _KEYS.items() if check is not _ANY}
     assert {key for _, key, _ in OWN_CHECK_FAILURES} == checked
 
 
@@ -176,7 +176,7 @@ def test_a_value_that_fails_its_own_check_is_one_config_error(tmp_path, capsys,
     assert main([command, f"--{key}", text, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.splitlines() == [f"config error: {_check(key, _KEYS[key][1](text))}"]
+    assert err.splitlines() == [f"config error: {_check(key, _KEYS[key][0](text))}"]
     assert err.startswith(f"config error: {key} ")
     assert not out.exists()
 
@@ -187,13 +187,11 @@ def test_a_value_that_fails_its_own_check_is_one_config_error(tmp_path, capsys,
       "algebra probe invalid: need r > 0, got r=-1",
       "kato-ponce probe invalid: need r >= 0, got r=-1",
       "product-low probe invalid: need r > 1/2, got r=-1"]),
-    (["--ensemble", "0", "--gamma", "0.5", "--amplitude", "0"],
+    (["--ensemble", "0", "--gamma", "0.5"],
      ["ensemble size must be positive, got 0",
-      "decay exponent gamma must exceed 1/2, got 0.5",
-      "amplitude must be positive, got 0.0"]),
-    (["--gamma", "0.5", "--amplitude", "0", "--probe", "calderon", "--s", "1"],
+      "decay exponent gamma must exceed 1/2, got 0.5"]),
+    (["--gamma", "0.5", "--probe", "calderon", "--s", "1"],
      ["decay exponent gamma must exceed 1/2, got 0.5",
-      "amplitude must be positive, got 0.0",
       "calderon probe invalid: need s > 3/2 and 0 <= sigma+1 <= s, got s=1, sigma=1"]),
 ])
 def test_broken_ensemble_knobs_do_not_hide_the_index_problems(tmp_path, capsys, argv, errors):
@@ -353,10 +351,30 @@ def test_unparsable_config_text_is_a_config_error(tmp_path, capsys):
     cfile.write_text("N = 64\nt_end 0.05\n")  # a line with no "="
     out = tmp_path / "x"
     assert main(["solve", "--config", str(cfile), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: cannot parse config text: ") and "t_end 0.05" in err
-    assert "Traceback" not in err
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: line 2: expected key = value, got 't_end 0.05'"]
     assert not out.exists()
+
+
+def test_every_bad_config_line_and_key_is_reported_at_once(tmp_path, capsys):
+    cfile = tmp_path / "run.cfg"
+    cfile.write_text("# a run\nN = 64\nt_end 0.05\nbogus = 1\n\nkind: random\n")
+    out = tmp_path / "x"
+    assert main(["solve", "--config", str(cfile), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: line 3: expected key = value, got 't_end 0.05'",
+        "config error: line 6: expected key = value, got 'kind: random'",
+        "config error: unknown key 'bogus'"]
+    assert list(tmp_path.iterdir()) == [cfile]
+
+
+def test_keys_under_a_default_section_are_read(tmp_path):
+    cfile = tmp_path / "run.cfg"
+    cfile.write_text("[DEFAULT]\nN = 64\nt_end = 0.05\n")
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(cfile), "--out", str(out)]) == 0
+    lines = manifest_lines(out)
+    assert "N = 64" in lines and "t_end = 0.05" in lines
 
 
 def test_missing_config_file_exits_two(tmp_path, capsys):

@@ -14,8 +14,8 @@ from chslab.config import (
     COMMANDS,
     DEFAULTS,
     ConfigError,
+    RunConfig,
     _check,
-    command_keys,
     effective_items,
     parse_config,
 )
@@ -24,8 +24,8 @@ from chslab.spectral import Grid
 
 def test_defaults_without_any_input():
     cfg = parse_config("", "solve", "/tmp/out")
-    assert cfg.n == 256
-    assert cfg.length == 64.0
+    assert cfg.N == 256
+    assert cfg.L == 64.0
     assert cfg.b == 2.0
     assert cfg.c_s is None  # only t0probe reads the energy-estimate constant
     assert cfg.kind == "gaussian"
@@ -41,7 +41,7 @@ def test_blank_text_is_no_config(text):
 def test_file_keys_are_applied():
     text = "N = 128\nb = 2.5\nt_end = 0.75\n"
     cfg = parse_config(text, "solve", "/tmp/out")
-    assert cfg.n == 128
+    assert cfg.N == 128
     assert cfg.b == 2.5
     assert cfg.t_end == 0.75
 
@@ -49,19 +49,32 @@ def test_file_keys_are_applied():
 def test_sections_share_one_flat_namespace():
     text = "[grid]\nN = 128\n[physics]\nb = 2.5\n"
     cfg = parse_config(text, "solve", "/tmp/out")
-    assert cfg.n == 128
+    assert cfg.N == 128
     assert cfg.b == 2.5
+
+
+def test_text_is_read_line_by_line():
+    text = "# comment\n; comment\n\n[DEFAULT]\n  N = 64  \r\ncases = 4:1 4:2\n"
+    cfg = parse_config(text, "holder", "/tmp/out")
+    assert (cfg.N, cfg.cases) == (64, ((4.0, 1.0), (4.0, 2.0)))
+    # a key: value line, a continuation line and an empty key do not split at "="
+    with pytest.raises(ConfigError) as err:
+        parse_config("N: 64\ncases = 4:1\n  4:2\n= 3\n", "holder", "/tmp/out")
+    assert err.value.errors == [
+        "line 1: expected key = value, got 'N: 64'",
+        "line 3: expected key = value, got '4:2'",
+        "line 4: expected key = value, got '= 3'"]
 
 
 def test_overrides_beat_the_file():
     cfg = parse_config("N = 128\n", "solve", "/tmp/out", {"N": "64"})
-    assert cfg.n == 64
+    assert cfg.N == 64
 
 
 def test_later_duplicate_wins():
     text = "[a]\nN = 128\n[b]\nN = 64\n"
     cfg = parse_config(text, "solve", "/tmp/out")
-    assert cfg.n == 64
+    assert cfg.N == 64
 
 
 def test_all_problems_reported_at_once():
@@ -135,16 +148,17 @@ def test_boolean_values_parse_loosely():
 
 def test_ineq_defaults_use_the_unit_circle():
     cfg = parse_config("", "ineq", "/tmp/out")
-    assert cfg.length == pytest.approx(2.0 * math.pi, rel=1e-15)
-    assert cfg.mollifier_n == 1024
+    assert cfg.L == pytest.approx(2.0 * math.pi, rel=1e-15)
+    assert cfg.mollifier_N == 1024
     assert cfg.probe == "all"
 
 
 def test_command_key_lists_are_disjoint_where_expected():
-    assert "t_end" in command_keys("solve")
-    assert "t_end" not in command_keys("kernel")
-    assert "eta_max" in command_keys("kernel")
-    assert "cases" in command_keys("holder")
+    assert "t_end" in DEFAULTS["solve"]
+    assert "t_end" not in DEFAULTS["kernel"]
+    assert "eta_max" in DEFAULTS["kernel"]
+    assert "cases" in DEFAULTS["holder"]
+    assert COMMANDS == tuple(DEFAULTS)
 
 
 # manifest "key = value" lines of every command at its defaults
@@ -164,7 +178,7 @@ DEFAULT_MANIFEST_LINES = {
         "seed = 0",
     ],
     "ineq": [
-        "L = 6.283185307179586", "N = 256", "amplitude = 1.0", "ensemble = 200",
+        "L = 6.283185307179586", "N = 256", "ensemble = 200",
         "gamma = 0.6", "j = 1.0", "k = 1.0", "mollifier_N = 1024",
         "parallelism = 1", "probe = all", "r = 2.0", "ratios_csv = false",
         "s = 2.5", "s1 = 0.0", "s2 = 3.0", "seed = 0", "sigma = 1.0",
@@ -199,6 +213,7 @@ def test_every_key_belongs_to_some_command():
     used = {key for defaults in DEFAULTS.values() for key in defaults}
     assert used == set(_KEYS)
     assert len(_KEYS) == 40
+    assert all(len(row) == 2 for row in _KEYS.values())  # (parser, check)
 
 
 def test_every_real_key_rejects_non_finite_values():
@@ -214,9 +229,11 @@ def test_every_real_key_rejects_non_finite_values():
 
 
 def test_attribute_names_of_renamed_keys():
+    # each key is its own RunConfig field, capitals included
+    assert [f.name for f in dataclasses.fields(RunConfig)] == ["command", "out", *_KEYS]
     cfg = parse_config("N = 64\nL = 3.0\nT = 0.25\n", "holder", "x")
-    assert (cfg.n, cfg.length, cfg.horizon) == (64, 3.0, 0.25)
-    assert parse_config("mollifier_N = 512\n", "ineq", "x").mollifier_n == 512
+    assert (cfg.N, cfg.L, cfg.T) == (64, 3.0, 0.25)
+    assert parse_config("mollifier_N = 512\n", "ineq", "x").mollifier_N == 512
 
 
 def test_run_config_pickles_for_worker_processes():
@@ -224,10 +241,11 @@ def test_run_config_pickles_for_worker_processes():
     assert pickle.loads(pickle.dumps(cfg)) == cfg
 
 
-def test_ineq_needs_positive_amplitude_but_solve_takes_zero():
+def test_ineq_takes_no_amplitude_but_solve_takes_zero():
+    # every probe ratio is homogeneous of degree 0 in the sample amplitude
     with pytest.raises(ConfigError) as err:
-        parse_config("amplitude = 0\n", "ineq", "x")
-    assert "amplitude" in str(err.value)
+        parse_config("amplitude = 1\n", "ineq", "x")
+    assert err.value.errors == ["key 'amplitude' does not apply to command 'ineq'"]
     assert parse_config("amplitude = 0\n", "solve", "x").amplitude == 0.0
     assert parse_config("amplitude = 0\n", "t0probe", "x").amplitude == 0.0
 
@@ -251,7 +269,7 @@ def test_ineq_index_rules_apply_to_the_selected_probes_only():
     assert err.value.errors == ["calderon probe invalid: need s > 3/2 and 0 <= sigma+1 <= s, "
                                 "got s=1.2, sigma=1"]
     assert parse_config("probe = algebra\ns = 1.2\n", "ineq", "x").s == 1.2
-    assert parse_config("probe = calderon\nL = 1.5\n", "ineq", "x").length == 1.5
+    assert parse_config("probe = calderon\nL = 1.5\n", "ineq", "x").L == 1.5
     with pytest.raises(ConfigError, match="mollifier probe invalid"):
         parse_config("probe = mollifier\nL = 1.5\n", "ineq", "x")
 
@@ -267,7 +285,7 @@ def test_cli_defaults_are_the_library_defaults():
     assert family == {key: DEFAULTS["holder"][key] for key in family}
     assert _keyword_defaults(holder.sweep)["cfl"] == DEFAULTS["holder"]["cfl"]
     probe = {f.name: f.default for f in dataclasses.fields(inequalities.ProbeConfig)}
-    for key in ("ensemble", "gamma", "amplitude", "seed"):
+    for key in ("ensemble", "gamma", "seed"):
         assert probe[key] == DEFAULTS["ineq"][key], key
     params = {f.name: f.default for f in dataclasses.fields(solver.SystemParams)}
     for command, defaults in DEFAULTS.items():

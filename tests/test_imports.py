@@ -9,10 +9,10 @@ module, since nothing outside it should reach for it.  Each public
 name in a module's __all__ must be read in chslab/*.py or in the
 acceptance tests, or be named in bench/*.py, whose tracer names the
 functions it wraps by string: test-only public API does not grow back.
-A serial run with no config text loads neither the process pool nor
-the INI parser, and no holder run loads a process pool, whatever its
-`parallelism`.  No CLI run pages in BLAS or LAPACK code or maps
-OpenSSL, and its built-in SHA-1 digests equal OpenSSL's.  No module
+A serial run loads neither the process pool nor the INI parser, with
+or without a config file, and no holder run loads a process pool,
+whatever its `parallelism`.  No CLI run pages in BLAS or LAPACK code or
+maps OpenSSL, and its built-in SHA-1 digests equal OpenSSL's.  No module
 reads the process environment: a run is configured by its key table
 alone.  The collector is the
 front end's business alone: `cli` freezes the import heap, and no other
@@ -257,16 +257,19 @@ def test_cli_import_freezes_its_heap_and_leaves_the_collector_working(tmp_path):
 
 
 def test_serial_run_loads_neither_the_process_pool_nor_the_ini_parser(tmp_path):
-    # the fixed cost of every CLI process: a run with one worker and no
-    # --config text has no use for either module, and `main` reads its
-    # argv without argparse, whose messages load gettext and locale
+    # the fixed cost of every CLI process: a run with one worker has no use
+    # for a process pool, `config` reads its text line by line, and `main`
+    # reads its argv without argparse, whose messages load gettext and locale
+    cfile = tmp_path / "run.cfg"
+    cfile.write_text("[grid]\nN = 64\n# a short run\nt_end = 0.05\n")
     code = ("import sys\nfrom chslab.cli import main\n"
-            "code = main(['solve', '--N', '64', '--t_end', '0.05', '--out', sys.argv[1]])\n"
-            "print(code, *[m for m in ('concurrent.futures', 'multiprocessing', 'configparser',"
+            "codes = [main(['solve', '--N', '64', '--t_end', '0.05', '--out', sys.argv[1]]),"
+            " main(['solve', '--config', sys.argv[2], '--out', sys.argv[3]])]\n"
+            "print(*codes, *[m for m in ('concurrent.futures', 'multiprocessing', 'configparser',"
             " 'argparse', 'gettext', 'locale') if m in sys.modules])\n")
-    done = _fresh_python(code, tmp_path / "run")
+    done = _fresh_python(code, tmp_path / "run", cfile, tmp_path / "from-file")
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0"]
+    assert done.stdout.split() == ["0", "0"]
 
 
 # One interpreter runs each command once.  It records each command's growth

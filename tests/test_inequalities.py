@@ -51,7 +51,7 @@ def circle256():
 
 
 def small_cfg(grid, **kw):
-    base = dict(ensemble=40, gamma=0.6, amplitude=1.0, seed=0)
+    base = dict(ensemble=40, gamma=0.6, seed=0)
     base.update(kw)
     return ProbeConfig(grid, **base)
 
@@ -63,16 +63,13 @@ def test_config_rejects_bad_ensemble_knobs(circle256):
         ProbeConfig(circle256, ensemble=0)
     with pytest.raises(ValueError):
         ProbeConfig(circle256, gamma=0.5)
-    with pytest.raises(ValueError):
-        ProbeConfig(circle256, amplitude=0.0)
     # every broken knob is named at once
-    assert ensemble_problems(200, 0.6, 1.0) == []
-    problems = ensemble_problems(0, 0.5, -1.0)
+    assert ensemble_problems(200, 0.6) == []
+    problems = ensemble_problems(0, 0.5)
     assert problems == ["ensemble size must be positive, got 0",
-                        "decay exponent gamma must exceed 1/2, got 0.5",
-                        "amplitude must be positive, got -1.0"]
+                        "decay exponent gamma must exceed 1/2, got 0.5"]
     with pytest.raises(ValueError) as err:
-        ProbeConfig(circle256, ensemble=0, gamma=0.5, amplitude=-1.0)
+        ProbeConfig(circle256, ensemble=0, gamma=0.5)
     assert str(err.value) == "; ".join(problems)
 
 

@@ -69,9 +69,6 @@ READ = {
     ("ineq", "probe"): ("algebra", {}),
     ("ineq", "ensemble"): ("5", {}),
     ("ineq", "gamma"): ("0.8", {}),
-    # each probe ratio is homogeneous of degree 0 in the amplitude, so only
-    # roundoff moves: a power of two would move no byte
-    ("ineq", "amplitude"): ("3", {}),
     ("ineq", "mollifier_N"): ("128", {}),
     ("ineq", "ratios_csv"): ("true", {}),
     ("ineq", "r"): ("2.5", {}),

@@ -80,8 +80,8 @@ def oracle_commutator_mollifier(eps, f, g):
 
 
 def _pair(cfg, i, sf, sg):
-    f = random_field(cfg.grid, sf, cfg.gamma, cfg.amplitude, cfg.seed + 2 * i)
-    g = random_field(cfg.grid, sg, cfg.gamma, cfg.amplitude, cfg.seed + 2 * i + 1)
+    f = random_field(cfg.grid, sf, cfg.gamma, seed=cfg.seed + 2 * i)
+    g = random_field(cfg.grid, sg, cfg.gamma, seed=cfg.seed + 2 * i + 1)
     return f, g
 
 
@@ -143,7 +143,7 @@ def oracle_interpolation(cfg, thetas=(0.0, 0.25, 0.5, 0.75, 1.0)):
     violations = 0
     out = []
     for i in range(cfg.ensemble):
-        f = random_field(cfg.grid, s2, cfg.gamma, cfg.amplitude, cfg.seed + 2 * i)
+        f = random_field(cfg.grid, s2, cfg.gamma, seed=cfg.seed + 2 * i)
         n1, n2 = sobolev_norm(f, s1), sobolev_norm(f, s2)
         best = 0.0
         for th in thetas:
