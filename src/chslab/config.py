@@ -6,8 +6,10 @@ namespace (later duplicates win, command-line overrides win over the file).  A l
 that does not split, a key the command does not take and a bad value are each an
 error, and validation reports the complete list of problems, not the first.
 
-Each key is one row of _KEYS, its parser and its own check, and the RunConfig field
-it sets.  DEFAULTS says which keys a command takes.  _cross_checks reports the rest,
+DEFAULTS says which keys a command takes; their union is RunConfig's fields.  A key's
+default fixes how its text is read, by the parser of the default's type, so a key has
+one default type in every command.  A key with an own check has it in _CHECKS; any
+other key takes every value its parser reads.  _cross_checks reports the rest,
 asking the modules that own them: `holder.ladder_problems`, `inequalities.probe_runs`
 (whose runs are the ones `ineq` executes) and the kernel rules beside `kernel_diverges`.
 """
@@ -21,6 +23,7 @@ from .fields import INITIAL_KINDS
 from .holder import BASE_KINDS, DIRECTION_KINDS, holder_exponent, ladder_problems
 from .inequalities import (PROBES, check_kernel_range, check_negative_hypotheses,
                            kernel_diverges, probe_runs)
+from .solver import SEAM_POLICIES
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "COMMANDS"]
 
@@ -64,85 +67,13 @@ def _parse_cases(text: str) -> tuple:
     return tuple(out)
 
 
-# a check is (predicate, message); the message may use {key} and {value!r}
-_ANY = (lambda v: True, "")
-_POSITIVE = (lambda v: v > 0, "{key} must be positive, got {value!r}")
-_NONNEGATIVE = (lambda v: v >= 0, "{key} must be nonnegative, got {value!r}")
-_POWER_OF_TWO = (lambda v: v >= 8 and (v & (v - 1)) == 0,
-                 "{key} must be a power of two >= 8, got {value!r}")
-
-
-def _one_of(choices: tuple):
-    return (lambda v: v in choices, f"{{key}} must be one of {choices}, got {{value!r}}")
-
-
-# key (the RunConfig field it sets) -> (parser, check)
-_KEYS = {
-    # grid
-    "N": (int, _POWER_OF_TWO),
-    "L": (_real, _POSITIVE),
-    # system parameters
-    "b": (_real, (lambda v: v != 1.0, "b = 1 is excluded (the system requires b != 1)")),
-    "kappa": (_real, _ANY),
-    "alpha": (_real, _ANY),
-    "c_s": (_real, _POSITIVE),
-    # initial data (width 0 means the kind's default width)
-    "kind": (str, _one_of(INITIAL_KINDS)),
-    "amplitude": (_real, _NONNEGATIVE),
-    "width": (_real, _NONNEGATIVE),
-    "rho_amplitude": (_real, _ANY),
-    "normalize": (_parse_bool, _ANY),
-    # indices and horizons
-    "s": (_real, _ANY),
-    "r": (_real, _ANY),
-    "sigma": (_real, _ANY),
-    "j": (_real, _ANY),
-    "k": (_real, _ANY),
-    "s1": (_real, _ANY),
-    "s2": (_real, _ANY),
-    "t_end": (_real, _POSITIVE),
-    "T": (_real, _POSITIVE),
-    "cfl": (_real, _POSITIVE),
-    "seam": (str, _one_of(("warn", "error", "ignore"))),
-    # holder experiment
-    "cases": (_parse_cases, _ANY),
-    "h": (_real, _POSITIVE),
-    "base_kind": (str, _one_of(BASE_KINDS)),
-    "direction_kind": (str, _one_of(DIRECTION_KINDS)),
-    "delta_max": (_real, _ANY),
-    "delta_min": (_real, _ANY),
-    "delta_count": (int, _ANY),
-    "base_amplitude": (_real, _ANY),
-    "rho_trivial": (_parse_bool, _ANY),
-    # inequality probes
-    "probe": (str, _one_of(("all", *PROBES))),
-    "ensemble": (int, _ANY),
-    "gamma": (_real, _ANY),
-    "mollifier_N": (int, _POWER_OF_TWO),
-    "ratios_csv": (_parse_bool, _ANY),
-    # kernel scan
-    "eta_max": (_real, (lambda v: v > 10, "{key} must exceed 10")),
-    "eta_points": (int, (lambda v: v >= 10, "{key} must be at least 10")),
-    # orchestration
-    "seed": (int, _NONNEGATIVE),
-    "parallelism": (int, _POSITIVE),
-}
-
-RunConfig = make_dataclass(
-    "RunConfig",
-    [("command", str), ("out", str)]
-    + [(key, object, field(default=None)) for key in _KEYS],
-    frozen=True)
-RunConfig.__module__ = __name__  # so worker processes can unpickle it
-RunConfig.__doc__ = "Effective settings for one command invocation (unused fields None)."
-
 _COMMON = {
     "N": 256, "L": 64.0, "seed": 0, "parallelism": 1,
 }
 _PHYSICS = {
     "b": 2.0, "kappa": 1.0, "alpha": 0.0,
 }
-_DATA = {
+_DATA = {  # width 0 means the kind's default width
     "kind": "gaussian", "amplitude": 1.0, "width": 0.0, "rho_amplitude": 0.3,
 }
 
@@ -165,11 +96,48 @@ DEFAULTS = {
 }
 COMMANDS = tuple(DEFAULTS)
 
+# a key's text is read by the parser of its default's exact type (a bool is no int)
+_PARSERS = {bool: _parse_bool, int: int, float: _real, str: str, tuple: _parse_cases}
+_TYPES = {key: type(value) for defaults in DEFAULTS.values() for key, value in defaults.items()}
+
+RunConfig = make_dataclass(
+    "RunConfig",
+    [("command", str), ("out", str)] + [(key, object, field(default=None)) for key in _TYPES],
+    frozen=True)
+RunConfig.__module__ = __name__  # so worker processes can unpickle it
+RunConfig.__doc__ = "Effective settings for one command invocation (unused fields None)."
+
+# a check is (predicate, message); the message may use {key} and {value!r}
+_POSITIVE = (lambda v: v > 0, "{key} must be positive, got {value!r}")
+_NONNEGATIVE = (lambda v: v >= 0, "{key} must be nonnegative, got {value!r}")
+_POWER_OF_TWO = (lambda v: v >= 8 and (v & (v - 1)) == 0,
+                 "{key} must be a power of two >= 8, got {value!r}")
+
+
+def _one_of(choices: tuple):
+    return (lambda v: v in choices, f"{{key}} must be one of {choices}, got {{value!r}}")
+
+
+# the own check of each key that has one; every other key takes any value it parses to
+_CHECKS = {
+    "N": _POWER_OF_TWO, "mollifier_N": _POWER_OF_TWO,
+    **dict.fromkeys(("L", "c_s", "t_end", "T", "cfl", "h", "parallelism"), _POSITIVE),
+    "b": (lambda v: v != 1.0, "b = 1 is excluded (the system requires b != 1)"),
+    **dict.fromkeys(("amplitude", "width", "seed"), _NONNEGATIVE),
+    "kind": _one_of(INITIAL_KINDS),
+    "seam": _one_of(SEAM_POLICIES),
+    "base_kind": _one_of(BASE_KINDS),
+    "direction_kind": _one_of(DIRECTION_KINDS),
+    "probe": _one_of(("all", *PROBES)),
+    "eta_max": (lambda v: v > 10, "{key} must exceed 10"),
+    "eta_points": (lambda v: v >= 10, "{key} must be at least 10"),
+}
+
 
 def _check(key: str, value) -> str | None:
     """The key's own check on one value: None if it passes, else the message."""
-    ok, message = _KEYS[key][1]
-    return None if ok(value) else message.format(key=key, value=value)
+    ok, message = _CHECKS.get(key, (None, ""))
+    return None if ok is None or ok(value) else message.format(key=key, value=value)
 
 
 def _cross_checks(cfg) -> list:
@@ -226,13 +194,13 @@ def parse_config(text: str, command: str, out: str,
 
     parsed = {}
     for key, text_val in raw.items():
-        if key not in _KEYS:
+        if key not in _TYPES:
             errors.append(f"unknown key {key!r}")
         elif key not in DEFAULTS[command]:
             errors.append(f"key {key!r} does not apply to command {command!r}")
         else:
             try:
-                parsed[key] = _KEYS[key][0](text_val)
+                parsed[key] = _PARSERS[_TYPES[key]](text_val)
             except (ValueError, TypeError) as exc:
                 errors.append(f"key {key!r}: {exc}")
     failed = {key: msg for key, val in parsed.items() if (msg := _check(key, val))}

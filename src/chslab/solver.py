@@ -61,12 +61,14 @@ __all__ = [
     "SeamWarning", "NonFiniteStateError", "COMPLETED", "BLOWUP", "RESOLUTION_EXHAUSTED",
     "rhs", "step_rk4", "cfl_dt", "solve", "solve_stack", "existence_time", "t0_lower_bound",
     "size_bound_check", "MIN_FITTED_CS", "fit_min_cs", "diff_solve",
-    "y_norms", "snapshot_bytes", "load_snapshot", "DataError", "SeamError",
+    "y_norms", "snapshot_bytes", "load_snapshot", "DataError", "SeamError", "SEAM_POLICIES",
 ]
 
 COMPLETED = "completed"
 BLOWUP = "blow-up-detected"
 RESOLUTION_EXHAUSTED = "resolution-exhausted"
+# what `solve_stack` does with initial data that reaches the periodic seam
+SEAM_POLICIES = ("warn", "error", "ignore")
 # largest |value| initial data may keep within 10% of the domain edge
 _SEAM_TOL = 1e-10
 # steps between refreshes of the CFL step's sup|u|
@@ -74,6 +76,8 @@ _CFL_REFRESH_STEPS = 16
 # the watchdog's limits on y and on the top band's share of the H^s energy
 _BLOWUP_THRESHOLD = 1e6
 _TAIL_LIMIT = 0.01
+# most steps a run may take, judged on its first step estimate
+_MAX_STEPS = 100_000
 
 
 class SeamWarning(UserWarning):
@@ -394,10 +398,12 @@ def solve_stack(grid: Grid, rows: np.ndarray, params: SystemParams, s: float | l
     dt_policy None asks for the CFL step (dt = cfl * dx / max(1, sup|u|)
     over the running rows, refreshed every `_CFL_REFRESH_STEPS` steps), a
     positive float for that fixed dt; either way the step is rounded down
-    so t_end is hit exactly.  A dense run stores the state of every step,
-    any other only the first and the last.  A stack of the wrong shape
-    raises ValueError, a non-finite one NonFiniteStateError; the data is
-    then dealiased once.  Each row keeps its own ledger, stored states
+    so t_end is hit exactly.  A run whose first step estimate needs more
+    than `_MAX_STEPS` steps raises DataError before its first step.  A
+    dense run stores the state of every step, any other only the first
+    and the last.  A stack of the wrong shape raises ValueError, a
+    non-finite one NonFiniteStateError; the data is then dealiased
+    once.  Each row keeps its own ledger, stored states
     and watchdog, in the norm index `s` gives it (one for all rows, or
     one per row); a row that aborts leaves the stack.  Rows never mix, so
     under a fixed dt each steps bit for bit as it would alone.
@@ -406,7 +412,7 @@ def solve_stack(grid: Grid, rows: np.ndarray, params: SystemParams, s: float | l
     """
     if not 0.0 <= t < t_end:
         raise ValueError(f"need 0 <= t < t_end, got t = {t}, t_end = {t_end}")
-    if seam_policy not in ("warn", "error", "ignore"):
+    if seam_policy not in SEAM_POLICIES:
         raise ValueError(f"unknown seam policy {seam_policy!r}")
     fixed_dt = None if dt_policy is None else float(dt_policy)
     if fixed_dt is not None and not (fixed_dt > 0.0 and math.isfinite(fixed_dt)):
@@ -462,6 +468,9 @@ def solve_stack(grid: Grid, rows: np.ndarray, params: SystemParams, s: float | l
             remaining = t_end - t
             raw = fixed_dt if fixed_dt is not None else cfl_dt(grid, stack[:, 0], cfl)
             nsteps = max(1, math.ceil(remaining / raw - 1e-12))
+            if step == 0 and nsteps > _MAX_STEPS:
+                raise DataError(f"the run needs {nsteps} steps of dt = {raw:.3g} to reach "
+                                f"t = {t_end:g}, over the step budget of {_MAX_STEPS}")
             dt, start = remaining / nsteps, step
         # land on t_end exactly rather than accumulating roundoff
         if nsteps - (step - start) == 1:

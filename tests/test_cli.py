@@ -12,7 +12,7 @@ import pytest
 
 from chslab import cli, config, inequalities, solver
 from chslab.cli import _cell, _csv, _git_blob_sha1, execute, main, sweep_execute
-from chslab.config import _ANY, _KEYS, DEFAULTS, ConfigError, _check, parse_config
+from chslab.config import _CHECKS, _PARSERS, DEFAULTS, ConfigError, _check, parse_config
 from chslab.inequalities import NEGATIVE_TRIPLES, PROBES
 
 
@@ -148,10 +148,10 @@ def _own_check_failures():
     the key and fails the key's own check, over every key of every command."""
     cases = []
     for command, defaults in DEFAULTS.items():
-        for key in defaults:
+        for key, default in defaults.items():
             for text in ("-1", "0", "1", "12", "bogus"):
                 try:
-                    value = _KEYS[key][0](text)
+                    value = _PARSERS[type(default)](text)
                 except ValueError:
                     continue
                 if _check(key, value):
@@ -163,8 +163,7 @@ OWN_CHECK_FAILURES = _own_check_failures()
 
 
 def test_the_pool_fails_every_key_that_has_a_check():
-    checked = {key for key, (_, check) in _KEYS.items() if check is not _ANY}
-    assert {key for _, key, _ in OWN_CHECK_FAILURES} == checked
+    assert {key for _, key, _ in OWN_CHECK_FAILURES} == set(_CHECKS)
 
 
 @pytest.mark.parametrize("command, key, text", OWN_CHECK_FAILURES)
@@ -176,7 +175,8 @@ def test_a_value_that_fails_its_own_check_is_one_config_error(tmp_path, capsys,
     assert main([command, f"--{key}", text, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.splitlines() == [f"config error: {_check(key, _KEYS[key][0](text))}"]
+    value = _PARSERS[type(DEFAULTS[command][key])](text)
+    assert err.splitlines() == [f"config error: {_check(key, value)}"]
     assert err.startswith(f"config error: {key} ")
     assert not out.exists()
 
@@ -675,6 +675,25 @@ def test_seam_error_exits_two_with_one_line_and_writes_nothing(tmp_path, capsys)
         assert err.startswith(head) and err.count("\n") == 1, err
         assert "Traceback" not in err
         assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, needs", [
+    (["t0probe", "--N", "32", "--c_s", "1e-9", "--width", "100", "--alpha", "-1"], 93_697_734),
+    (["t0probe", "--N", "16", "--L", "1e-3", "--kind", "random"], 131_557),
+    (["solve", "--t_end", "1e6"], 13_333_334),
+    (["holder", "--T", "1e5"], 1_333_334),
+])
+def test_a_run_over_the_step_budget_exits_two_and_writes_nothing(tmp_path, capsys, argv, needs):
+    # the first step estimate is judged before the first step, so these end at once
+    out = tmp_path / "x"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", solver.SeamWarning)  # two of the data reach the seam
+        assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"chslab: the run needs {needs} steps of dt = ")
+    assert err.endswith(f", over the step budget of {solver._MAX_STEPS}\n")
+    assert err.count("\n") == 1
+    assert list(out.iterdir()) == []
 
 
 def _cli_process(*argv):

@@ -10,7 +10,7 @@ import pytest
 from chslab import holder, inequalities, solver
 from chslab.cli import _fmt
 from chslab.config import (
-    _KEYS,
+    _CHECKS,
     COMMANDS,
     DEFAULTS,
     ConfigError,
@@ -210,10 +210,26 @@ def test_every_default_passes_its_own_key_check():
 
 
 def test_every_key_belongs_to_some_command():
-    used = {key for defaults in DEFAULTS.values() for key in defaults}
-    assert used == set(_KEYS)
-    assert len(_KEYS) == 40
-    assert all(len(row) == 2 for row in _KEYS.values())  # (parser, check)
+    keys = [f.name for f in dataclasses.fields(RunConfig)][2:]
+    assert set(keys) == {key for defaults in DEFAULTS.values() for key in defaults}
+    assert len(keys) == 40
+    assert set(_CHECKS) <= set(keys) and len(_CHECKS) == 20
+
+
+def test_a_key_has_one_default_type_in_every_command():
+    # the default's type picks the parser, and RunConfig has one field per key
+    types = {}
+    for command, defaults in DEFAULTS.items():
+        for key, value in defaults.items():
+            assert types.setdefault(key, type(value)) is type(value), (command, key)
+
+
+def test_a_boolean_key_is_read_as_a_boolean_not_an_integer():
+    assert parse_config("rho_trivial = yes\n", "holder", "x").rho_trivial is True
+    assert parse_config("normalize = 0\n", "t0probe", "x").normalize is False
+    with pytest.raises(ConfigError) as info:
+        parse_config("ratios_csv = 2\n", "ineq", "x")
+    assert info.value.errors == ["key 'ratios_csv': expected a boolean, got '2'"]
 
 
 def test_every_real_key_rejects_non_finite_values():
@@ -230,7 +246,8 @@ def test_every_real_key_rejects_non_finite_values():
 
 def test_attribute_names_of_renamed_keys():
     # each key is its own RunConfig field, capitals included
-    assert [f.name for f in dataclasses.fields(RunConfig)] == ["command", "out", *_KEYS]
+    union = {key: None for defaults in DEFAULTS.values() for key in defaults}
+    assert [f.name for f in dataclasses.fields(RunConfig)] == ["command", "out", *union]
     cfg = parse_config("N = 64\nL = 3.0\nT = 0.25\n", "holder", "x")
     assert (cfg.N, cfg.L, cfg.T) == (64, 3.0, 0.25)
     assert parse_config("mollifier_N = 512\n", "ineq", "x").mollifier_N == 512

@@ -7,6 +7,10 @@ second value must write other artifact bytes (manifest.txt aside, which
 echoes every key).  The keys no run reads are listed apart, and changing
 one must change no artifact byte.  A (command, key) with neither entry
 fails, so a key added to DEFAULTS needs its row.
+
+The second values also check that a manifest reads back to its run: the key
+lines that `cli` writes, fed to `parse_config` as config text, give the
+same RunConfig, at the defaults and with every key at its second value.
 """
 
 import warnings
@@ -15,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from chslab.cli import execute
+from chslab.cli import _write_manifest, execute
 from chslab.config import DEFAULTS, parse_config
 
 # command -> a config that runs in a few milliseconds
@@ -129,3 +133,23 @@ def test_changing_a_key_changes_the_artifacts_unless_it_is_unread(tmp_path, comm
         assert after == before
     else:
         assert after != before
+
+
+def _every_key_changed(command):
+    """Overrides that set each key of the command to its second value."""
+    second = {**UNREAD, **{pair: value for pair, (value, _) in READ.items()}}
+    return {key: second[command, key] for key in DEFAULTS[command]}
+
+
+@pytest.mark.parametrize("changed", [False, True], ids=["defaults", "every-key-changed"])
+@pytest.mark.parametrize("command", DEFAULTS)
+def test_a_manifest_reads_back_to_its_run(tmp_path, command, changed):
+    cfg = parse_config("", command, str(tmp_path), _every_key_changed(command) if changed else {})
+    if changed:
+        assert all(getattr(cfg, key) != value for key, value in DEFAULTS[command].items())
+    _write_manifest(cfg, {}, {}, 0.0)
+    lines = (tmp_path / "manifest.txt").read_text().splitlines()
+    # with no results and no artifacts, the key lines are all that lies between
+    assert lines[:2] == ["chslab manifest", f"command = {command}"]
+    assert lines[-1].startswith("wall_time_s = ")
+    assert parse_config("\n".join(lines[2:-1]), command, cfg.out) == cfg

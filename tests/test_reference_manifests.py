@@ -1,12 +1,12 @@
-"""Manifests of seven reference lines, pinned byte for byte.
+"""Manifests of eight reference lines, pinned byte for byte.
 
 Each manifest echoes the effective configuration and hashes every
 artifact, so a pinned manifest (less its `wall_time_s` line) pins the
-run's bytes too.  The lines are the five commands at their defaults and
-two heavier runs.  The floating-point bytes depend on the Python and
-numpy builds and on the machine, so the comparison runs only where all
-three match the ones recorded; elsewhere the test skips and names the
-mismatch.
+run's bytes too.  The lines are the five commands at their defaults, two
+heavier runs and `t0probe --kind sech2`, whose verdict fails (exit 1).
+The floating-point bytes depend on the Python and numpy builds and on
+the machine, so the comparison runs only where all three match the ones
+recorded; elsewhere the test skips and names the mismatch.
 
 Run this module as a script to rewrite the reference file:
 
@@ -33,6 +33,7 @@ LINES = (
     ("kernel",),
     ("solve", "--N", "4096", "--t_end", "0.5"),
     ("holder", "--T", "1.5", "--direction_kind", "random-decay"),
+    ("t0probe", "--kind", "sech2"),
 )
 
 

@@ -30,6 +30,7 @@ from chslab.solver import (
     size_bound_check,
     snapshot_bytes,
     solve,
+    solve_stack,
     step_rk4,
     t0_lower_bound,
 )
@@ -221,6 +222,19 @@ def test_solve_rejects_bad_horizon(line):
         solve(st, default_params(), 4.0, 0.3, dt_policy=-0.1)
     with pytest.raises(ValueError):
         solve(st, default_params(), 4.0, 0.3, seam_policy="panic")
+
+
+def test_a_run_over_the_step_budget_stops_before_its_first_step(line, monkeypatch):
+    monkeypatch.setattr(solver, "_MAX_STEPS", 10)
+    st = bump_state(line)
+    # ten fixed steps are within the budget, eleven are not
+    assert len(solve(st, default_params(), 4.0, 1.0, dt_policy=0.1).times) == 11
+    recorded = []
+    with pytest.raises(solver.DataError, match=(
+            r"^the run needs 11 steps of dt = 0.1 to reach t = 1.1, over the step budget of 10$")):
+        solve_stack(line, np.array([[st.u.half, st.rho.half]]), default_params(), 4.0, 1.1,
+                    dt_policy=0.1, observe=lambda stack, rows: recorded.append(len(rows)))
+    assert recorded == [1]  # the initial state alone
 
 
 # ------------------------------------------------------------ seam rules
