@@ -156,6 +156,7 @@ def _run_solve(cfg: RunConfig):
         "ledger_rows": len(traj.times),
         "final_t": float(traj.times[-1]),
         "final_y": float(traj.y[-1]),
+        "time_error_bound": traj.time_error_bound,
     }
     ok = traj.status == solver.COMPLETED
     return ok, results, {"ledger.csv": _ledger(traj),

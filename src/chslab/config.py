@@ -23,7 +23,7 @@ from .fields import INITIAL_KINDS
 from .holder import BASE_KINDS, DIRECTION_KINDS, holder_exponent, ladder_problems
 from .inequalities import (PROBES, check_kernel_range, check_negative_hypotheses,
                            kernel_diverges, probe_runs)
-from .solver import SEAM_POLICIES
+from .solver import CFL_LIMIT, SEAM_POLICIES
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "COMMANDS"]
 
@@ -79,7 +79,7 @@ _DATA = {  # width 0 means the kind's default width
 
 DEFAULTS = {
     "solve": {**_COMMON, **_PHYSICS, **_DATA,
-              "s": 4.0, "t_end": 1.0, "cfl": 0.3, "seam": "warn"},
+              "s": 4.0, "t_end": 1.0, "cfl": 0.9, "seam": "warn"},
     "holder": {**_COMMON, **_PHYSICS,
                "cases": ((4.0, 1.0), (4.0, 2.0), (4.0, 3.5), (3.75, 1.0)),
                "h": 2.0, "base_kind": "gaussian-bump",
@@ -121,7 +121,10 @@ def _one_of(choices: tuple):
 # the own check of each key that has one; every other key takes any value it parses to
 _CHECKS = {
     "N": _POWER_OF_TWO, "mollifier_N": _POWER_OF_TWO,
-    **dict.fromkeys(("L", "c_s", "t_end", "T", "cfl", "h", "parallelism"), _POSITIVE),
+    **dict.fromkeys(("L", "c_s", "t_end", "T", "h", "parallelism"), _POSITIVE),
+    "cfl": (lambda v: 0 < v <= CFL_LIMIT,
+            f"{{key}} must lie in (0, 3 sqrt(2)/pi = {CFL_LIMIT:.4f}] (RK4's stability limit), "
+            "got {value!r}"),
     "b": (lambda v: v != 1.0, "b = 1 is excluded (the system requires b != 1)"),
     **dict.fromkeys(("amplitude", "width", "seed"), _NONNEGATIVE),
     "kind": _one_of(INITIAL_KINDS),

@@ -62,6 +62,7 @@ __all__ = [
     "rhs", "step_rk4", "cfl_dt", "solve", "solve_stack", "existence_time", "t0_lower_bound",
     "size_bound_check", "MIN_FITTED_CS", "fit_min_cs", "diff_solve",
     "y_norms", "snapshot_bytes", "load_snapshot", "DataError", "SeamError", "SEAM_POLICIES",
+    "CFL_LIMIT",
 ]
 
 COMPLETED = "completed"
@@ -69,6 +70,9 @@ BLOWUP = "blow-up-detected"
 RESOLUTION_EXHAUSTED = "resolution-exhausted"
 # what `solve_stack` does with initial data that reaches the periodic seam
 SEAM_POLICIES = ("warn", "error", "ignore")
+# largest stable cfl: the retained transport eigenvalues give |lambda| dt <= (2 pi/3) cfl,
+# and RK4 is stable on the imaginary axis up to 2 sqrt(2)
+CFL_LIMIT = 3.0 * math.sqrt(2.0) / math.pi
 # largest |value| initial data may keep within 10% of the domain edge
 _SEAM_TOL = 1e-10
 # steps between refreshes of the CFL step's sup|u|
@@ -135,7 +139,12 @@ class State:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Solver output: the stored states plus the per-step norm ledger."""
+    """Solver output: the stored states plus the per-step norm ledger.
+
+    time_error_bound is a conservative bar on the time error of the final
+    state, in absolute y units: the sum of RK4's FSAL local error estimates
+    (see `solve_stack`).  It is nan on a trajectory no run made.
+    """
 
     states: tuple
     times: np.ndarray
@@ -144,6 +153,7 @@ class Trajectory:
     y: np.ndarray
     status: str
     s: float
+    time_error_bound: float = math.nan
 
     @property
     def grid(self) -> Grid:
@@ -291,8 +301,10 @@ class _Workspace:
         self.tmp = np.empty((rows, n))
         # the rfft of the B rows overlays the value spectra, which the irfft consumed
         self.tend = self.spec.reshape(-1)[:rows * 3 * half].reshape(rows, 3, half)
-        self.k = np.empty((rows, 2, half), dtype=complex)  # RK4 stage slope
+        # RK4 stage slope; it keeps a step's k4 until the next step's first stage
+        self.k = np.zeros((rows, 2, half), dtype=complex)
         self.x = np.empty((rows, 2, half), dtype=complex)  # RK4 stage state
+        self.fsal = np.empty((rows, 2, half), dtype=complex)  # k4 of the last step - k1
 
 
 @functools.lru_cache(maxsize=16)
@@ -307,13 +319,16 @@ def _rk4(tendency, stack: np.ndarray, dt: float,
     `tendency(x, c, out)` writes the right-hand side at x, c = 0, 1/2 or 1
     dt into the step, to out.  The stages live in `work`; the new stack is
     a fresh array that first holds the slope sum, so states kept from
-    earlier steps are never overwritten.
+    earlier steps are never overwritten.  work.k ends the step holding k4,
+    and the next step's k1 is the last one's k5 (first same as last), so
+    work.fsal gets k4 - k5 of the step before, with no extra tendency.
     """
     p = len(stack)
     k, x = work.k[:p], work.x[:p]
     new = np.empty_like(stack)
     finite = np.isfinite(stack).all(axis=(1, 2))
     tendency(stack, 0.0, new)
+    np.subtract(k, new, out=work.fsal[:p])
     # new sums k1 + 2 k2 + 2 k3 + k4 in that order, each k joining once its
     # successor's stage state is formed
     for i, (c, h) in enumerate(((0.5, 0.5 * dt), (0.5, 0.5 * dt), (1.0, dt))):
@@ -409,6 +424,15 @@ def solve_stack(grid: Grid, rows: np.ndarray, params: SystemParams, s: float | l
     under a fixed dt each steps bit for bit as it would alone.
     `observe(stack, rows)` sees the running rows and their indices in
     the input at each ledger time, before the watchdog acts.
+
+    Each row's `time_error_bound` sums, over its steps, the row's y norm
+    of e_n = (h_n/6)(k4_n - k5_n), the embedded third-order estimate of
+    RK4's local error whose k5 is the next step's k1 (Dormand and Prince
+    1980).  A step pays one subtraction and one norm for it, and a
+    completed run one more right-hand side at t_end.  The estimate is one
+    order lower than the error it bounds, so it over-estimates, and more
+    so the smaller the step.  An aborted row's bound covers its steps but
+    the last, whose k5 is never evaluated.
     """
     if not 0.0 <= t < t_end:
         raise ValueError(f"need 0 <= t < t_end, got t = {t}, t_end = {t_end}")
@@ -429,6 +453,7 @@ def solve_stack(grid: Grid, rows: np.ndarray, params: SystemParams, s: float | l
     work = _Workspace(grid.n, len(stack))
     rows = np.arange(len(stack))
     status = np.full(len(rows), COMPLETED, dtype=object)
+    bound = np.zeros(len(rows))  # each row's time_error_bound so far
     ledger, stored, last = [[] for _ in rows], [[] for _ in rows], [None] * len(rows)
     w_u, w_rho = (np.array([half_weights(grid, x - d) for x in s]) for d in (0.0, 2.0))
     # the resolution test watches the top third of the retained band
@@ -439,14 +464,25 @@ def solve_stack(grid: Grid, rows: np.ndarray, params: SystemParams, s: float | l
         nonlocal stack, rows, w_u, w_rho
         running = status[rows] == COMPLETED
         if not running.all():
+            # the running rows' k4 stays beside their states for the next FSAL difference
+            work.k[:running.sum()] = work.k[:len(rows)][running]
             stack, rows, w_u, w_rho = (a[running] for a in (stack, rows, w_u, w_rho))
+
+    def norms(w, x):
+        return np.sqrt(grid.length * np.sum(w * np.abs(x) ** 2, axis=-1))
+
+    def add_error(h, keep):
+        """Add each kept row's (h/6)(k4 - k5) of its last step, from work.fsal, to its bound."""
+        fsal = work.fsal[:len(rows)]
+        e = (h / 6.0) * (norms(w_u, fsal[:, 0]) + norms(w_rho, fsal[:, 1]))
+        bound[rows[keep]] += e[keep]
 
     def record(step):
         """Ledger rows, stored states and the watchdog at the current t."""
         energy = w_u * np.abs(stack[:, 0]) ** 2
         total = energy.sum(axis=-1)
         nu = np.sqrt(grid.length * total)
-        nr = np.sqrt(grid.length * np.sum(w_rho * np.abs(stack[:, 1]) ** 2, axis=-1))
+        nr = norms(w_rho, stack[:, 1])
         for k, i in enumerate(rows):
             ledger[i].append((t, nu[k], nr[k]))
             last[i] = (t, stack[k])
@@ -476,11 +512,18 @@ def solve_stack(grid: Grid, rows: np.ndarray, params: SystemParams, s: float | l
         if nsteps - (step - start) == 1:
             dt = t_end - t
         stack, bad = step_rk4(grid, stack, params, dt, work)
+        if step:
+            add_error(last_dt, ~bad)
         status[rows[bad]] = BLOWUP  # a non-finite stage never reaches the ledger
         drop_aborted()
         t += dt
+        last_dt = dt
         step += 1
         record(step)
+    if len(rows):  # the rows that completed: their last step's k5 costs one tendency
+        k5 = _operators(grid, params).rhs(stack, work, work.x[:len(rows)])
+        np.subtract(work.k[:len(rows)], k5, out=work.fsal[:len(rows)])
+        add_error(last_dt, slice(None))
 
     trajs = []
     for i, row in enumerate(ledger):
@@ -488,7 +531,8 @@ def solve_stack(grid: Grid, rows: np.ndarray, params: SystemParams, s: float | l
             stored[i].append(last[i])
         times, nus, nrs = np.array(row).T.copy()
         states = tuple(State(Field(grid, c[0]), Field(grid, c[1]), ts) for ts, c in stored[i])
-        trajs.append(Trajectory(states, times, nus, nrs, nus + nrs, status[i], s[i]))
+        trajs.append(Trajectory(states, times, nus, nrs, nus + nrs, status[i], s[i],
+                                float(bound[i])))
     return trajs
 
 

@@ -680,7 +680,7 @@ def test_seam_error_exits_two_with_one_line_and_writes_nothing(tmp_path, capsys)
 @pytest.mark.parametrize("argv, needs", [
     (["t0probe", "--N", "32", "--c_s", "1e-9", "--width", "100", "--alpha", "-1"], 93_697_734),
     (["t0probe", "--N", "16", "--L", "1e-3", "--kind", "random"], 131_557),
-    (["solve", "--t_end", "1e6"], 13_333_334),
+    (["solve", "--t_end", "1e6"], 4_444_445),
     (["holder", "--T", "1e5"], 1_333_334),
 ])
 def test_a_run_over_the_step_budget_exits_two_and_writes_nothing(tmp_path, capsys, argv, needs):

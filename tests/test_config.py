@@ -118,6 +118,20 @@ def test_keys_are_scoped_per_command():
     assert parse_config("c_s = 7\n", "t0probe", "/tmp/out").c_s == 7.0
 
 
+@pytest.mark.parametrize("command", ["solve", "holder", "t0probe"])
+def test_cfl_is_capped_at_the_rk4_stability_limit(command):
+    # |lambda| dt <= (2 pi/3) cfl on the retained transport modes, and RK4 is
+    # stable on the imaginary axis up to 2 sqrt(2)
+    assert solver.CFL_LIMIT == pytest.approx(3.0 * math.sqrt(2.0) / math.pi, rel=1e-15)
+    assert parse_config("", command, "x", {"cfl": repr(solver.CFL_LIMIT)}).cfl == solver.CFL_LIMIT
+    for text in (repr(math.nextafter(solver.CFL_LIMIT, 2.0)), "2", "5"):
+        with pytest.raises(ConfigError) as err:
+            parse_config("", command, "x", {"cfl": text})
+        assert err.value.errors == [
+            "cfl must lie in (0, 3 sqrt(2)/pi = 1.3505] (RK4's stability limit), "
+            f"got {float(text)!r}"]
+
+
 def test_holder_cases_parse_and_validate():
     cfg = parse_config("cases = 4:1 4:3.5\n", "holder", "/tmp/out")
     assert cfg.cases == ((4.0, 1.0), (4.0, 3.5))
@@ -165,7 +179,7 @@ def test_command_key_lists_are_disjoint_where_expected():
 DEFAULT_MANIFEST_LINES = {
     "solve": [
         "L = 64.0", "N = 256", "alpha = 0.0", "amplitude = 1.0", "b = 2.0",
-        "cfl = 0.3", "kappa = 1.0", "kind = gaussian", "parallelism = 1",
+        "cfl = 0.9", "kappa = 1.0", "kind = gaussian", "parallelism = 1",
         "rho_amplitude = 0.3", "s = 4.0", "seam = warn", "seed = 0",
         "t_end = 1.0", "width = 0.0",
     ],
@@ -313,7 +327,10 @@ def test_cli_defaults_are_the_library_defaults():
     scan = _keyword_defaults(inequalities.kernel_bound_scan)
     assert scan == {key: DEFAULTS["kernel"][key] for key in ("eta_max", "eta_points")}
     cfl = _keyword_defaults(solver.solve_stack)["cfl"]
-    assert [defaults["cfl"] for defaults in DEFAULTS.values() if "cfl" in defaults] == [cfl] * 3
+    assert [DEFAULTS[command]["cfl"] for command in ("holder", "t0probe")] == [cfl] * 2
+    # `solve` steps at two thirds of RK4's stability limit and reports the time
+    # error bound that costs; holder and t0probe keep the smaller library step
+    assert DEFAULTS["solve"]["cfl"] == 0.9 < solver.CFL_LIMIT
     # the mollifier probe draws f at its own smoothness when s is unset
     rep = inequalities.probe_mollifier_commutator(
         inequalities.ProbeConfig(Grid(64, 2.0 * math.pi), ensemble=1))
